@@ -99,9 +99,22 @@ def _get_int(d: dict, key: str, where: str, required: bool = False,
     v = _get_num(d, key, where, required, default, minimum)
     if v is None:
         return None
-    if v != int(v):
+    if not float(v).is_integer():
         raise ConfigError(f"{where}.{key}: expected an integer")
     return int(v)
+
+
+def _int_entries(values: list, where: str, minimum=None) -> tuple[int, ...]:
+    """The entries of a list as integers; anything else is a ConfigError."""
+    out = []
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or (isinstance(v, float) and not v.is_integer())):
+            raise ConfigError(f"{where}: entries must be integers, got {v!r}")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"{where}: entries must be >= {minimum}")
+        out.append(int(v))
+    return tuple(out)
 
 
 @dataclass
@@ -153,13 +166,25 @@ def _parse_deployment(sec: dict) -> tuple[Deployment | None, ContentionGraph,
                     "deployment.adjacency")
         if not isinstance(adj.get("cells"), list) or not adj["cells"]:
             raise ConfigError("deployment.adjacency.cells: need a list of ids")
-        cells = [int(c) for c in adj["cells"]]
+        cells = _int_entries(adj["cells"], "deployment.adjacency.cells")
+        if len(set(cells)) != len(cells):
+            raise ConfigError("deployment.adjacency.cells: duplicate ids")
+        raw_edges = adj.get("edges") or []
+        if not isinstance(raw_edges, list):
+            raise ConfigError("deployment.adjacency.edges: need a list")
         edges = []
-        for e in adj.get("edges", []):
+        for e in raw_edges:
             if not isinstance(e, list) or len(e) != 2:
                 raise ConfigError("deployment.adjacency.edges: entries must "
                                   "be [a, b] pairs")
-            edges.append((int(e[0]), int(e[1])))
+            a, b = _int_entries(e, "deployment.adjacency.edges")
+            if a not in cells or b not in cells:
+                raise ConfigError(f"deployment.adjacency.edges: [{a}, {b}] "
+                                  f"names a cell not in cells")
+            if a == b:
+                raise ConfigError(f"deployment.adjacency.edges: self-loop "
+                                  f"on cell {a}")
+            edges.append((a, b))
         graph = graph_from_edges(cells, edges)
         ncs = adj.get("node_counts")
         if ncs is None:
@@ -168,7 +193,8 @@ def _parse_deployment(sec: dict) -> tuple[Deployment | None, ContentionGraph,
             if not isinstance(ncs, list) or len(ncs) != graph.size:
                 raise ConfigError("deployment.adjacency.node_counts: need one "
                                   "entry per cell")
-            counts = tuple(int(v) for v in ncs)
+            counts = _int_entries(ncs, "deployment.adjacency.node_counts",
+                                  minimum=1)
         return None, graph, counts
     # inline geometric cells
     if not isinstance(sec["cells"], list) or not sec["cells"]:
@@ -192,6 +218,9 @@ def _parse_deployment(sec: dict) -> tuple[Deployment | None, ContentionGraph,
                                 default=2, minimum=1),
             channel=_get_int(c, "channel", f"deployment.cells[{k}]",
                              default=1)))
+    ids = [g.cell_id for g in geoms]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("deployment.cells: duplicate ids")
     dep = Deployment(cells=tuple(geoms), carrier_sense_range=rcs)
     graph = build_contention_graph(dep)
     order = {c.cell_id: c.node_count for c in dep.cells}
@@ -298,9 +327,7 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
         ncs = traffic["node_counts"]
         if not isinstance(ncs, list) or len(ncs) != graph.size:
             raise ConfigError("traffic.node_counts: need one entry per cell")
-        node_counts = tuple(int(v) for v in ncs)
-        if any(v < 1 for v in node_counts):
-            raise ConfigError("traffic.node_counts: entries must be >= 1")
+        node_counts = _int_entries(ncs, "traffic.node_counts", minimum=1)
 
     tcp_data = tcp_ack = app_data = None
     arrival = None

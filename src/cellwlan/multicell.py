@@ -70,8 +70,9 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     # 0 * -inf is nan, so keep the matmul finite and kill the states that
     # contain a silent cell afterwards
     log_rho = np.log(np.where(silent, 1.0, rho))
-    logw = state_space.active_mask @ log_rho
-    logw[state_space.active_mask[:, silent].any(axis=1)] = LOG_ZERO
+    logw = state_space.active_float @ log_rho
+    if silent.any():
+        logw[state_space.active_mask[:, silent].any(axis=1)] = LOG_ZERO
     logw -= logw.max()
     w = np.exp(logw)
     return w / w.sum()
@@ -84,7 +85,8 @@ def per_state_collision(state_space: StateSpace, members, cell_id: int,
 
     An attempt collides unless all n-1 cellmates and every node of every
     contending neighbor cell stay silent in the same slot.  Only defined
-    while the cell itself is contending in the given state.
+    while the cell itself is contending in the given state.  This is the
+    scalar reference for ``collision_probability``.
     """
     part = partition_state(state_space.graph, frozenset(members))
     if cell_id not in part.contending:
@@ -99,34 +101,28 @@ def per_state_collision(state_space: StateSpace, members, cell_id: int,
     return 1.0 - silent
 
 
-def _collision_matrix(state_space: StateSpace, beta: np.ndarray,
-                      n: np.ndarray) -> np.ndarray:
-    """Per-(state, cell) collision probabilities, vectorized.
-
-    Entry [s, i] is meaningful only where cell i is contending in state s;
-    other entries are zero.
-    """
-    adj = state_space.adjacency.astype(float)
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-np.minimum(beta, 1.0))  # log(1 - beta), -inf at 1
-    cell_term = n * log_miss
-    intra = (n - 1.0) * log_miss
-    nb = (state_space.contending_mask * cell_term) @ adj
-    with np.errstate(invalid="ignore"):
-        gam = 1.0 - np.exp(intra[None, :] + nb)
-    return np.where(state_space.contending_mask, gam, 0.0)
-
-
 def collision_probability(state_space: StateSpace, pi, beta,
                           node_counts) -> np.ndarray:
     """Collision probability per cell, averaged over the states in which
-    the cell is contending."""
+    the cell is contending.
+
+    Works on the state space's ``collision_index``: the law's mass is
+    summed per (cell, pattern of contending neighbors), each pattern's
+    collision probability is a product of silence probabilities
+    (1-beta_j)^n_j, finite for beta_j = 1, and each cell averages over its
+    few patterns.
+    """
+    idx = state_space.collision_index
     pi = np.asarray(pi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    miss = 1.0 - np.asarray(beta, dtype=float)
     n = np.asarray(node_counts, dtype=float)
-    gam = _collision_matrix(state_space, beta, n)
-    num = pi @ (state_space.contending_mask * gam)
-    den = pi @ state_space.contending_mask
+    silent = (miss[idx.owner] ** (n[idx.owner] - 1.0)
+              * np.where(idx.neighbors, miss ** n, 1.0).prod(axis=1))
+    mass = np.bincount(idx.column, weights=np.repeat(pi, idx.counts),
+                       minlength=len(idx.owner))
+    cells = len(state_space.cells)
+    num = np.bincount(idx.owner, weights=mass * (1.0 - silent), minlength=cells)
+    den = np.bincount(idx.owner, weights=mass, minlength=cells)
     # den >= pi(empty state) > 0: every cell contends in the empty state.
     return num / den
 
@@ -266,8 +262,13 @@ def saturation_throughputs(x, node_counts, mac_phy: MacPhyParams,
 def solve_fixed_point(inp: MulticellInput,
                       cfg: FixedPointConfig | None = None) -> MulticellSolution:
     """Solve the coupled attempt/collision fixed point of the network."""
+    return _solve(inp, cfg, enumerate_independent_sets(inp.graph))
+
+
+def _solve(inp: MulticellInput, cfg: FixedPointConfig | None,
+           ss: StateSpace) -> MulticellSolution:
+    """``solve_fixed_point`` over an already enumerated state space."""
     cfg = cfg or FixedPointConfig()
-    ss = enumerate_independent_sets(inp.graph)
     n = np.asarray(inp.node_counts, dtype=float)
     slot = inp.mac_phy.slot_time
     t_s, t_c = frame_exchange_times(inp.mac_phy)
@@ -385,12 +386,14 @@ def payload_sweep(inp: MulticellInput, payload_bits_values,
 
     Larger payloads stretch the activity times, raising every access
     intensity, so the network slides toward its infinite-intensity limit.
+    The state space depends on the graph alone, so it is enumerated once.
     """
+    ss = enumerate_independent_sets(inp.graph)
     points = []
     for pb in payload_bits_values:
         mp = inp.mac_phy.with_payload(float(pb))
-        sol = solve_fixed_point(
-            MulticellInput(inp.graph, inp.node_counts, mp, inp.backoff), cfg)
+        sol = _solve(
+            MulticellInput(inp.graph, inp.node_counts, mp, inp.backoff), cfg, ss)
         points.append(SweepPoint(
             payload_bits=float(pb),
             beta=tuple(sol.beta), rho=tuple(sol.rho), x=tuple(sol.x),

@@ -12,7 +12,8 @@ sets of simultaneously transmitting cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -209,6 +210,28 @@ def partition_state(graph: ContentionGraph, active: frozenset[int] | set[int]) -
     return PartitionedState(active, blocked, contending)
 
 
+@dataclass(frozen=True)
+class CollisionIndex:
+    """The contending (state, cell) entries of a state space, grouped by
+    neighborhood pattern.
+
+    A cell's collision probability in a state depends only on which of its
+    neighbors contend there, so the states in which a cell contends fall
+    into a few patterns: at most 2^degree, and only the observed ones are
+    kept.  Pattern k belongs to cell column ``owner[k]``, and
+    ``neighbors[k]`` marks the cell columns that contend beside it.
+    ``column`` holds the pattern of every contending (state, cell) entry in
+    state order, then cell order; ``counts`` holds the number of contending
+    cells per state, so ``np.repeat(pi, counts)`` lines a law over the
+    states up with ``column``.
+    """
+
+    counts: np.ndarray
+    column: np.ndarray
+    owner: np.ndarray
+    neighbors: np.ndarray
+
+
 class StateSpace:
     """All independent sets of a contention graph, in canonical order.
 
@@ -216,6 +239,7 @@ class StateSpace:
     the empty state is always index 0.  Boolean masks over (state, cell)
     are precomputed for vectorized work: ``active_mask`` marks members,
     ``blocked_mask`` marks their neighbors, ``contending_mask`` the rest.
+    ``active_float`` is ``active_mask`` as 0.0/1.0 for matrix products.
     """
 
     def __init__(self, graph: ContentionGraph, states: list[tuple[int, ...]]):
@@ -240,6 +264,7 @@ class StateSpace:
         self.adjacency = adj.astype(bool)
         self.blocked_mask = touched & ~self.active_mask
         self.contending_mask = ~(self.active_mask | self.blocked_mask)
+        self.active_float = self.active_mask.astype(float)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -250,32 +275,52 @@ class StateSpace:
     def cell_column(self, cell_id: int) -> int:
         return self._cell_col[cell_id]
 
+    @cached_property
+    def collision_index(self) -> CollisionIndex:
+        """Built on first use, then kept with the state space."""
+        cont, n_cells = self.contending_mask, len(self.cells)
+        column = np.zeros(cont.shape, dtype=np.intp)
+        owner, neighbors = [], []
+        for j in range(n_cells):
+            rows = np.flatnonzero(cont[:, j])
+            # number the observed patterns one neighbor at a time, so the
+            # codes stay below the row count whatever the degree
+            code = np.zeros(len(rows), dtype=np.intp)
+            for k in np.flatnonzero(self.adjacency[j]):
+                code = np.unique(2 * code + cont[rows, k], return_inverse=True)[1]
+            _, first, code = np.unique(code, return_index=True,
+                                       return_inverse=True)
+            column[rows, j] = len(owner) + code
+            owner += [j] * len(first)
+            neighbors += list(cont[rows[first]] & self.adjacency[j])
+        return CollisionIndex(
+            counts=cont.sum(axis=1), column=column[cont],
+            owner=np.array(owner, dtype=np.intp),
+            neighbors=np.array(neighbors, dtype=bool).reshape(len(owner), n_cells))
+
 
 def _independent_sets(graph: ContentionGraph, cap: int) -> list[tuple[int, ...]]:
     """All independent sets as sorted member tuples, lexicographic order.
 
-    Include/exclude recursion on the lowest-index vertex; raises once more
+    Include/exclude search on the lowest-index vertex, driven by an explicit
+    stack of (members, next vertex, banned-vertex bitmask); raises once more
     than ``cap`` states have been produced.
     """
     order = list(graph.cells)
-    nbrs = {c: graph.neighbors(c) for c in order}
+    bit = {c: 1 << k for k, c in enumerate(order)}
+    nbr_bits = [sum(bit[q] for q in graph.neighbors(c)) for c in order]
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], start: int, banned: set[int]) -> None:
-        out.append(tuple(prefix))
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    while stack:
+        prefix, start, banned = stack.pop()
+        out.append(prefix)
         if len(out) > cap:
             raise StateSpaceCapError(
                 f"graph with {graph.size} cells has more than {cap} "
                 f"independent sets; enumeration refused")
         for k in range(start, len(order)):
-            v = order[k]
-            if v in banned:
-                continue
-            prefix.append(v)
-            rec(prefix, k + 1, banned | nbrs[v])
-            prefix.pop()
-
-    rec([], 0, set())
+            if not banned >> k & 1:
+                stack.append((prefix + (order[k],), k + 1, banned | nbr_bits[k]))
     out.sort()
     return out
 

@@ -219,6 +219,8 @@ def test_config_rejects_unknown_and_conflicting_keys(tmp_path, capsys):
          "mac_phy": {"preset": "dot11b-11mbps", "slot_us": -1}},
         {"deployment": {"preset": "three-chain"},
          "traffic": {"mode": "tcp-long", "tcp_data_bytes": 1500}},
+        {"deployment": {"preset": "three-chain"},
+         "backoff": {"cw_min": float("inf"), "cw_max": 32, "retry_limit": 7}},
     ]
     for doc in bad:
         cfg = write_cfg(tmp_path, doc)
@@ -227,6 +229,24 @@ def test_config_rejects_unknown_and_conflicting_keys(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1, doc
         assert "config error" in err
+
+
+@pytest.mark.parametrize("adjacency,traffic", [
+    ({"cells": [1, 2, 3], "edges": [[1, 2], [2, 9]]}, {}),
+    ({"cells": [1, 1.7]}, {}),
+    ({"cells": [1, 2, 3], "edges": [[1, 2]]}, {"node_counts": ["a", 2, 2]}),
+], ids=["edge-to-unknown-cell", "fractional-cell-id",
+        "non-integer-node-count"])
+def test_malformed_adjacency_is_a_config_error(tmp_path, capsys, adjacency,
+                                               traffic):
+    doc = chain_doc(deployment={"adjacency": adjacency})
+    if traffic:
+        doc["traffic"] = traffic
+    out = tmp_path / "out"
+    assert main(["saturation", "--config", write_cfg(tmp_path, doc),
+                 "--out", str(out)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_rejects_malformed_documents(tmp_path, capsys):

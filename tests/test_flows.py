@@ -1,6 +1,8 @@
 """Flow-level queues: service models, delay fixed point, simulator."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,3 +257,18 @@ def test_simulator_effective_rates_are_plausible():
 def test_simulator_arrival_count_validation():
     with pytest.raises(ValueError):
         simulate_flow_network(chain(), FlowParams((0.1, 0.1), 1.0, 1.0))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, cellwlan; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_confidence_quantile_is_student_t():
+    from scipy.special import stdtrit
+    from scipy.stats import t
+    for df in range(1, 31):
+        assert stdtrit(df, 0.975) == t.ppf(0.975, df)

@@ -108,14 +108,27 @@ def test_per_state_collision_goldens():
 
 def test_collision_probability_matches_scalar_average():
     rng = np.random.Generator(np.random.Philox(7))
-    for _ in range(25):
+    cases = []
+    for k in range(40):
         n = int(rng.integers(1, 7))
         cells, edges = oracles.random_graph(rng, n, 0.5)
-        ss = space(graph_from_edges(cells, edges))
         beta = rng.uniform(0.01, 0.6, size=n)
         counts = rng.integers(1, 6, size=n)
-        rho = rng.uniform(0.1, 5.0, size=n)
-        pi = stationary_distribution(ss, rho)
+        if k >= 25:
+            # the ends of the range: sure silence, sure attempts, lone nodes
+            beta[rng.random(n) < 0.4] = 0.0
+            beta[rng.random(n) < 0.4] = 1.0
+            counts[rng.random(n) < 0.5] = 1
+        cases.append((cells, edges, beta, counts))
+    cases.append(([1, 2, 3], [(1, 2), (2, 3)], np.array([1.0, 0.2, 0.3]),
+                   np.array([1, 2, 2])))
+    # degree 69 and 71 states: one contending pattern per cell
+    clique = list(range(1, 71))
+    cases.append((clique, list(itertools.combinations(clique, 2)),
+                  rng.uniform(0.0, 0.05, size=70), rng.integers(1, 4, size=70)))
+    for cells, edges, beta, counts in cases:
+        ss = space(graph_from_edges(cells, edges))
+        pi = stationary_distribution(ss, rng.uniform(0.1, 5.0, size=len(cells)))
         got = collision_probability(ss, pi, beta, counts)
         for j, c in enumerate(ss.cells):
             num = den = 0.0

@@ -1,5 +1,7 @@
 """Contention-graph construction, PBD geometry, and state enumeration."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,24 @@ def test_enumeration_cap_refuses_large_spaces():
     with pytest.raises(StateSpaceCapError):
         enumerate_independent_sets(g, cap=1023)
     assert len(enumerate_independent_sets(g, cap=1024)) == 1024
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a 4x4 grid; any cycle would hold every state tuple until a full
+    # collection
+    edges = [(k, k + 1) for k in range(1, 17) if k % 4] + \
+        [(k, k + 4) for k in range(1, 13)]
+    g = graph_from_edges(list(range(1, 17)), edges)
+    gc.collect()
+    gc.disable()
+    try:
+        ss = enumerate_independent_sets(g)
+        assert len(ss) == 1234
+        del ss
+        mis_stats(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_graph_validation():
