@@ -28,7 +28,7 @@ from .topology import (CellGeom, ContentionGraph, Deployment, MisStats,
                        PbdReport, StateSpace, StateSpaceCapError,
                        adjacency_text, build_contention_graph, check_pbd,
                        dot_edges, enumerate_independent_sets,
-                       graph_from_edges, mis_stats, partition_state,
-                       restrict)
+                       graph_from_edges, mis_share_table, mis_stats,
+                       partition_state, restrict)
 
 __version__ = "0.1.0"

@@ -80,6 +80,16 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
                           f"allowed: {sorted(allowed)}")
 
 
+def _is_number(v) -> bool:
+    """A finite int or float that fits a float; booleans are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _get_num(d: dict, key: str, where: str, required: bool = False,
              default=None, minimum=None):
     if key not in d:
@@ -87,8 +97,8 @@ def _get_num(d: dict, key: str, where: str, required: bool = False,
             raise ConfigError(f"{where}.{key}: required")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
+    if not _is_number(v):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}.{key}: must be >= {minimum}")
     return float(v)
@@ -108,8 +118,7 @@ def _int_entries(values: list, where: str, minimum=None) -> tuple[int, ...]:
     """The entries of a list as integers; anything else is a ConfigError."""
     out = []
     for v in values:
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or (isinstance(v, float) and not v.is_integer())):
+        if not _is_number(v) or (isinstance(v, float) and not v.is_integer()):
             raise ConfigError(f"{where}: entries must be integers, got {v!r}")
         if minimum is not None and v < minimum:
             raise ConfigError(f"{where}: entries must be >= {minimum}")
@@ -347,6 +356,10 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
         if not isinstance(rates, list) or len(rates) != graph.size:
             raise ConfigError("traffic.arrival_rates_per_s: need one rate "
                               "per cell")
+        for r in rates:
+            if not _is_number(r):
+                raise ConfigError("traffic.arrival_rates_per_s: entries must "
+                                  f"be finite numbers, got {r!r}")
         arrival = tuple(float(r) for r in rates)
         if any(r < 0 for r in arrival):
             raise ConfigError("traffic.arrival_rates_per_s: rates must "
@@ -377,8 +390,10 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
     _check_keys(sim_sec, {"enabled", "seed", "flows_per_cell", "warmup_flows",
                           "replications"}, "sim")
     enabled = bool(sim_sec.get("enabled", False))
-    seed = _get_int(sim_sec, "seed", "sim", default=1)
+    seed = _get_int(sim_sec, "seed", "sim", default=1, minimum=0)
     if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError("--seed: must be >= 0")
         seed = seed_override
     sim = SimConfig(
         rng_seed=seed,
@@ -398,7 +413,7 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
             raise ConfigError("sweep.payload_bytes: need a non-empty list")
         vals = []
         for v in pts:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
+            if not _is_number(v) or v <= 0:
                 raise ConfigError("sweep.payload_bytes: entries must be "
                                   "positive numbers")
             vals.append(8.0 * float(v))
@@ -722,8 +737,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (ConvergenceError, StateSpaceCapError, ValueError,
-            RuntimeError) as e:
+    except (ConvergenceError, StateSpaceCapError, ValueError) as e:
         print(f"analysis error: {e}", file=sys.stderr)
         return 2
 

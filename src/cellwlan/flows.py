@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import ContentionGraph, mis_stats, restrict
+from .dcf import ConvergenceError
+from .topology import ContentionGraph, mis_share_table, mis_stats, restrict
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class FlowParams:
     service_model: str = "model2"
 
     def __post_init__(self) -> None:
-        if any(r < 0 for r in self.arrival_rates):
+        if not all(r >= 0 for r in self.arrival_rates):  # NaN fails too
             raise ValueError("arrival rates must be >= 0")
         if self.mean_flow_size <= 0 or self.single_cell_rate <= 0:
             raise ValueError("mean_flow_size and single_cell_rate must be > 0")
@@ -301,55 +302,44 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
     gets, averaging the busy-subgraph split over who is busy.
 
     Cell j is treated as busy independently with probability
-    min(1, nu_j E[V] / (x_j rate)); for each busy set the cell's share is
-    its maximum-independent-set fraction in the induced subgraph.  Cells
-    beyond MAX_FIXED_POINT_CELLS are refused: the sum runs over all
-    subsets of the other cells.
+    p_j = min(1, nu_j E[V] / (x_j rate)); for each busy set the cell's share
+    is its maximum-independent-set fraction in the induced subgraph.  The
+    shares of all 2^n busy sets come from one ``mis_share_table``; each
+    iteration weighs them by their Bernoulli probabilities given that cell
+    j is busy, so time and memory grow as 2^n n.  Graphs beyond
+    MAX_FIXED_POINT_CELLS cells are refused.  Raises ConvergenceError when
+    the damped iteration has not met the tolerance after
+    ``max_iterations`` steps.
     """
     n = graph.size
     if n > MAX_FIXED_POINT_CELLS:
-        raise ValueError(f"{n} cells; fixed point enumerates 2^(n-1) subsets "
-                         f"per cell and is capped at {MAX_FIXED_POINT_CELLS}")
+        raise ValueError(f"{n} cells; the fixed point tabulates all 2^n busy "
+                         f"sets and is capped at {MAX_FIXED_POINT_CELLS} cells")
     nu = np.asarray(params.arrival_rates, dtype=float)
     if nu.shape != (n,):
         raise ValueError("need one arrival rate per cell")
     work = nu * params.mean_flow_size / params.single_cell_rate  # load if x = 1
-
-    ratio_cache: dict[frozenset, dict[int, float]] = {}
-
-    def mis_ratio(cells_in: frozenset, i: int) -> float:
-        got = ratio_cache.get(cells_in)
-        if got is None:
-            sub = restrict(graph, cells_in)
-            st = mis_stats(sub)
-            got = {c: st.per_cell[k] / st.count for k, c in enumerate(sub.cells)}
-            ratio_cache[cells_in] = got
-        return got[i]
-
-    others = {c: [q for q in graph.cells if q != c] for c in graph.cells}
-    cols = {c: j for j, c in enumerate(graph.cells)}
+    share = mis_share_table(graph)
+    w = np.empty_like(share)
+    own = np.eye(n, dtype=bool)
 
     def f(x: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             p = np.minimum(1.0, np.where(x > 0, work / np.where(x > 0, x, 1.0),
                                          np.inf))
         q = np.maximum(0.0, 1.0 - p)
-        out = np.zeros(n)
-        for j, c in enumerate(graph.cells):
-            rest = others[c]
-
-            def rec(k: int, busy: list, weight: float) -> float:
-                if weight == 0.0:
-                    return 0.0
-                if k == len(rest):
-                    return weight * mis_ratio(frozenset(busy + [c]), c)
-                o = rest[k]
-                acc = rec(k + 1, busy + [o], weight * p[cols[o]])
-                acc += rec(k + 1, busy, weight * q[cols[o]])
-                return acc
-
-            out[j] = rec(0, [], 1.0)
-        return out
+        # w[mask, j]: probability that exactly the cells of mask are busy,
+        # given that cell j is; built by doubling over the cells, cell o
+        # weighing (idle, busy) by (q_o, p_o) in every column but its own,
+        # by (0, 1) in its own
+        idle = np.where(own, 0.0, q[:, None])
+        busy = np.where(own, 1.0, p[:, None])
+        w[0] = 1.0
+        for o in range(n):
+            half = 1 << o
+            np.multiply(w[:half], busy[o], out=w[half:2 * half])
+            w[:half] *= idle[o]
+        return np.einsum("ij,ij->j", w, share)
 
     x = np.ones(n)
     resid = np.inf
@@ -360,8 +350,9 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
         if resid <= tolerance:
             break
     else:
-        raise RuntimeError(f"effective-rate fixed point: residual {resid:.3e} "
-                           f"> tol {tolerance:.1e} after {max_iterations} iterations")
+        raise ConvergenceError(
+            f"effective-rate fixed point: residual {resid:.3e} "
+            f"> tol {tolerance:.1e} after {max_iterations} iterations")
     with np.errstate(divide="ignore"):
         loads = np.where(x > 0, work / np.where(x > 0, x, 1.0), np.inf)
     return EffectiveRateResult(x_hat=x, effective_rates=x * params.single_cell_rate,

@@ -11,6 +11,7 @@ sets of simultaneously transmitting cells.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -232,6 +233,21 @@ class CollisionIndex:
     neighbors: np.ndarray
 
 
+def _member_mask(states: tuple[tuple[int, ...], ...],
+                 cells: tuple[int, ...]) -> np.ndarray:
+    """(state, cell) membership, filled from one flat array of members."""
+    sizes = np.fromiter(map(len, states), dtype=np.intp, count=len(states))
+    members = np.fromiter(itertools.chain.from_iterable(states),
+                          dtype=np.int64, count=int(sizes.sum()))
+    cell_ids = np.array(cells, dtype=np.int64)
+    cols = np.searchsorted(cell_ids, members)
+    if np.any(cell_ids.take(cols, mode="clip") != members):
+        raise ValueError("states contain cells outside the graph")
+    mask = np.zeros((len(states), len(cells)), dtype=bool)
+    mask[np.repeat(np.arange(len(states)), sizes), cols] = True
+    return mask
+
+
 class StateSpace:
     """All independent sets of a contention graph, in canonical order.
 
@@ -247,27 +263,28 @@ class StateSpace:
         self.states = tuple(states)
         self.cells = graph.cells
         self._cell_col = {c: j for j, c in enumerate(graph.cells)}
-        self._index = {s: i for i, s in enumerate(self.states)}
-        n_states, n_cells = len(self.states), len(self.cells)
-        adj = np.zeros((n_cells, n_cells), dtype=np.uint8)
+        n_cells = len(self.cells)
+        self.adjacency = np.zeros((n_cells, n_cells), dtype=bool)
         for e in graph.edges:
             a, b = sorted(e)
-            adj[self._cell_col[a], self._cell_col[b]] = 1
-            adj[self._cell_col[b], self._cell_col[a]] = 1
-        self.active_mask = np.zeros((n_states, n_cells), dtype=bool)
-        for i, members in enumerate(self.states):
-            for c in members:
-                self.active_mask[i, self._cell_col[c]] = True
-        touched = (self.active_mask.astype(np.uint8) @ adj) > 0
+            self.adjacency[self._cell_col[a], self._cell_col[b]] = True
+            self.adjacency[self._cell_col[b], self._cell_col[a]] = True
+        self.active_mask = _member_mask(self.states, self.cells)
+        touched = np.zeros_like(self.active_mask)
+        for j, row in enumerate(self.adjacency):
+            touched[:, j] = self.active_mask[:, row].any(axis=1)
         if np.any(touched & self.active_mask):
             raise ValueError("states contain an adjacent pair; not independent sets")
-        self.adjacency = adj.astype(bool)
         self.blocked_mask = touched & ~self.active_mask
         self.contending_mask = ~(self.active_mask | self.blocked_mask)
         self.active_float = self.active_mask.astype(float)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {s: i for i, s in enumerate(self.states)}
 
     def index_of(self, members) -> int:
         return self._index[tuple(sorted(members))]
@@ -358,6 +375,43 @@ def mis_stats(graph: ContentionGraph, cap: int = DEFAULT_STATE_CAP) -> MisStats:
             per[c] += 1
     return MisStats(cells=graph.cells, max_size=alpha, count=len(top),
                     per_cell=tuple(per[c] for c in graph.cells))
+
+
+def mis_share_table(graph: ContentionGraph) -> np.ndarray:
+    """Maximum-independent-set shares of every induced subgraph.
+
+    ``share[mask, j]`` is the fraction of the maximum independent sets of
+    the subgraph induced by ``mask`` (bit j set for cell ``cells[j]``) that
+    contain cell j, and 0 when j is not in ``mask``.  A subset DP splits
+    each mask on its highest cell k: excluding k leaves ``mask - 2^k``,
+    including it leaves ``(mask - 2^k) & ~nbr[k]``; both lie below 2^k, so
+    the block [2^k, 2^(k+1)) is one vectorized pass over the blocks before
+    it.  Per-cell counts are exact integers in float64 until the final
+    division.  Memory is 2^n x n floats.
+    """
+    n = graph.size
+    col = {c: j for j, c in enumerate(graph.cells)}
+    nbr = [sum(1 << col[q] for q in graph.neighbors(c)) for c in graph.cells]
+    alpha = np.zeros(1 << n, dtype=np.intp)
+    count = np.ones(1 << n)
+    per = np.zeros((1 << n, n))
+    for k in range(n):
+        low = slice(0, 1 << k)
+        block = slice(1 << k, 2 << k)
+        inc = np.arange(1 << k) & ~nbr[k]
+        a_ex, a_in = alpha[low], alpha[inc] + 1
+        top = np.maximum(a_ex, a_in)
+        ex, in_ = (a_ex == top) * 1.0, (a_in == top) * 1.0
+        alpha[block] = top
+        count[block] = ex * count[low] + in_ * count[inc]
+        # cells k.. are absent below 2^k, so whole rows can be combined
+        grown, taken = per[block], per[inc]
+        np.multiply(ex[:, None], per[low], out=grown)
+        taken *= in_[:, None]
+        grown += taken
+        grown[:, k] = in_ * count[inc]
+    per /= count[:, None]
+    return per
 
 
 def restrict(graph: ContentionGraph, keep) -> ContentionGraph:

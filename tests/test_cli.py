@@ -108,13 +108,16 @@ def test_outputs_byte_identical_for_same_config_and_seed(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_seed_override_changes_sim_and_digest(tmp_path):
+def test_seed_override_changes_sim_and_digest(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tcp_short_doc())
     a = tmp_path / "a"
     c = tmp_path / "c"
     assert main(["tcp-short", "--config", cfg, "--out", str(a)]) == 0
     assert main(["tcp-short", "--config", cfg, "--out", str(c),
                  "--seed", "9"]) == 0
+    assert main(["tcp-short", "--config", cfg, "--out", str(tmp_path / "n"),
+                 "--seed", "-1"]) == 1
+    assert "config error: --seed" in capsys.readouterr().err
     assert ((a / "tcp-short_sim.csv").read_bytes()
             != (c / "tcp-short_sim.csv").read_bytes())
     # analytic tables do not depend on the seed
@@ -221,6 +224,13 @@ def test_config_rejects_unknown_and_conflicting_keys(tmp_path, capsys):
          "traffic": {"mode": "tcp-long", "tcp_data_bytes": 1500}},
         {"deployment": {"preset": "three-chain"},
          "backoff": {"cw_min": float("inf"), "cw_max": 32, "retry_limit": 7}},
+        {"deployment": {"preset": "three-chain"},
+         "mac_phy": {"preset": "dot11b-11mbps", "payload_bytes": float("nan")}},
+        {"deployment": {"preset": "three-chain"},
+         "mac_phy": {"preset": "dot11b-11mbps", "payload_bytes": 10 ** 400}},
+        {"deployment": {"preset": "three-chain"},
+         "sweep": {"payload_bytes": [500, float("inf")]}},
+        {"deployment": {"preset": "three-chain"}, "sim": {"seed": -1}},
     ]
     for doc in bad:
         cfg = write_cfg(tmp_path, doc)
@@ -246,6 +256,19 @@ def test_malformed_adjacency_is_a_config_error(tmp_path, capsys, adjacency,
     assert main(["saturation", "--config", write_cfg(tmp_path, doc),
                  "--out", str(out)]) == 1
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["a", float("nan"), True, float("inf")],
+                         ids=["string", "nan", "bool", "inf"])
+def test_malformed_arrival_rate_is_a_config_error(tmp_path, capsys, rate):
+    doc = tcp_short_doc()
+    doc["traffic"]["arrival_rates_per_s"] = [rate, 2, 2]
+    out = tmp_path / "out"
+    assert main(["tcp-short", "--config", write_cfg(tmp_path, doc),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: traffic.arrival_rates_per_s" in err
     assert not out.exists()
 
 
@@ -287,6 +310,13 @@ def test_analysis_failures_exit_one(tmp_path, capsys):
     assert main(["saturation", "--config", cfg,
                  "--out", str(tmp_path / "o2")]) == 2
     assert "analysis error" in capsys.readouterr().err
+    doc = tcp_short_doc()
+    doc["solver"] = {"max_iterations": 1}
+    cfg = write_cfg(tmp_path, doc, "short.yaml")
+    assert main(["tcp-short", "--config", cfg,
+                 "--out", str(tmp_path / "o3")]) == 2
+    assert "analysis error: effective-rate fixed point" in \
+        capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

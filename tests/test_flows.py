@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cellwlan.dcf import ConvergenceError
 from cellwlan.flows import (FlowParams, MAX_FIXED_POINT_CELLS, NetworkState,
                             SimConfig, effective_rate_fixed_point,
                             mean_delay_analytic, service_rates_model1,
@@ -85,6 +86,8 @@ def test_service_model_validation():
     with pytest.raises(ValueError):
         FlowParams((-0.1,), 1.0, 1.0)
     with pytest.raises(ValueError):
+        FlowParams((float("nan"),), 1.0, 1.0)
+    with pytest.raises(ValueError):
         FlowParams((0.1,), 0.0, 1.0)
 
 
@@ -110,8 +113,8 @@ def test_effective_rate_chain_frozen():
 
 def test_effective_rate_satisfies_power_set_map():
     rng = np.random.Generator(np.random.Philox(23))
-    for _ in range(12):
-        n = int(rng.integers(2, 6))
+    for k in range(12):
+        n = k % 7 + 2
         cells, edges = oracles.random_graph(rng, n, 0.5)
         g = graph_from_edges(cells, edges)
         nu = tuple(rng.uniform(0.02, 0.3, size=n))
@@ -121,6 +124,29 @@ def test_effective_rate_satisfies_power_set_map():
         back = oracles.effective_rate_map_powerset(
             cells, edges, res.x_hat, list(nu), ev, 1.0)
         np.testing.assert_allclose(back, res.x_hat, atol=1e-7)
+
+
+def test_effective_rate_twelve_cell_chain_golden():
+    # frozen from the per-cell recursive sum over busy subsets that the
+    # share table replaced
+    cells = list(range(1, 13))
+    g = graph_from_edges(cells, [(c, c + 1) for c in cells[:-1]])
+    nu = tuple(0.04 + 0.005 * (k % 5) for k in range(12))
+    res = effective_rate_fixed_point(g, FlowParams(nu, 1.0, 1.0))
+    np.testing.assert_allclose(res.x_hat, [
+        0.977627007010387, 0.9546766859523436, 0.9500240147225711,
+        0.9446279449884091, 0.9521958141349103, 0.947856263639199,
+        0.9552934006604659, 0.9500288764239391, 0.9446279416324174,
+        0.9521918381268408, 0.947283395841094, 0.980168364004752],
+        rtol=1e-12)
+    assert res.iterations == 26
+
+
+def test_effective_rate_nonconvergence_is_a_convergence_error():
+    params = FlowParams((0.1, 0.1, 0.1), 1.0, 1.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"residual .* > tol 1\.0e-08 after 1 iterations"):
+        effective_rate_fixed_point(chain(), params, max_iterations=1)
 
 
 def test_effective_rate_edgeless_and_zero_arrivals():

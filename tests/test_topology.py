@@ -1,6 +1,7 @@
 """Contention-graph construction, PBD geometry, and state enumeration."""
 
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from cellwlan.topology import (CellGeom, ContentionGraph, Deployment,
                                StateSpaceCapError, adjacency_text,
                                build_contention_graph, check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
-                               mis_stats, partition_state, restrict)
+                               mis_share_table, mis_stats, partition_state,
+                               restrict)
 from cellwlan.topology import _independent_sets
 
 import oracles
@@ -54,6 +56,26 @@ def test_mis_stats_matches_power_set_on_random_graphs():
         assert stats.count == count
         assert stats.per_cell == tuple(per[c] for c in stats.cells)
         assert sum(stats.per_cell) == alpha * count
+
+
+def test_mis_share_table_matches_power_set_on_every_subset():
+    rng = np.random.Generator(np.random.Philox(314))
+    graphs = [oracles.random_graph(rng, k % 8 + 1, float(rng.uniform(0, 0.9)))
+              for k in range(25)]
+    six = list(range(1, 7))
+    graphs += [(six, []), (six, list(itertools.combinations(six, 2)))]
+    for cells, edges in graphs:
+        n = len(cells)
+        share = mis_share_table(graph_from_edges(cells, edges))
+        assert share.shape == (2 ** n, n)
+        for mask in range(2 ** n):
+            sub = [c for j, c in enumerate(cells) if mask >> j & 1]
+            expect = [0.0] * n
+            if sub:
+                _, count, per = oracles.mis_counts_powerset(
+                    sub, [e for e in edges if set(e) <= set(sub)])
+                expect = [per[c] / count if c in per else 0.0 for c in cells]
+            assert share[mask].tolist() == expect, (cells, edges, mask)
 
 
 def test_state_space_masks_partition_every_state():
@@ -101,6 +123,19 @@ def test_state_space_rejects_adjacent_members():
     from cellwlan.topology import StateSpace
     with pytest.raises(ValueError):
         StateSpace(three_chain(), [(), (1, 2)])
+    with pytest.raises(ValueError):
+        StateSpace(three_chain(), [(), (4,)])
+
+
+def test_state_space_masks_follow_sparse_cell_ids():
+    g = graph_from_edges([3, 10, 42], [(3, 42)])
+    ss = enumerate_independent_sets(g)
+    assert ss.states == ((), (3,), (3, 10), (10,), (10, 42), (42,))
+    assert ss.active_mask.tolist() == [
+        [False, False, False], [True, False, False], [True, True, False],
+        [False, True, False], [False, True, True], [False, False, True]]
+    assert ss.blocked_mask[1].tolist() == [False, False, True]
+    assert ss.index_of((42, 10)) == 4
 
 
 def test_enumeration_cap_refuses_large_spaces():
