@@ -151,13 +151,13 @@ class DelayResult:
 
 
 def _simulate_once(graph: ContentionGraph, params: FlowParams,
-                   cfg: SimConfig, rng: np.random.Generator):
-    """One replication.  Returns per-cell (mean delay, completed count,
+                   cfg: SimConfig, rng: np.random.Generator, rates_of):
+    """One replication, with service rates from ``rates_of`` (a
+    ``_rate_table``).  Returns per-cell (mean delay, completed count,
     stable flag, effective busy rate)."""
     n = graph.size
     nu = np.asarray(params.arrival_rates, dtype=float)
     ev = params.mean_flow_size
-    rates_of = _rate_table(graph, params)
 
     counts = [0] * n
     progress = [0.0] * n            # per-flow service received, bits
@@ -251,10 +251,11 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
                            replications=0)
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
+    rates_of = _rate_table(graph, params)   # no randomness: shared by all
     means, compl, stab, effs = [], [], [], []
     for ss in seeds:
         rng = np.random.Generator(np.random.Philox(ss))
-        m, c, s, e = _simulate_once(graph, params, cfg, rng)
+        m, c, s, e = _simulate_once(graph, params, cfg, rng, rates_of)
         means.append(m)
         compl.append(c)
         stab.append(s)

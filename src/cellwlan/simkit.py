@@ -9,13 +9,19 @@ collide, and busy periods hold the channel for integer numbers of slots.
 Its counters give empirical attempt, collision and blocking statistics
 that the analytic fixed point must reproduce.
 
-Both use a counter-based generator (Philox) so runs replay exactly from
-a seed, with draws taken in fixed-size chunks.
+Replay contract: every output field is a fixed function of the inputs
+and the seed.  Both simulators draw from a counter-based generator
+(Philox) in chunks of ``_CHUNK`` steps: the CTMC draws k uniforms and
+then k exponentials per chunk, the slotted simulator one (k, 2n) block of
+uniforms per chunk, where k is ``_CHUNK`` or the remainder.  How a chunk
+is consumed is free to change as long as each step reads the same draw;
+changing ``_CHUNK`` or the draw order changes every seed's output.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -24,6 +30,12 @@ import numpy as np
 from .topology import ContentionGraph, StateSpace
 
 _CHUNK = 1 << 16
+# Up to this many states the CTMC walk is resolved by composing jump
+# tables; above it, by a plain per-step walk.  Composition does work per
+# step in proportion to the state count, and stops paying at about 36.
+_COMPOSE_MAX_STATES = 32
+# CTMC steps per piece of a chunk: the walk's working arrays hold this many
+_PIECE = 1 << 14
 
 
 @dataclass
@@ -37,6 +49,91 @@ class CtmcRun:
     empirical_x: np.ndarray       # per cell: active-or-contending fraction
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; it must be a whole number >= 1."""
+    if not (isinstance(value, numbers.Real) and value >= 1
+            and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= 1")
+    return int(value)
+
+
+def _cut_points(rows: list[list[float]]) -> list[list[float]]:
+    """Per row of cumulative rates, for every entry but the last, the
+    smallest double u with u * row[-1] >= row[i].
+
+    ``bisect_right(row, u * row[-1])`` passes entry i exactly when u is at
+    least this cut, so the cuts turn the jump into a lookup on u itself.
+    The last entry needs none: the jump's index is clamped to it.
+    """
+    values = np.array([v for row in rows for v in row[:-1]], dtype=float)
+    totals = np.repeat([row[-1] for row in rows], [len(row) - 1 for row in rows])
+    u = values / totals
+    while (high := u * totals >= values).any():
+        u[high] = np.nextafter(u[high], -np.inf)
+    while (low := u * totals < values).any():
+        u[low] = np.nextafter(u[low], np.inf)
+    flat = u.tolist()
+    ends = np.cumsum([len(row) - 1 for row in rows]).tolist()
+    return [flat[end - len(row) + 1:end] for row, end in zip(rows, ends)]
+
+
+def _jump_table(cuts: list[list[float]], targets: list[list[int]]):
+    """Merged cut points of all states, and ``table[r, s]``: the state
+    after s when u falls in interval r (``searchsorted(edges, u, "right")``)."""
+    edges = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in cuts]))
+    table = np.empty((len(edges) + 1, len(cuts)), dtype=np.intp)
+    for s, (c, t) in enumerate(zip(cuts, targets)):
+        table[0, s] = t[0]
+        table[1:, s] = np.asarray(t)[np.searchsorted(c, edges, side="right")]
+    return edges, table
+
+
+def _compose_walk(edges: np.ndarray, table: np.ndarray, s: int,
+                  us: np.ndarray, visited: np.ndarray) -> int:
+    """Write the state before each step of a piece into ``visited``;
+    return the state after the piece.
+
+    The walk s_{t+1} = table[r_t, s_t] is resolved in three passes over
+    blocks of about sqrt(k) / 2 steps: compose each block's jump maps on all
+    states (vectorized across blocks), walk the block starts, then replay
+    every block from its start in parallel.
+    """
+    n_states = table.shape[1]
+    flat = table.ravel()
+    k = len(us)
+    block = max(1, math.isqrt(k) // 2)
+    n_blocks = -(-k // block)
+    rows = np.searchsorted(edges, us, side="right")
+    if n_blocks * block > k:
+        rows = np.concatenate((rows, np.zeros(n_blocks * block - k, dtype=rows.dtype)))
+    rows *= n_states
+    steps = rows.reshape(n_blocks, block)       # steps[b, t]: step t of block b
+    maps = np.repeat(np.arange(n_states), n_blocks).reshape(n_states, n_blocks)
+    for t in range(block):
+        flat.take(np.add(steps[:, t], maps, out=maps), out=maps)
+    cur = np.empty(n_blocks, dtype=np.intp)
+    for b in range(n_blocks):
+        cur[b] = s
+        s = maps[s, b]
+    replay = np.empty((n_blocks, block), dtype=np.intp)
+    for t in range(block):
+        replay[:, t] = cur
+        flat.take(np.add(steps[:, t], cur, out=cur), out=cur)
+    visited[:] = replay.ravel()[:k]
+    return int(flat[rows[k - 1] + visited[-1]])
+
+
+def _sequential_walk(cuts: list[list[float]], targets: list[list[int]],
+                     s: int, us: np.ndarray, visited: np.ndarray) -> int:
+    """The same walk as ``_compose_walk``, one step at a time."""
+    out = [0] * len(us)
+    for t, u in enumerate(us.tolist()):
+        out[t] = s
+        s = targets[s][bisect_right(cuts[s], u)]
+    visited[:] = out
+    return s
+
+
 def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
                   transitions: int = 10_000_000, seed: int = 1) -> CtmcRun:
     """Simulate the jump chain over feasible states.
@@ -44,20 +141,34 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
     From state A, each contending cell i activates at rate lam_i and each
     active cell deactivates at rate mu_i.  Holding times are sampled, so
     the occupancy estimate is a genuine trajectory average.
+
+    The output is a fixed function of the inputs and the seed.  Per chunk
+    of k = min(``_CHUNK``, steps left) steps the generator gives k
+    uniforms, then k exponentials, and step t of the chunk reads uniform
+    ``u[t]`` and exponential ``e[t]``.  In state A, with R the total rate
+    out of A, the chain holds ``e[t] * (1 / R)``, then takes the
+    transition at ``bisect_right(cum, u[t] * R)`` of A's cumulative rates
+    (contending cells' activations in cell order, then members'
+    deactivations in member order).  Holding times add up per state in
+    step order, so the output is bit-for-bit that of the plain
+    step-at-a-time loop.
     """
     lam = np.asarray(activation_rates, dtype=float)
     mu = np.asarray(deactivation_rates, dtype=float)
     n_states = len(state_space)
     if lam.shape != (len(state_space.cells),) or mu.shape != lam.shape:
         raise ValueError("need one activation and one deactivation rate per cell")
+    if not math.isfinite(lam.sum() + mu.sum()):
+        raise ValueError("rates must be finite")
     if np.any(lam < 0) or np.any(mu <= 0):
         raise ValueError("rates must be lam >= 0, mu > 0")
+    transitions = _whole("transitions", transitions)
 
-    # Per-state transition tables: cumulative rates for sampling, target
-    # state indices, and the inverse total rate for holding times.
+    # Per-state jump tables: cumulative rates, target state indices, and
+    # the inverse total rate for holding times.
     cums: list[list[float]] = []
     targets: list[list[int]] = []
-    inv_rate: list[float] = []
+    inv_rate = np.empty(n_states)
     for s, members in enumerate(state_space.states):
         row_c, row_t, acc = [], [], 0.0
         for j, c in enumerate(state_space.cells):
@@ -73,27 +184,49 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
             raise ValueError("absorbing state; no transitions available")
         cums.append(row_c)
         targets.append(row_t)
-        inv_rate.append(1.0 / acc)
+        inv_rate[s] = 1.0 / acc
+    cuts = _cut_points(cums)
 
+    if n_states <= _COMPOSE_MAX_STATES:
+        edges, table = _jump_table(cuts, targets)
+
+        def walk(s, us, visited):
+            return _compose_walk(edges, table, s, us, visited)
+    else:
+        def walk(s, us, visited):
+            return _sequential_walk(cuts, targets, s, us, visited)
+
+    # The walk and the sums run over pieces of a chunk, which bounds the
+    # working arrays.  bincount adds in index order, so with the running
+    # totals put first each state's total is the same sequential sum as
+    # hold[s] += e * (1 / R(s)).
+    size = n_states + min(_PIECE, transitions)
+    index = np.empty(size, dtype=np.intp)
+    index[:n_states] = np.arange(n_states)
+    weight = np.empty(size)
     rng = np.random.Generator(np.random.Philox(seed))
-    hold = [0.0] * n_states
+    hold = np.zeros(n_states)
     s = 0  # empty state
     done = 0
     while done < transitions:
         k = min(_CHUNK, transitions - done)
         us = rng.random(k)
         es = rng.standard_exponential(k)
-        for t in range(k):
-            row = cums[s]
-            hold[s] += es[t] * inv_rate[s]
-            j = bisect_right(row, us[t] * row[-1])
-            s = targets[s][min(j, len(row) - 1)]
+        for lo in range(0, k, _PIECE):
+            m = min(_PIECE, k - lo)
+            visited = index[n_states:n_states + m]
+            s = walk(s, us[lo:lo + m], visited)
+            weight[:n_states] = hold
+            w = weight[n_states:n_states + m]
+            np.multiply(es[lo:lo + m], inv_rate.take(visited, out=w), out=w)
+            hold = np.bincount(index[:n_states + m], weights=weight[:n_states + m],
+                               minlength=n_states)
         done += k
+        del us, es  # free this chunk's draws before the next are made
 
-    holding = np.asarray(hold)
-    pi_hat = holding / holding.sum()
+    pi_hat = hold / hold.sum()
     x_hat = pi_hat @ (~state_space.blocked_mask)
-    return CtmcRun(seed=seed, transitions=transitions, holding_time=holding,
+    return CtmcRun(seed=seed, transitions=transitions, holding_time=hold,
                    empirical_pi=pi_hat, empirical_x=x_hat)
 
 
@@ -143,16 +276,24 @@ def simulate_slotted(graph: ContentionGraph, node_counts, beta,
     neighbor), else for ``t_collision_slots``.  Attempts only collide
     within their own slot; a cell neighboring an active cell is blocked
     and spends no backoff.  Holds start the slot after the attempt.
+
+    The output is a fixed function of the inputs and the seed.  Per chunk
+    of k = min(``_CHUNK``, slots left) slots the generator gives one
+    (k, 2n) block of uniforms, and slot t of the chunk reads row t: for a
+    contending cell j, entry 2j decides its tagged node (attempts when
+    below beta_j) and entry 2j + 1 its number of attempting cellmates by
+    inverse CDF.  A slot with no contending cell uses none of its row.
     """
     n_cells = graph.size
     n = [int(m) for m in node_counts]
     b = [float(x) for x in beta]
     if len(n) != n_cells or len(b) != n_cells:
         raise ValueError("need node_count and beta per cell")
-    if min(n) < 1 or min(b) < 0 or max(b) > 1:
+    if min(n) < 1 or not all(0.0 <= x <= 1.0 for x in b):
         raise ValueError("need node counts >= 1 and beta in [0, 1]")
-    if t_success_slots < 1 or t_collision_slots < 1:
-        raise ValueError("hold durations must be >= 1 slot")
+    t_success_slots = _whole("t_success_slots", t_success_slots)
+    t_collision_slots = _whole("t_collision_slots", t_collision_slots)
+    horizon_slots = _whole("horizon_slots", horizon_slots)
 
     cols = {c: j for j, c in enumerate(graph.cells)}
     nbrs = [sorted(cols[x] for x in graph.neighbors(c)) for c in graph.cells]
@@ -170,60 +311,89 @@ def simulate_slotted(graph: ContentionGraph, node_counts, beta,
         cum[-1] = 1.0
         other_cum.append(cum)
 
-    hold = [0] * n_cells
-    backoff = [0] * n_cells
-    blocked = [0] * n_cells
-    active = [0] * n_cells
+    # The cells' roles (active, blocked, contending) stay as they are until
+    # a hold runs out or a contending cell attempts, by its tagged node or
+    # by at least one cellmate.  The slots up to that event are taken in
+    # one step, and the per-cell slot counters are summed per mask of busy
+    # cells at the end.
+    roles: dict[int, tuple[list[int], list[int], list[int]]] = {}
+
+    def role(busy: int):
+        """(active, blocked, contending) cells while ``busy`` holds."""
+        got = roles.get(busy)
+        if got is None:
+            act = [j for j in range(n_cells) if busy >> j & 1]
+            blk = [j for j in range(n_cells) if not busy >> j & 1
+                   and any(busy >> q & 1 for q in nbrs[j])]
+            cont = [j for j in range(n_cells) if j not in act and j not in blk]
+            got = roles[busy] = (act, blk, cont)
+        return got
+
+    hold = [0] * n_cells           # slots left in the current hold
+    busy = 0                       # mask of cells with hold > 0
+    slots_in: dict[int, int] = {}  # busy mask -> slots spent in it
     a_tag = [0] * n_cells
     c_tag = [0] * n_cells
     succ = [0] * n_cells
 
     rng = np.random.Generator(np.random.Philox(seed))
-    attempts = [0] * n_cells   # attempters this slot, contending cells only
     done = 0
     while done < horizon_slots:
         k = min(_CHUNK, horizon_slots - done)
         us = rng.random((k, 2 * n_cells))
-        for t in range(k):
-            row = us[t]
-            contending = []
-            for j in range(n_cells):
-                if hold[j] > 0:
-                    active[j] += 1
-                    attempts[j] = 0
-                elif any(hold[q] > 0 for q in nbrs[j]):
-                    blocked[j] += 1
-                    attempts[j] = 0
-                else:
-                    contending.append(j)
-                    backoff[j] += 1
+        # fires[j][t] == 1 when cell j would attempt in slot t of the chunk
+        fires = [((us[:, 2 * j] < b[j]) | (us[:, 2 * j + 1] >= other_cum[j][0])).tobytes()
+                 for j in range(n_cells)]
+        t = 0
+        while t < k:
+            act, _, cont = role(busy)
+            nxt = k
+            for j in act:
+                nxt = min(nxt, t + hold[j])
+            for j in cont:
+                i = fires[j].find(1, t, nxt)
+                if i >= 0:
+                    nxt = i
+            step = max(nxt - t, 1)
+            slots_in[busy] = slots_in.get(busy, 0) + step
+            for j in act:
+                hold[j] -= step
+                if not hold[j]:
+                    busy ^= 1 << j
+            if nxt == t:
+                row = us[t].tolist()
+                attempts = [0] * n_cells
+                for j in cont:
                     tagged = row[2 * j] < b[j]
-                    others = bisect_right(other_cum[j], row[2 * j + 1])
-                    attempts[j] = others + (1 if tagged else 0)
-                    if tagged:
-                        a_tag[j] += 1
-            # resolve every attempt against the same slot snapshot: only
-            # contending cells have nonzero attempts, so the clash check
-            # is symmetric regardless of processing order
-            new_holds = []
-            for j in contending:
-                m = attempts[j]
-                if m == 0:
-                    continue
-                clash = any(attempts[q] > 0 for q in nbrs[j])
-                if m == 1 and not clash:
-                    succ[j] += 1
-                    new_holds.append((j, t_success_slots))
-                else:
-                    new_holds.append((j, t_collision_slots))
-                if row[2 * j] < b[j] and (m > 1 or clash):
-                    c_tag[j] += 1
-            for j, h in new_holds:
-                hold[j] = h + 1  # +1: decremented below, occupancy starts next slot
-            for j in range(n_cells):
-                if hold[j] > 0:
-                    hold[j] -= 1
+                    attempts[j] = bisect_right(other_cum[j], row[2 * j + 1]) + tagged
+                    a_tag[j] += tagged
+                # resolve every attempt against the same slot snapshot:
+                # only contending cells have nonzero attempts, so the
+                # clash check is symmetric regardless of processing order
+                for j in cont:
+                    m = attempts[j]
+                    if m == 0:
+                        continue
+                    clash = any(attempts[q] for q in nbrs[j])
+                    if m == 1 and not clash:
+                        succ[j] += 1
+                        hold[j] = t_success_slots
+                    else:
+                        hold[j] = t_collision_slots
+                    busy |= 1 << j
+                    if row[2 * j] < b[j] and (m > 1 or clash):
+                        c_tag[j] += 1
+            t += step
         done += k
+        del us, fires  # free this chunk's draws before the next are made
+
+    backoff = [0] * n_cells
+    blocked = [0] * n_cells
+    active = [0] * n_cells
+    for mask, slots in slots_in.items():
+        for counter, cells in zip((active, blocked, backoff), role(mask)):
+            for j in cells:
+                counter[j] += slots
 
     backoff_a = np.asarray(backoff, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):

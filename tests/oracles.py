@@ -7,6 +7,7 @@ checked against structurally different math.
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,3 +193,125 @@ def exact_flow_delays(caps, nu, ev, rates_of_busy, step_tol=1e-14,
         delays = np.where(nu > 0.0, mean_counts / nu, np.nan)
     trunc = max(float(pi[zgrid[j] == caps[j]].sum()) for j in range(n))
     return delays, trunc
+
+
+# draws per chunk of the simulators' random stream
+SIM_CHUNK = 1 << 16
+
+
+def ctmc_reference(state_space, lam, mu, transitions, seed):
+    """Holding time per state of the CTMC jump chain, one step at a time.
+
+    Draws k uniforms then k exponentials per chunk of ``SIM_CHUNK`` steps, as
+    ``simkit.simulate_ctmc`` does, and adds each holding time to its
+    state as it happens.
+    """
+    cums, targets, inv_rate = [], [], []
+    for s, members in enumerate(state_space.states):
+        row_c, row_t, acc = [], [], 0.0
+        for j, c in enumerate(state_space.cells):
+            if state_space.contending_mask[s, j] and lam[j] > 0.0:
+                acc += lam[j]
+                row_c.append(acc)
+                row_t.append(state_space.index_of(members + (c,)))
+        for c in members:
+            acc += mu[state_space.cell_column(c)]
+            row_c.append(acc)
+            row_t.append(state_space.index_of(tuple(m for m in members if m != c)))
+        cums.append(row_c)
+        targets.append(row_t)
+        inv_rate.append(1.0 / acc)
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    hold = [0.0] * len(state_space)
+    s = 0
+    done = 0
+    while done < transitions:
+        k = min(SIM_CHUNK, transitions - done)
+        us = rng.random(k)
+        es = rng.standard_exponential(k)
+        for t in range(k):
+            row = cums[s]
+            hold[s] += es[t] * inv_rate[s]
+            j = bisect_right(row, us[t] * row[-1])
+            s = targets[s][min(j, len(row) - 1)]
+        done += k
+    return np.asarray(hold)
+
+
+def slotted_reference(graph, node_counts, beta, t_success_slots,
+                      t_collision_slots, horizon_slots, seed):
+    """Raw counters of the slot-level simulation, every slot in turn.
+
+    Draws one (k, 2n) block of uniforms per chunk of ``SIM_CHUNK`` slots, as
+    ``simkit.simulate_slotted`` does; slot t of a chunk reads row t.
+    Returns a dict of per-cell integer arrays.
+    """
+    n_cells = graph.size
+    n = [int(m) for m in node_counts]
+    b = [float(x) for x in beta]
+    cols = {c: j for j, c in enumerate(graph.cells)}
+    nbrs = [sorted(cols[x] for x in graph.neighbors(c)) for c in graph.cells]
+    other_cum = []
+    for j in range(n_cells):
+        m = n[j] - 1
+        pmf = [math.comb(m, k) * b[j] ** k * (1.0 - b[j]) ** (m - k)
+               for k in range(m + 1)]
+        cum, acc = [], 0.0
+        for p in pmf:
+            acc += p
+            cum.append(acc)
+        cum[-1] = 1.0
+        other_cum.append(cum)
+
+    hold, backoff, blocked, active, a_tag, c_tag, succ = (
+        [0] * n_cells for _ in range(7))
+    rng = np.random.Generator(np.random.Philox(seed))
+    attempts = [0] * n_cells
+    done = 0
+    while done < horizon_slots:
+        k = min(SIM_CHUNK, horizon_slots - done)
+        us = rng.random((k, 2 * n_cells))
+        for t in range(k):
+            row = us[t]
+            contending = []
+            for j in range(n_cells):
+                if hold[j] > 0:
+                    active[j] += 1
+                    attempts[j] = 0
+                elif any(hold[q] > 0 for q in nbrs[j]):
+                    blocked[j] += 1
+                    attempts[j] = 0
+                else:
+                    contending.append(j)
+                    backoff[j] += 1
+                    tagged = row[2 * j] < b[j]
+                    others = bisect_right(other_cum[j], row[2 * j + 1])
+                    attempts[j] = others + (1 if tagged else 0)
+                    if tagged:
+                        a_tag[j] += 1
+            new_holds = []
+            for j in contending:
+                m = attempts[j]
+                if m == 0:
+                    continue
+                clash = any(attempts[q] > 0 for q in nbrs[j])
+                if m == 1 and not clash:
+                    succ[j] += 1
+                    new_holds.append((j, t_success_slots))
+                else:
+                    new_holds.append((j, t_collision_slots))
+                if row[2 * j] < b[j] and (m > 1 or clash):
+                    c_tag[j] += 1
+            for j, h in new_holds:
+                hold[j] = h + 1
+            for j in range(n_cells):
+                if hold[j] > 0:
+                    hold[j] -= 1
+        done += k
+    return {"backoff_slots": np.asarray(backoff),
+            "blocked_slots": np.asarray(blocked),
+            "active_slots": np.asarray(active),
+            "tagged_attempts": np.asarray(a_tag),
+            "tagged_collisions": np.asarray(c_tag),
+            "successes": np.asarray(succ)}

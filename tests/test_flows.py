@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cellwlan import flows
 from cellwlan.dcf import ConvergenceError
 from cellwlan.flows import (FlowParams, MAX_FIXED_POINT_CELLS, NetworkState,
                             SimConfig, effective_rate_fixed_point,
@@ -190,6 +191,23 @@ def test_simulator_is_deterministic():
                               SimConfig(rng_seed=4, flows_per_cell=300,
                                         warmup_flows=50, replications=3))
     assert not np.array_equal(a.mean_delay, c.mean_delay)
+
+
+def test_simulator_builds_one_rate_table_per_call(monkeypatch):
+    # the busy-pattern rates hold no randomness, so all replications share
+    # one table: each of the 2^3 busy patterns is computed at most once
+    calls = []
+
+    def counted(state, graph, rate):
+        calls.append(tuple(c > 0 for c in state.counts))
+        return service_rates_model2(state, graph, rate)
+
+    monkeypatch.setattr(flows, "service_rates_model2", counted)
+    params = FlowParams((0.3, 0.3, 0.3), 1.0, 1.0)
+    cfg = SimConfig(rng_seed=3, flows_per_cell=300, warmup_flows=50,
+                    replications=4)
+    simulate_flow_network(chain(), params, cfg)
+    assert len(calls) == len(set(calls)) <= 8
 
 
 def test_simulator_single_cell_matches_ps_closed_form():
