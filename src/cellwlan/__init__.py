@@ -19,16 +19,15 @@ from .multicell import (FixedPointConfig, InfiniteRhoLimit, MulticellInput,
                         activation_rate, collision_probability,
                         detailed_balance_residual, infinite_rho_x,
                         mean_activity_time, payload_sweep,
-                        per_state_collision, saturation_throughputs,
-                        solve_fixed_point, stationary_distribution,
-                        tcp_long_throughputs, unblocked_fraction)
+                        saturation_throughputs, solve_fixed_point,
+                        stationary_distribution, tcp_long_throughputs,
+                        unblocked_fraction)
 from .simkit import (CtmcRun, SlottedRun, simulate_ctmc, simulate_slotted,
                      slots_for)
 from .topology import (CellGeom, ContentionGraph, Deployment, MisStats,
                        PbdReport, StateSpace, StateSpaceCapError,
                        adjacency_text, build_contention_graph, check_pbd,
                        dot_edges, enumerate_independent_sets,
-                       graph_from_edges, mis_share_table, mis_stats,
-                       partition_state, restrict)
+                       graph_from_edges, mis_share_table, mis_stats, restrict)
 
 __version__ = "0.1.0"

@@ -7,6 +7,12 @@ CSV files or a single JSON document (``--format csv|doc``), and print a
 short summary.  Config units are human-facing: microseconds, bytes, and
 bits per second; everything is converted to SI at the boundary.
 
+Every config key is one row of ``SCHEMA``: its type, unit divisor,
+default and bounds.  One validator walks the document against that table.
+The rules that span keys are short code after the walk: one deployment
+form, edges between known cells, one entry per cell, presets as defaults,
+and the keys each traffic mode and verb needs.
+
 Outputs are deterministic: same config and seed give byte-identical
 files.  Exit codes: 0 success, 1 bad configuration or usage, 2 analysis
 failure (non-convergence, state-space cap, degenerate parameters).
@@ -16,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -28,9 +33,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dcf import (BackoffParams, ConvergenceError, MacPhyParams,
-                  backoff_preset, mac_phy_preset, mac_phy_preset_names,
-                  mean_backoffs, solve_single_cell)
+from .dcf import (BACKOFF_PRESETS, MAC_PHY_PRESETS, BackoffParams,
+                  ConvergenceError, MacPhyParams, mean_backoffs,
+                  solve_single_cell)
 from .flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                     mean_delay_analytic, simulate_flow_network)
 from .multicell import (FixedPointConfig, MulticellInput, infinite_rho_x,
@@ -64,20 +69,129 @@ DEPLOYMENT_PRESETS: dict[str, Deployment] = {
                              (125.0, 125.0 * math.sqrt(3.0))]),
 }
 
+# value kinds, worded as the error messages name them
+NUM, INT, BOOL, MAP = ("a finite number", "an integer", "true or false",
+                       "a mapping")
+REQUIRED = object()
+# unit divisors: seconds = microseconds / US, bits = bytes / BYTE
+US, BYTE = 1e6, 0.125
 
-def _require_mapping(obj, where: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    return obj
+
+@dataclass(frozen=True)
+class Key:
+    """One config key and the rule its value must pass.
+
+    ``kind`` is NUM, INT, BOOL, MAP (a nested section whose keys are rows
+    of their own), a tuple of allowed names, or ``[kind]``: a list whose
+    entries each pass the rule of ``kind``.  A number parses to its value
+    divided by ``per``; dividing reproduces SI literals bit for bit
+    (20 / 1e6 == 20e-6, but 20 * 1e-6 != 20e-6).  ``bounds`` is an
+    interval such as "(0, 1]".  ``to`` names the parsed field when it
+    differs from the key.
+    """
+
+    section: str
+    key: str
+    kind: object = NUM
+    per: float = 1.0
+    default: object = None
+    bounds: str = "(-inf, inf)"
+    to: str = ""
+
+    @property
+    def path(self) -> str:
+        return f"{self.section}.{self.key}" if self.section else self.key
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; "
-                          f"allowed: {sorted(allowed)}")
+# A key without a default is left out of the parsed section when absent.
+# ack/rts/cts have none so that a mac_phy preset or MacPhyParams supplies
+# them.  retry_limit stops at 255, the range of the 802.11 retry limits.
+SCHEMA = (
+    Key("", "deployment", MAP, default=REQUIRED),
+    Key("", "mac_phy", MAP),
+    Key("", "backoff", MAP),
+    Key("", "traffic", MAP, default={}),
+    Key("", "solver", MAP, default={}),
+    Key("", "sim", MAP, default={}),
+    Key("", "sweep", MAP, default={}),
+    Key("deployment", "preset", tuple(DEPLOYMENT_PRESETS)),
+    Key("deployment", "cells", [MAP]),
+    Key("deployment", "carrier_sense_range_m", bounds="(0, inf)",
+        to="carrier_sense_range"),
+    Key("deployment", "adjacency", MAP),
+    Key("deployment.cells", "id", INT, default=REQUIRED, to="cell_id"),
+    Key("deployment.cells", "x_m", default=REQUIRED),
+    Key("deployment.cells", "y_m", default=REQUIRED),
+    Key("deployment.cells", "radius_m", default=REQUIRED, bounds="[0, inf)",
+        to="radius"),
+    Key("deployment.cells", "node_count", INT, default=2, bounds="[1, inf)"),
+    Key("deployment.cells", "channel", INT, default=1),
+    Key("deployment.adjacency", "cells", [INT], default=REQUIRED),
+    Key("deployment.adjacency", "edges", [[INT]], default=[]),
+    Key("deployment.adjacency", "node_counts", [INT], bounds="[1, inf)"),
+    Key("mac_phy", "preset", tuple(MAC_PHY_PRESETS)),
+    Key("mac_phy", "payload_bytes", per=BYTE, default=1000,
+        bounds="[0, inf)", to="payload_bits"),
+    Key("mac_phy", "access_mode", ("basic", "rts-cts"), default="basic"),
+    Key("mac_phy", "slot_us", per=US, bounds="(0, inf)", to="slot_time"),
+    Key("mac_phy", "sifs_us", per=US, bounds="[0, inf)", to="sifs"),
+    Key("mac_phy", "difs_us", per=US, bounds="[0, inf)", to="difs"),
+    Key("mac_phy", "overhead_us", per=US, bounds="[0, inf)",
+        to="overhead_time"),
+    Key("mac_phy", "data_rate_bps", bounds="(0, inf)", to="data_rate"),
+    Key("mac_phy", "control_rate_bps", bounds="(0, inf)", to="control_rate"),
+    Key("mac_phy", "ack_bytes", per=BYTE, bounds="[0, inf)", to="ack_bits"),
+    Key("mac_phy", "rts_bytes", per=BYTE, bounds="[0, inf)", to="rts_bits"),
+    Key("mac_phy", "cts_bytes", per=BYTE, bounds="[0, inf)", to="cts_bits"),
+    Key("backoff", "preset", tuple(BACKOFF_PRESETS)),
+    Key("backoff", "cw_min", INT, bounds="[1, inf)"),
+    Key("backoff", "cw_max", INT, bounds="[1, inf)"),
+    Key("backoff", "retry_limit", INT, bounds="[0, 255]"),
+    Key("traffic", "mode", ("saturated", "tcp-long", "tcp-short"),
+        default="saturated", to="traffic_mode"),
+    Key("traffic", "node_counts", [INT], bounds="[1, inf)"),
+    Key("traffic", "tcp_data_bytes", per=BYTE, bounds="[1, inf)",
+        to="tcp_data_bits"),
+    Key("traffic", "tcp_ack_bytes", per=BYTE, bounds="[1, inf)",
+        to="tcp_ack_bits"),
+    Key("traffic", "app_data_bytes", per=BYTE, bounds="[1, inf)",
+        to="app_data_bits"),
+    Key("traffic", "arrival_rates_per_s", [NUM], bounds="[0, inf)",
+        to="arrival_rates"),
+    Key("traffic", "mean_flow_size_bytes", per=BYTE, bounds="[1, inf)",
+        to="mean_flow_size_bits"),
+    Key("traffic", "service_model", ("model1", "model2"), default="model2"),
+    Key("solver", "tolerance", default=1e-8, bounds="[0, inf)"),
+    Key("solver", "damping", default=0.5, bounds="(0, 1]"),
+    Key("solver", "max_iterations", INT, default=5000, bounds="[1, inf)"),
+    Key("solver", "multistart", INT, default=3, bounds="[0, inf)"),
+    Key("sim", "enabled", BOOL, default=False),
+    Key("sim", "seed", INT, default=1, bounds="[0, inf)", to="rng_seed"),
+    Key("sim", "flows_per_cell", INT, default=10_000, bounds="[1, inf)"),
+    Key("sim", "warmup_flows", INT, default=1_000, bounds="[0, inf)"),
+    Key("sim", "replications", INT, default=20, bounds="[1, inf)"),
+    Key("sweep", "payload_bytes", [NUM], per=BYTE, bounds="(0, inf)",
+        to="sweep_payload_bits"),
+)
+_ROWS: dict[str, dict[str, Key]] = {}
+for _row in SCHEMA:
+    _ROWS.setdefault(_row.section, {})[_row.key] = _row
+
+# keys that a traffic mode, a verb or a preset-less section needs
+_TCP_LONG = (("traffic", "tcp_data_bytes"), ("traffic", "tcp_ack_bytes"))
+_TCP_SHORT = _TCP_LONG + (("traffic", "app_data_bytes"),
+                          ("traffic", "arrival_rates_per_s"),
+                          ("traffic", "mean_flow_size_bytes"))
+_MODE_NEEDS = {"saturated": (), "tcp-long": _TCP_LONG,
+               "tcp-short": _TCP_SHORT}
+_MAC = (("", "mac_phy"), ("", "backoff"))
+_VERB_NEEDS = {"saturation": _MAC, "tcp-long": _MAC + _TCP_LONG,
+               "tcp-short": _MAC + _TCP_SHORT,
+               "sweep": _MAC + (("sweep", "payload_bytes"),)}
+_PRESET_NEEDS = {
+    "mac_phy": ("slot_us", "sifs_us", "difs_us", "overhead_us",
+                "data_rate_bps", "control_rate_bps"),
+    "backoff": ("cw_min", "cw_max", "retry_limit")}
 
 
 def _is_number(v) -> bool:
@@ -90,48 +204,132 @@ def _is_number(v) -> bool:
         return False
 
 
-def _get_num(d: dict, key: str, where: str, required: bool = False,
-             default=None, minimum=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{where}.{key}: required")
-        return default
-    v = d[key]
-    if not _is_number(v):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}")
-    return float(v)
+def _parse(row: Key, kind, v, where: str):
+    """One value by its row's rule: type, then bounds, then unit."""
+    if isinstance(kind, list):
+        if not isinstance(v, list):
+            raise ConfigError(f"{where}: expected a list, got {v!r}")
+        return tuple(_parse(row, kind[0], x, f"{where}[{i}]")
+                     for i, x in enumerate(v))
+    if kind == MAP:
+        return _walk(v, row.path, where)
+    if isinstance(kind, tuple):
+        if v not in kind:
+            raise ConfigError(f"{where}: expected one of {sorted(kind)}, "
+                              f"got {v!r}")
+        return v
+    if kind == BOOL:
+        if not isinstance(v, bool):
+            raise ConfigError(f"{where}: expected {kind}, got {v!r}")
+        return v
+    if not _is_number(v) or (kind == INT and not float(v).is_integer()):
+        raise ConfigError(f"{where}: expected {kind}, got {v!r}")
+    lo, hi = (float(b) for b in row.bounds[1:-1].split(","))
+    if not ((lo < v if row.bounds[0] == "(" else lo <= v)
+            and (v < hi if row.bounds[-1] == ")" else v <= hi)):
+        raise ConfigError(f"{where}: must be in {row.bounds}, got {v!r}")
+    return int(v) if kind == INT else float(v) / row.per
 
 
-def _get_int(d: dict, key: str, where: str, required: bool = False,
-             default=None, minimum=None):
-    v = _get_num(d, key, where, required, default, minimum)
-    if v is None:
-        return None
-    if not float(v).is_integer():
-        raise ConfigError(f"{where}.{key}: expected an integer")
-    return int(v)
+def _walk(doc, section: str, where: str) -> dict:
+    """Check one mapping against its section's rows; return the parsed
+    values by field name.  A null or empty value counts as absent."""
+    rows = _ROWS[section]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config'}: expected a mapping")
+    unknown = sorted(map(str, set(doc) - set(rows)))
+    if unknown:
+        raise ConfigError(f"{where or 'config'}: unknown keys {unknown}; "
+                          f"allowed: {sorted(rows)}")
+    out = {}
+    for key, row in rows.items():
+        name = f"{where}.{key}" if where else key
+        v = doc.get(key)
+        if v in (None, {}, []):
+            if row.default is REQUIRED:
+                raise ConfigError(f"{name}: required")
+            if row.default is None:
+                continue
+            v = row.default
+        out[row.to or key] = _parse(row, row.kind, v, name)
+    return out
 
 
-def _int_entries(values: list, where: str, minimum=None) -> tuple[int, ...]:
-    """The entries of a list as integers; anything else is a ConfigError."""
-    out = []
-    for v in values:
-        if not _is_number(v) or (isinstance(v, float) and not v.is_integer()):
-            raise ConfigError(f"{where}: entries must be integers, got {v!r}")
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{where}: entries must be >= {minimum}")
-        out.append(int(v))
-    return tuple(out)
+def _require(values: dict, keys, why: str) -> None:
+    """Every (section, key) of ``keys`` must have a parsed value."""
+    for section, key in keys:
+        row = _ROWS[section][key]
+        if values.get(row.to or key) is None:
+            raise ConfigError(f"{row.path}: required{why}")
+
+
+def _per_cell(name: str, values, graph: ContentionGraph) -> None:
+    if values is not None and len(values) != graph.size:
+        raise ConfigError(f"{name}: need one entry per cell")
+
+
+def _build(section: str, make):
+    """make(), with a library constructor's ValueError reported as a
+    config error of the section."""
+    try:
+        return make()
+    except ValueError as e:
+        raise ConfigError(f"{section}: {e}") from None
+
+
+def _with_preset(section: str, values: dict, presets: dict, make):
+    """A preset, when given, supplies the defaults; explicit keys override
+    it.  Without one, the section's _PRESET_NEEDS keys are required."""
+    fields = {**presets.get(values.pop("preset", None), {}), **values}
+    _require(fields, [(section, k) for k in _PRESET_NEEDS[section]],
+             " without a preset")
+    return _build(section, lambda: make(**fields))
+
+
+def _deployment(d: dict) -> tuple[Deployment | None, ContentionGraph,
+                                  tuple[int, ...]]:
+    if sum(k in d for k in ("preset", "cells", "adjacency")) != 1:
+        raise ConfigError("deployment: give exactly one of preset, cells, "
+                          "adjacency")
+    if ("carrier_sense_range" in d) != ("cells" in d):
+        raise ConfigError("deployment.carrier_sense_range_m: required with "
+                          "inline cells and allowed only with them")
+    if "adjacency" in d:
+        adj = d["adjacency"]
+        cells = adj["cells"]
+        if len(set(cells)) != len(cells):
+            raise ConfigError("deployment.adjacency.cells: duplicate ids")
+        for e in adj["edges"]:
+            if len(e) != 2:
+                raise ConfigError("deployment.adjacency.edges: entries must "
+                                  "be [a, b] pairs")
+            if not set(e) <= set(cells):
+                raise ConfigError(f"deployment.adjacency.edges: {list(e)} "
+                                  f"names a cell not in cells")
+        graph = _build("deployment",
+                       lambda: graph_from_edges(cells, adj["edges"]))
+        counts = adj.get("node_counts", (2,) * graph.size)
+        _per_cell("deployment.adjacency.node_counts", counts, graph)
+        return None, graph, counts
+    if "preset" in d:
+        dep = DEPLOYMENT_PRESETS[d["preset"]]
+    else:
+        dep = _build("deployment", lambda: Deployment(
+            cells=tuple(CellGeom(ap_position=(c.pop("x_m"), c.pop("y_m")),
+                                 **c) for c in d["cells"]),
+            carrier_sense_range=d["carrier_sense_range"]))
+    graph = build_contention_graph(dep)
+    counts = {c.cell_id: c.node_count for c in dep.cells}
+    return dep, graph, tuple(counts[c] for c in graph.cells)
 
 
 @dataclass
 class AnalysisConfig:
     """Fully resolved configuration for one CLI run.
 
-    ``mac_phy`` and ``backoff`` are None when their sections are absent;
-    verbs that need them reject such configs.
+    ``mac_phy`` and ``backoff`` are None when their sections are absent,
+    and each traffic or sweep field is None when its key is; verbs that
+    need them reject such configs.
     """
 
     raw: dict
@@ -140,167 +338,17 @@ class AnalysisConfig:
     node_counts: tuple[int, ...]
     mac_phy: MacPhyParams | None
     backoff: BackoffParams | None
-    traffic_mode: str
-    tcp_data_bits: float | None
-    tcp_ack_bits: float | None
-    app_data_bits: float | None
-    arrival_rates: tuple[float, ...] | None
-    mean_flow_size_bits: float | None
-    service_model: str
     solver: FixedPointConfig
     sim: SimConfig
     sim_enabled: bool
-    sweep_payload_bits: tuple[float, ...]
-
-
-def _parse_deployment(sec: dict) -> tuple[Deployment | None, ContentionGraph,
-                                           tuple[int, ...]]:
-    _check_keys(sec, {"preset", "cells", "carrier_sense_range_m", "adjacency"},
-                "deployment")
-    given = [k for k in ("preset", "cells", "adjacency") if k in sec]
-    if len(given) != 1:
-        raise ConfigError("deployment: give exactly one of preset, cells, "
-                          "adjacency")
-    if "preset" in sec:
-        name = sec["preset"]
-        if name not in DEPLOYMENT_PRESETS:
-            raise ConfigError(f"deployment.preset: unknown {name!r}; "
-                              f"have {sorted(DEPLOYMENT_PRESETS)}")
-        dep = DEPLOYMENT_PRESETS[name]
-        graph = build_contention_graph(dep)
-        return dep, graph, tuple(c.node_count for c in dep.cells)
-    if "adjacency" in sec:
-        adj = _require_mapping(sec["adjacency"], "deployment.adjacency")
-        _check_keys(adj, {"cells", "edges", "node_counts"},
-                    "deployment.adjacency")
-        if not isinstance(adj.get("cells"), list) or not adj["cells"]:
-            raise ConfigError("deployment.adjacency.cells: need a list of ids")
-        cells = _int_entries(adj["cells"], "deployment.adjacency.cells")
-        if len(set(cells)) != len(cells):
-            raise ConfigError("deployment.adjacency.cells: duplicate ids")
-        raw_edges = adj.get("edges") or []
-        if not isinstance(raw_edges, list):
-            raise ConfigError("deployment.adjacency.edges: need a list")
-        edges = []
-        for e in raw_edges:
-            if not isinstance(e, list) or len(e) != 2:
-                raise ConfigError("deployment.adjacency.edges: entries must "
-                                  "be [a, b] pairs")
-            a, b = _int_entries(e, "deployment.adjacency.edges")
-            if a not in cells or b not in cells:
-                raise ConfigError(f"deployment.adjacency.edges: [{a}, {b}] "
-                                  f"names a cell not in cells")
-            if a == b:
-                raise ConfigError(f"deployment.adjacency.edges: self-loop "
-                                  f"on cell {a}")
-            edges.append((a, b))
-        graph = graph_from_edges(cells, edges)
-        ncs = adj.get("node_counts")
-        if ncs is None:
-            counts = (2,) * graph.size
-        else:
-            if not isinstance(ncs, list) or len(ncs) != graph.size:
-                raise ConfigError("deployment.adjacency.node_counts: need one "
-                                  "entry per cell")
-            counts = _int_entries(ncs, "deployment.adjacency.node_counts",
-                                  minimum=1)
-        return None, graph, counts
-    # inline geometric cells
-    if not isinstance(sec["cells"], list) or not sec["cells"]:
-        raise ConfigError("deployment.cells: need a list of cells")
-    rcs = _get_num(sec, "carrier_sense_range_m", "deployment", required=True,
-                   minimum=1e-9)
-    geoms = []
-    for k, raw in enumerate(sec["cells"]):
-        c = _require_mapping(raw, f"deployment.cells[{k}]")
-        _check_keys(c, {"id", "x_m", "y_m", "radius_m", "node_count",
-                        "channel"}, f"deployment.cells[{k}]")
-        geoms.append(CellGeom(
-            cell_id=_get_int(c, "id", f"deployment.cells[{k}]", required=True),
-            ap_position=(_get_num(c, "x_m", f"deployment.cells[{k}]",
-                                  required=True),
-                         _get_num(c, "y_m", f"deployment.cells[{k}]",
-                                  required=True)),
-            radius=_get_num(c, "radius_m", f"deployment.cells[{k}]",
-                            required=True, minimum=0.0),
-            node_count=_get_int(c, "node_count", f"deployment.cells[{k}]",
-                                default=2, minimum=1),
-            channel=_get_int(c, "channel", f"deployment.cells[{k}]",
-                             default=1)))
-    ids = [g.cell_id for g in geoms]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("deployment.cells: duplicate ids")
-    dep = Deployment(cells=tuple(geoms), carrier_sense_range=rcs)
-    graph = build_contention_graph(dep)
-    order = {c.cell_id: c.node_count for c in dep.cells}
-    return dep, graph, tuple(order[c] for c in graph.cells)
-
-
-def _parse_mac_phy(sec: dict) -> MacPhyParams:
-    allowed = {"preset", "payload_bytes", "access_mode", "slot_us", "sifs_us",
-               "difs_us", "overhead_us", "data_rate_bps", "control_rate_bps",
-               "ack_bytes", "rts_bytes", "cts_bytes"}
-    _check_keys(sec, allowed, "mac_phy")
-    payload = _get_num(sec, "payload_bytes", "mac_phy", minimum=0.0)
-    payload_bits = 8.0 * payload if payload is not None else 8000.0
-    mode = sec.get("access_mode", "basic")
-    if mode not in ("basic", "rts-cts"):
-        raise ConfigError("mac_phy.access_mode: must be basic or rts-cts")
-    if "preset" in sec:
-        name = sec["preset"]
-        try:
-            base = mac_phy_preset(name, payload_bits, mode)
-        except KeyError as e:
-            raise ConfigError(f"mac_phy.preset: {e.args[0]}") from None
-        fields = {}
-        # divide rather than multiply by 1e-6: 20 / 1e6 reproduces the
-        # literal 20e-6 bit for bit, 20 * 1e-6 does not
-        for key, attr, div in (("slot_us", "slot_time", 1e6),
-                               ("sifs_us", "sifs", 1e6),
-                               ("difs_us", "difs", 1e6),
-                               ("overhead_us", "overhead_time", 1e6),
-                               ("data_rate_bps", "data_rate", 1.0),
-                               ("control_rate_bps", "control_rate", 1.0),
-                               ("ack_bytes", "ack_bits", 0.125),
-                               ("rts_bytes", "rts_bits", 0.125),
-                               ("cts_bytes", "cts_bits", 0.125)):
-            v = _get_num(sec, key, "mac_phy", minimum=0.0)
-            if v is not None:
-                fields[attr] = v / div
-        if fields:
-            base = dataclasses.replace(base, **fields)
-        return base
-    required = {"slot_us": 1e6, "sifs_us": 1e6, "difs_us": 1e6,
-                "overhead_us": 1e6, "data_rate_bps": 1.0,
-                "control_rate_bps": 1.0}
-    vals = {}
-    for key, div in required.items():
-        vals[key] = _get_num(sec, key, "mac_phy", required=True,
-                             minimum=0.0) / div
-    return MacPhyParams(
-        slot_time=vals["slot_us"], sifs=vals["sifs_us"], difs=vals["difs_us"],
-        overhead_time=vals["overhead_us"], data_rate=vals["data_rate_bps"],
-        control_rate=vals["control_rate_bps"], payload_bits=payload_bits,
-        ack_bits=8.0 * _get_num(sec, "ack_bytes", "mac_phy", default=14.0,
-                                minimum=0.0),
-        access_mode=mode,
-        rts_bits=8.0 * _get_num(sec, "rts_bytes", "mac_phy", default=20.0,
-                                minimum=0.0),
-        cts_bits=8.0 * _get_num(sec, "cts_bytes", "mac_phy", default=14.0,
-                                minimum=0.0))
-
-
-def _parse_backoff(sec: dict) -> BackoffParams:
-    _check_keys(sec, {"preset", "cw_min", "cw_max", "retry_limit"}, "backoff")
-    if "preset" in sec:
-        try:
-            return backoff_preset(sec["preset"])
-        except KeyError as e:
-            raise ConfigError(f"backoff.preset: {e.args[0]}") from None
-    return mean_backoffs(
-        _get_int(sec, "cw_min", "backoff", required=True, minimum=1),
-        _get_int(sec, "cw_max", "backoff", required=True, minimum=1),
-        _get_int(sec, "retry_limit", "backoff", required=True, minimum=0))
+    traffic_mode: str = "saturated"
+    service_model: str = "model2"
+    tcp_data_bits: float | None = None
+    tcp_ack_bits: float | None = None
+    app_data_bits: float | None = None
+    arrival_rates: tuple[float, ...] | None = None
+    mean_flow_size_bits: float | None = None
+    sweep_payload_bits: tuple[float, ...] | None = None
 
 
 def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
@@ -312,120 +360,31 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
         raise ConfigError(f"cannot read config: {e}") from None
     except yaml.YAMLError as e:
         raise ConfigError(f"config is not valid YAML: {e}") from None
-    raw = _require_mapping(raw, "config")
-    _check_keys(raw, {"deployment", "mac_phy", "backoff", "traffic", "solver",
-                      "sim", "sweep"}, "config")
+    v = _walk(raw, "", "")
 
-    dep_sec = _require_mapping(raw.get("deployment"), "deployment")
-    if not dep_sec:
-        raise ConfigError("deployment: required section")
-    deployment, graph, counts_from_dep = _parse_deployment(dep_sec)
+    deployment, graph, counts = _deployment(v["deployment"])
+    traffic = v["traffic"]
+    counts = traffic.pop("node_counts", counts)
+    _per_cell("traffic.node_counts", counts, graph)
+    _per_cell("traffic.arrival_rates_per_s", traffic.get("arrival_rates"),
+              graph)
+    mode = traffic["traffic_mode"]
+    _require(traffic, _MODE_NEEDS[mode], f" for mode {mode}")
 
-    traffic = _require_mapping(raw.get("traffic"), "traffic")
-    _check_keys(traffic, {"mode", "node_counts", "tcp_data_bytes",
-                          "tcp_ack_bytes", "app_data_bytes",
-                          "arrival_rates_per_s", "mean_flow_size_bytes",
-                          "service_model"}, "traffic")
-    mode = traffic.get("mode", "saturated")
-    if mode not in ("saturated", "tcp-long", "tcp-short"):
-        raise ConfigError("traffic.mode: must be saturated, tcp-long or "
-                          "tcp-short")
-
-    node_counts = counts_from_dep
-    if "node_counts" in traffic:
-        ncs = traffic["node_counts"]
-        if not isinstance(ncs, list) or len(ncs) != graph.size:
-            raise ConfigError("traffic.node_counts: need one entry per cell")
-        node_counts = _int_entries(ncs, "traffic.node_counts", minimum=1)
-
-    tcp_data = tcp_ack = app_data = None
-    arrival = None
-    flow_size = None
-    service_model = traffic.get("service_model", "model2")
-    if service_model not in ("model1", "model2"):
-        raise ConfigError("traffic.service_model: must be model1 or model2")
-    if mode in ("tcp-long", "tcp-short"):
-        tcp_data = 8.0 * _get_num(traffic, "tcp_data_bytes", "traffic",
-                                  required=True, minimum=1.0)
-        tcp_ack = 8.0 * _get_num(traffic, "tcp_ack_bytes", "traffic",
-                                 required=True, minimum=1.0)
-    if mode == "tcp-short":
-        app_data = 8.0 * _get_num(traffic, "app_data_bytes", "traffic",
-                                  required=True, minimum=1.0)
-        rates = traffic.get("arrival_rates_per_s")
-        if not isinstance(rates, list) or len(rates) != graph.size:
-            raise ConfigError("traffic.arrival_rates_per_s: need one rate "
-                              "per cell")
-        for r in rates:
-            if not _is_number(r):
-                raise ConfigError("traffic.arrival_rates_per_s: entries must "
-                                  f"be finite numbers, got {r!r}")
-        arrival = tuple(float(r) for r in rates)
-        if any(r < 0 for r in arrival):
-            raise ConfigError("traffic.arrival_rates_per_s: rates must "
-                              "be >= 0")
-        flow_size = 8.0 * _get_num(traffic, "mean_flow_size_bytes", "traffic",
-                                   required=True, minimum=1.0)
-
-    mac_sec = _require_mapping(raw.get("mac_phy"), "mac_phy")
-    mac_phy = _parse_mac_phy(mac_sec) if mac_sec else None
-
-    back_sec = _require_mapping(raw.get("backoff"), "backoff")
-    backoff = _parse_backoff(back_sec) if back_sec else None
-
-    solver = _require_mapping(raw.get("solver"), "solver")
-    _check_keys(solver, {"tolerance", "damping", "max_iterations",
-                         "multistart"}, "solver")
-    fp = FixedPointConfig(
-        tolerance=_get_num(solver, "tolerance", "solver", default=1e-8,
-                           minimum=0.0),
-        damping=_get_num(solver, "damping", "solver", default=0.5,
-                         minimum=1e-6),
-        max_iterations=_get_int(solver, "max_iterations", "solver",
-                                default=5000, minimum=1),
-        multistart=_get_int(solver, "multistart", "solver", default=3,
-                            minimum=0))
-
-    sim_sec = _require_mapping(raw.get("sim"), "sim")
-    _check_keys(sim_sec, {"enabled", "seed", "flows_per_cell", "warmup_flows",
-                          "replications"}, "sim")
-    enabled = bool(sim_sec.get("enabled", False))
-    seed = _get_int(sim_sec, "seed", "sim", default=1, minimum=0)
+    sim = v["sim"]
+    enabled = sim.pop("enabled")
     if seed_override is not None:
         if seed_override < 0:
             raise ConfigError("--seed: must be >= 0")
-        seed = seed_override
-    sim = SimConfig(
-        rng_seed=seed,
-        flows_per_cell=_get_int(sim_sec, "flows_per_cell", "sim",
-                                default=10_000, minimum=1),
-        warmup_flows=_get_int(sim_sec, "warmup_flows", "sim", default=1_000,
-                              minimum=0),
-        replications=_get_int(sim_sec, "replications", "sim", default=20,
-                              minimum=1))
-
-    sweep_sec = _require_mapping(raw.get("sweep"), "sweep")
-    _check_keys(sweep_sec, {"payload_bytes"}, "sweep")
-    sweep_bits: tuple[float, ...] = ()
-    if "payload_bytes" in sweep_sec:
-        pts = sweep_sec["payload_bytes"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError("sweep.payload_bytes: need a non-empty list")
-        vals = []
-        for v in pts:
-            if not _is_number(v) or v <= 0:
-                raise ConfigError("sweep.payload_bytes: entries must be "
-                                  "positive numbers")
-            vals.append(8.0 * float(v))
-        sweep_bits = tuple(vals)
-
+        sim["rng_seed"] = seed_override
     return AnalysisConfig(
-        raw=raw, deployment=deployment, graph=graph, node_counts=node_counts,
-        mac_phy=mac_phy, backoff=backoff, traffic_mode=mode,
-        tcp_data_bits=tcp_data, tcp_ack_bits=tcp_ack, app_data_bits=app_data,
-        arrival_rates=arrival, mean_flow_size_bits=flow_size,
-        service_model=service_model, solver=fp, sim=sim, sim_enabled=enabled,
-        sweep_payload_bits=sweep_bits)
+        raw=raw, deployment=deployment, graph=graph, node_counts=counts,
+        mac_phy=(_with_preset("mac_phy", v["mac_phy"], MAC_PHY_PRESETS,
+                              MacPhyParams) if "mac_phy" in v else None),
+        backoff=(_with_preset("backoff", v["backoff"], BACKOFF_PRESETS,
+                              mean_backoffs) if "backoff" in v else None),
+        solver=FixedPointConfig(**v["solver"]), sim=SimConfig(**sim),
+        sim_enabled=enabled, **traffic, **v["sweep"])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +439,9 @@ def write_bundle(bundle: ResultBundle, out_dir: str, fmt: str) -> list[str]:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return [path]
-    for name, (header, rows) in bundle.tables.items():
+    warnings = [[f"warning_{i}", msg] for i, msg in enumerate(bundle.warnings)]
+    tables = {**bundle.tables, "meta": (["key", "value"], meta + warnings)}
+    for name, (header, rows) in tables.items():
         path = os.path.join(out_dir, f"{bundle.verb}_{name}.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh, lineterminator="\r\n")
@@ -488,30 +449,13 @@ def write_bundle(bundle: ResultBundle, out_dir: str, fmt: str) -> list[str]:
             for row in rows:
                 w.writerow([_fmt(v) for v in row])
         written.append(path)
-    path = os.path.join(out_dir, f"{bundle.verb}_meta.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(["key", "value"])
-        for k, v in meta:
-            w.writerow([k, _fmt(v)])
-        for i, msg in enumerate(bundle.warnings):
-            w.writerow([f"warning_{i}", msg])
-    written.append(path)
     return written
 
 
 # ---------------------------------------------------------------------------
 # verbs
 
-def _need_mac(cfg: AnalysisConfig) -> None:
-    if cfg.mac_phy is None:
-        raise ConfigError("mac_phy: required section for this verb")
-    if cfg.backoff is None:
-        raise ConfigError("backoff: required section for this verb")
-
-
-def _run_saturation(cfg: AnalysisConfig) -> ResultBundle:
-    _need_mac(cfg)
+def _run_saturation(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     inp = MulticellInput(graph=cfg.graph, node_counts=cfg.node_counts,
                          mac_phy=cfg.mac_phy, backoff=cfg.backoff)
     sol = solve_fixed_point(inp, cfg.solver)
@@ -535,13 +479,10 @@ def _run_saturation(cfg: AnalysisConfig) -> ResultBundle:
                   sol.pi[s]]
                  for s, members in enumerate(sol.state_space.states)]
         tables["states"] = (["state", "pi"], srows)
-    return ResultBundle(verb="saturation", config_hash="", seed=0,
-                        version=__version__, tables=tables,
-                        warnings=sol.warnings)
+    return tables, sol.warnings
 
 
-def _run_tcp_long(cfg: AnalysisConfig) -> ResultBundle:
-    _need_mac(cfg)
+def _run_tcp_long(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     res = tcp_long_throughputs(cfg.graph, cfg.mac_phy, cfg.backoff,
                                cfg.tcp_data_bits, cfg.tcp_ack_bits,
                                cfg.solver)
@@ -557,9 +498,7 @@ def _run_tcp_long(cfg: AnalysisConfig) -> ResultBundle:
                      ["residual", res.solution.residual],
                      ["iterations", res.solution.iterations]]),
     }
-    return ResultBundle(verb="tcp-long", config_hash="", seed=0,
-                        version=__version__, tables=tables,
-                        warnings=res.solution.warnings)
+    return tables, res.solution.warnings
 
 
 def _tcp_short_rate(cfg: AnalysisConfig) -> float:
@@ -570,8 +509,7 @@ def _tcp_short_rate(cfg: AnalysisConfig) -> float:
     return ap_pkts * cfg.app_data_bits
 
 
-def _run_tcp_short(cfg: AnalysisConfig) -> ResultBundle:
-    _need_mac(cfg)
+def _run_tcp_short(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     rate = _tcp_short_rate(cfg)
     params = FlowParams(arrival_rates=cfg.arrival_rates,
                         mean_flow_size=cfg.mean_flow_size_bits,
@@ -606,12 +544,10 @@ def _run_tcp_short(cfg: AnalysisConfig) -> ResultBundle:
             bad = [str(c) for j, c in enumerate(cfg.graph.cells)
                    if not sim.stable[j]]
             warnings.append("simulation unstable for cells: " + ",".join(bad))
-    return ResultBundle(verb="tcp-short", config_hash="", seed=0,
-                        version=__version__, tables=tables,
-                        warnings=tuple(warnings))
+    return tables, tuple(warnings)
 
 
-def _run_infinite_rho(cfg: AnalysisConfig) -> ResultBundle:
+def _run_infinite_rho(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     lim = infinite_rho_x(cfg.graph)
     rows = [[c, lim.mis.per_cell[j], lim.x[j]]
             for j, c in enumerate(cfg.graph.cells)]
@@ -621,14 +557,10 @@ def _run_infinite_rho(cfg: AnalysisConfig) -> ResultBundle:
                            ["mis_total", lim.mis.count],
                            ["normalized_network_throughput",
                             lim.normalized_network_throughput]])}
-    return ResultBundle(verb="infinite-rho", config_hash="", seed=0,
-                        version=__version__, tables=tables)
+    return tables, ()
 
 
-def _run_sweep(cfg: AnalysisConfig) -> ResultBundle:
-    _need_mac(cfg)
-    if not cfg.sweep_payload_bits:
-        raise ConfigError("sweep.payload_bytes: required for the sweep verb")
+def _run_sweep(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     inp = MulticellInput(graph=cfg.graph, node_counts=cfg.node_counts,
                          mac_phy=cfg.mac_phy, backoff=cfg.backoff)
     points = payload_sweep(inp, cfg.sweep_payload_bits, cfg.solver)
@@ -643,11 +575,10 @@ def _run_sweep(cfg: AnalysisConfig) -> ResultBundle:
     tables = {"points": (["payload_bytes", "cell", "beta", "rho", "x"], rows),
               "summary": (["payload_bytes", "normalized_network_throughput"],
                           srows)}
-    return ResultBundle(verb="sweep", config_hash="", seed=0,
-                        version=__version__, tables=tables)
+    return tables, ()
 
 
-def _run_validate(cfg: AnalysisConfig) -> ResultBundle:
+def _run_validate(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     if cfg.deployment is None:
         raise ConfigError("validate needs a geometric deployment (preset or "
                           "inline cells), not an adjacency list")
@@ -662,8 +593,7 @@ def _run_validate(cfg: AnalysisConfig) -> ResultBundle:
                            ["violations", len(report.violations)]])}
     warnings = tuple(f"cells {r.cell_a},{r.cell_b} straddle the carrier-sense "
                      f"boundary" for r in report.violations)
-    return ResultBundle(verb="validate", config_hash="", seed=0,
-                        version=__version__, tables=tables, warnings=warnings)
+    return tables, warnings
 
 
 _VERBS = {
@@ -695,10 +625,12 @@ def _print_presets() -> None:
                           sorted(g.edges, key=lambda e: tuple(sorted(e))))
         print(f"  {name}: {g.size} cells; edges: {edges or 'none'}")
     print("mac_phy presets:")
-    for name in mac_phy_preset_names():
+    for name in sorted(MAC_PHY_PRESETS):
         print(f"  {name}")
     print("backoff presets:")
-    print("  dot11b-11mbps (cw 32..1024, retry limit 7)")
+    for name, p in sorted(BACKOFF_PRESETS.items()):
+        print(f"  {name} (cw {p['cw_min']}..{p['cw_max']}, "
+              f"retry limit {p['retry_limit']})")
 
 
 def main(argv=None) -> int:
@@ -733,7 +665,8 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        bundle = _VERBS[args.verb](cfg)
+        _require(vars(cfg), _VERB_NEEDS.get(args.verb, ()), " for this verb")
+        tables, warnings = _VERBS[args.verb](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -741,8 +674,9 @@ def main(argv=None) -> int:
         print(f"analysis error: {e}", file=sys.stderr)
         return 2
 
-    bundle.config_hash = config_digest(cfg.raw, cfg.sim.rng_seed)
-    bundle.seed = cfg.sim.rng_seed
+    seed = cfg.sim.rng_seed
+    bundle = ResultBundle(args.verb, config_digest(cfg.raw, seed), seed,
+                          __version__, tables, tuple(warnings))
     paths = write_bundle(bundle, args.out, args.format)
     _print_bundle(bundle, paths)
     return 0

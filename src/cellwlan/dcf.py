@@ -82,21 +82,32 @@ def mean_backoffs(cw_min: int, cw_max: int, retry_limit: int) -> BackoffParams:
     return BackoffParams(retry_limit=retry_limit, mean_backoffs=bs)
 
 
-def attempt_probability(gamma: float, backoff: BackoffParams) -> float:
-    """Per-slot attempt probability of a saturated node, given its
-    collision probability.
+def attempt_probability(gamma, backoff: BackoffParams):
+    """Per-slot attempt probability G(gamma) of a saturated node, given its
+    collision probability.  Accepts a scalar or an array of gammas.
 
     Renewal ratio: attempts per packet over mean backoff slots per packet,
-    each weighted by the chance gamma^k of reaching attempt k.
+    each weighted by the chance gamma^k of reaching attempt k.  G exceeds 1
+    exactly when the reachable mean backoffs average below one slot, which
+    is an error; rounding above 1 when they average one slot is clipped.
     """
-    if not 0.0 <= gamma <= 1.0:
+    g = np.asarray(gamma, dtype=float)
+    if not ((g >= 0.0) & (g <= 1.0)).all():
         raise ValueError(f"gamma = {gamma} outside [0, 1]")
-    weights = np.power(gamma, np.arange(backoff.retry_limit + 1))
-    denom = float(np.dot(weights, backoff.mean_backoffs))
-    if denom <= 0.0:
-        raise ValueError("all reachable mean backoffs are zero; "
-                         "attempt probability undefined")
-    return float(weights.sum()) / denom
+    w = g[..., None] ** np.arange(backoff.retry_limit + 1)
+    b = np.asarray(backoff.mean_backoffs)
+    den = w @ b
+    # with every mean backoff at least one slot, den >= 1 and G <= 1
+    if min(backoff.mean_backoffs) < 1.0:
+        if not (den > 0.0).all():
+            raise ValueError("all reachable mean backoffs are zero; "
+                             "attempt probability undefined")
+        if (w @ (1.0 - b) > 0.0).any():
+            raise ValueError("reachable mean backoffs average below one "
+                             "slot (cw_min <= 2); attempt probability "
+                             "would exceed 1")
+    out = np.minimum(w.sum(axis=-1) / den, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def frame_exchange_times(p: MacPhyParams) -> tuple[float, float]:
@@ -186,18 +197,19 @@ _DOT11B_11MBPS = dict(
     data_rate=11e6, control_rate=11e6,
     ack_bits=112.0, rts_bits=160.0, cts_bits=112.0)
 
-_MAC_PHY_PRESETS = {"dot11b-11mbps": _DOT11B_11MBPS}
-_BACKOFF_PRESETS = {"dot11b-11mbps": (32, 1024, 7), "dot11b": (32, 1024, 7)}
+MAC_PHY_PRESETS = {"dot11b-11mbps": _DOT11B_11MBPS}
+BACKOFF_PRESETS = {name: dict(cw_min=32, cw_max=1024, retry_limit=7)
+                   for name in ("dot11b-11mbps", "dot11b")}
 
 
 def mac_phy_preset(name: str, payload_bits: float,
                    access_mode: str = "basic") -> MacPhyParams:
     """Named MAC/PHY parameter set with the given payload size."""
     try:
-        base = _MAC_PHY_PRESETS[name]
+        base = MAC_PHY_PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown MAC/PHY preset {name!r}; "
-                       f"have {sorted(_MAC_PHY_PRESETS)}") from None
+                       f"have {sorted(MAC_PHY_PRESETS)}") from None
     return MacPhyParams(payload_bits=float(payload_bits),
                         access_mode=access_mode, **base)
 
@@ -205,12 +217,8 @@ def mac_phy_preset(name: str, payload_bits: float,
 def backoff_preset(name: str) -> BackoffParams:
     """Named contention-window ladder."""
     try:
-        cw_min, cw_max, k = _BACKOFF_PRESETS[name]
+        ladder = BACKOFF_PRESETS[name]
     except KeyError:
         raise KeyError(f"unknown backoff preset {name!r}; "
-                       f"have {sorted(_BACKOFF_PRESETS)}") from None
-    return mean_backoffs(cw_min, cw_max, k)
-
-
-def mac_phy_preset_names() -> tuple[str, ...]:
-    return tuple(sorted(_MAC_PHY_PRESETS))
+                       f"have {sorted(BACKOFF_PRESETS)}") from None
+    return mean_backoffs(**ladder)

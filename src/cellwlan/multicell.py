@@ -20,8 +20,7 @@ from .dcf import (BackoffParams, ConvergenceError, MacPhyParams,
                   attempt_probability, frame_exchange_times,
                   solve_single_cell)
 from .topology import (ContentionGraph, MisStats, StateSpace,
-                       enumerate_independent_sets, mis_stats,
-                       partition_state)
+                       enumerate_independent_sets, mis_stats)
 
 LOG_ZERO = -np.inf
 
@@ -76,29 +75,6 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     logw -= logw.max()
     w = np.exp(logw)
     return w / w.sum()
-
-
-def per_state_collision(state_space: StateSpace, members, cell_id: int,
-                        beta, node_counts) -> float:
-    """Collision probability of one node of a contending cell, given the
-    set of currently active cells.
-
-    An attempt collides unless all n-1 cellmates and every node of every
-    contending neighbor cell stay silent in the same slot.  Only defined
-    while the cell itself is contending in the given state.  This is the
-    scalar reference for ``collision_probability``.
-    """
-    part = partition_state(state_space.graph, frozenset(members))
-    if cell_id not in part.contending:
-        raise ValueError(f"cell {cell_id} is not contending in state {set(members)}")
-    col = state_space.cell_column
-    beta = np.asarray(beta, dtype=float)
-    n = np.asarray(node_counts, dtype=float)
-    silent = (1.0 - beta[col(cell_id)]) ** (n[col(cell_id)] - 1.0)
-    for j in state_space.graph.neighbors(cell_id):
-        if j in part.contending:
-            silent *= (1.0 - beta[col(j)]) ** n[col(j)]
-    return 1.0 - silent
 
 
 def collision_probability(state_space: StateSpace, pi, beta,
@@ -209,17 +185,6 @@ class MulticellSolution:
     warnings: tuple[str, ...] = ()
 
 
-def _attempt_vector(gamma: np.ndarray, backoff: BackoffParams) -> np.ndarray:
-    """Vectorized attempt probability; matches the scalar op exactly."""
-    k = np.arange(backoff.retry_limit + 1)
-    w = np.power.outer(np.asarray(gamma, dtype=float), k)
-    den = w @ np.asarray(backoff.mean_backoffs)
-    if np.any(den <= 0.0):
-        raise ValueError("all reachable mean backoffs are zero; "
-                         "attempt probability undefined")
-    return np.clip(w.sum(axis=1) / den, 0.0, 1.0)
-
-
 def _iterate(beta0: np.ndarray, state_space: StateSpace, n: np.ndarray,
              slot_time: float, t_s: float, t_c: float,
              backoff: BackoffParams, cfg: FixedPointConfig):
@@ -233,7 +198,7 @@ def _iterate(beta0: np.ndarray, state_space: StateSpace, n: np.ndarray,
         rho = lam * act
         pi = stationary_distribution(state_space, rho)
         gamma = collision_probability(state_space, pi, beta, n)
-        target = _attempt_vector(gamma, backoff)
+        target = attempt_probability(gamma, backoff)
         resid = float(np.max(np.abs(target - beta)))
         beta = (1.0 - w) * beta + w * target
         if resid <= cfg.tolerance:

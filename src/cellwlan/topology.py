@@ -184,34 +184,6 @@ def check_pbd(deployment: Deployment) -> PbdReport:
 
 
 @dataclass(frozen=True)
-class PartitionedState:
-    """Cells split by what they are doing while ``transmitting`` is active.
-
-    ``blocked`` cells neighbor an active cell and have frozen backoffs;
-    ``contending`` cells are neither active nor blocked, so their nodes
-    keep counting down backoff and may attempt.
-    """
-
-    transmitting: frozenset[int]
-    blocked: frozenset[int]
-    contending: frozenset[int]
-
-
-def partition_state(graph: ContentionGraph, active: frozenset[int] | set[int]) -> PartitionedState:
-    """Partition all cells into transmitting / blocked / contending."""
-    active = frozenset(active)
-    if not active <= set(graph.cells):
-        raise ValueError("active cells not in graph")
-    for a in active:
-        for b in active:
-            if a < b and graph.adjacent(a, b):
-                raise ValueError(f"cells {a} and {b} contend; state infeasible")
-    blocked = frozenset().union(*(graph.neighbors(a) for a in active)) - active if active else frozenset()
-    contending = frozenset(graph.cells) - active - blocked
-    return PartitionedState(active, blocked, contending)
-
-
-@dataclass(frozen=True)
 class CollisionIndex:
     """The contending (state, cell) entries of a state space, grouped by
     neighborhood pattern.

@@ -85,20 +85,29 @@ def stationary_direct(states, cells, rho):
     return w / w.sum()
 
 
-def collision_direct(cells, edges, members, cell_id, beta, node_counts):
-    """Per-state collision probability from first principles."""
-    idx = {c: j for j, c in enumerate(sorted(cells))}
+def neighbors_direct(cells, edges):
+    """{cell: set of adjacent cells}."""
     nbrs = {c: set() for c in cells}
     for a, b in edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    blocked = set()
-    for a in members:
-        blocked |= nbrs[a]
-    blocked -= set(members)
+    return nbrs
+
+
+def partition_direct(cells, edges, members):
+    """(blocked, contending) cell sets while ``members`` transmit."""
+    nbrs = neighbors_direct(cells, edges)
+    blocked = set().union(*(nbrs[a] for a in members)) - set(members)
+    return blocked, set(cells) - blocked - set(members)
+
+
+def collision_direct(cells, edges, members, cell_id, beta, node_counts):
+    """Per-state collision probability from first principles."""
+    idx = {c: j for j, c in enumerate(sorted(cells))}
+    contending = partition_direct(cells, edges, members)[1]
     silent = (1.0 - beta[idx[cell_id]]) ** (node_counts[idx[cell_id]] - 1)
-    for q in nbrs[cell_id]:
-        if q not in members and q not in blocked:
+    for q in neighbors_direct(cells, edges)[cell_id]:
+        if q in contending:
             silent *= (1.0 - beta[idx[q]]) ** node_counts[idx[q]]
     return 1.0 - silent
 

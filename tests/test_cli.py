@@ -1,17 +1,26 @@
 """Command-line front end: schema, verbs, determinism, exit codes."""
 
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import operator
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cellwlan.cli import (DEPLOYMENT_PRESETS, config_digest, load_config,
-                          main)
-from cellwlan.dcf import backoff_preset, mac_phy_preset
+from cellwlan.cli import (DEPLOYMENT_PRESETS, ConfigError, config_digest,
+                          load_config, main)
+from cellwlan.dcf import backoff_preset, mac_phy_preset, mean_backoffs
 from cellwlan.multicell import MulticellInput, solve_fixed_point
 from cellwlan.topology import build_contention_graph
 
@@ -53,6 +62,8 @@ def test_presets_verb_lists_everything(capsys):
     for name in ("two-cell", "three-chain", "three-clique",
                  "dot11b-11mbps"):
         assert name in out
+    # listed from the preset tables, aliases included
+    assert "  dot11b (cw 32..1024, retry limit 7)" in out.splitlines()
 
 
 def test_saturation_csv_round_trip(tmp_path):
@@ -231,6 +242,24 @@ def test_config_rejects_unknown_and_conflicting_keys(tmp_path, capsys):
         {"deployment": {"preset": "three-chain"},
          "sweep": {"payload_bytes": [500, float("inf")]}},
         {"deployment": {"preset": "three-chain"}, "sim": {"seed": -1}},
+        {"deployment": {"preset": ["three-chain"]}},
+        {"deployment": {"preset": "three-chain"},
+         "mac_phy": {"preset": ["dot11b-11mbps"]}},
+        {"deployment": {"preset": "three-chain"}, "backoff": {"preset": {"a": 1}}},
+        {"deployment": {"preset": "three-chain"},
+         "backoff": {"cw_min": 64, "cw_max": 32, "retry_limit": 7}},
+        {"deployment": {"preset": "three-chain"},
+         "backoff": {"cw_min": 32, "cw_max": 1024, "retry_limit": 256}},
+        {"deployment": {"preset": "three-chain"},
+         "mac_phy": {"preset": "dot11b-11mbps", "slot_us": 0}},
+        {"deployment": {"preset": "three-chain"},
+         "mac_phy": {"preset": "dot11b-11mbps", "data_rate_bps": 0}},
+        {"deployment": {"preset": "three-chain"}, "sim": {"enabled": "false"}},
+        {"deployment": {"preset": "three-chain",
+                        "carrier_sense_range_m": 500}},
+        {"deployment": {"adjacency": {"cells": [1, 2]},
+                        "carrier_sense_range_m": 500}},
+        {"deployment": {"preset": "three-chain"}, "solver": {"damping": 2.0}},
     ]
     for doc in bad:
         cfg = write_cfg(tmp_path, doc)
@@ -296,7 +325,21 @@ def test_verbs_reject_configs_missing_their_sections(tmp_path, capsys):
     adj = write_cfg(tmp_path, {"deployment": {"adjacency": {
         "cells": [1, 2], "edges": [[1, 2]]}}}, "adj.yaml")
     assert main(["validate", "--config", adj, "--out", out]) == 1
-    capsys.readouterr()
+    # the tcp verbs need the keys of their traffic mode, whatever the mode
+    for verb, key in (("tcp-long", "tcp_data_bytes"),
+                      ("tcp-short", "tcp_data_bytes")):
+        assert main([verb, "--config", write_cfg(tmp_path, chain_doc(),
+                                                 "t.yaml"),
+                     "--out", out]) == 1
+    doc = chain_doc(traffic={"mode": "tcp-long", "tcp_data_bytes": 1500,
+                             "tcp_ack_bytes": 40})
+    assert main(["tcp-short", "--config", write_cfg(tmp_path, doc, "l.yaml"),
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "config error: traffic.tcp_data_bytes: required for this verb" \
+        in err
+    assert "config error: traffic.app_data_bytes: required for this verb" \
+        in err
 
 
 def test_analysis_failures_exit_one(tmp_path, capsys):
@@ -310,6 +353,12 @@ def test_analysis_failures_exit_one(tmp_path, capsys):
     assert main(["saturation", "--config", cfg,
                  "--out", str(tmp_path / "o2")]) == 2
     assert "analysis error" in capsys.readouterr().err
+    doc = chain_doc(backoff={"cw_min": 2, "cw_max": 64, "retry_limit": 3})
+    cfg = write_cfg(tmp_path, doc, "half.yaml")
+    assert main(["saturation", "--config", cfg,
+                 "--out", str(tmp_path / "o4")]) == 2
+    assert "analysis error: reachable mean backoffs average below one " \
+        "slot" in capsys.readouterr().err
     doc = tcp_short_doc()
     doc["solver"] = {"max_iterations": 1}
     cfg = write_cfg(tmp_path, doc, "short.yaml")
@@ -338,6 +387,25 @@ def test_mac_phy_overrides_apply_on_top_of_preset(tmp_path):
     assert fast.mac_phy != base.mac_phy
 
 
+def test_backoff_keys_override_the_preset(tmp_path):
+    doc = chain_doc(backoff={"preset": "dot11b", "cw_min": 16})
+    cfg = load_config(write_cfg(tmp_path, doc))
+    assert cfg.backoff == mean_backoffs(16, 1024, 7)
+    doc = chain_doc(backoff={"cw_min": 16, "cw_max": 64})
+    with pytest.raises(ConfigError, match="backoff.retry_limit: required"):
+        load_config(write_cfg(tmp_path, doc))
+
+
+def test_schema_bounds_are_inclusive_where_stated(tmp_path):
+    doc = chain_doc(backoff={"cw_min": 32, "cw_max": 1024,
+                             "retry_limit": 255},
+                    solver={"damping": 1.0}, sim={"enabled": False})
+    cfg = load_config(write_cfg(tmp_path, doc))
+    assert cfg.backoff.retry_limit == 255
+    assert cfg.solver.damping == 1.0
+    assert cfg.sim_enabled is False
+
+
 def test_traffic_node_counts_override_deployment(tmp_path):
     doc = chain_doc()
     doc["traffic"] = {"node_counts": [10, 10, 10]}
@@ -345,6 +413,79 @@ def test_traffic_node_counts_override_deployment(tmp_path):
     assert cfg.node_counts == (10, 10, 10)
     assert load_config(write_cfg(tmp_path, chain_doc(),
                                  "d.yaml")).node_counts == (2, 2, 2)
+
+
+def fuzz_base_docs():
+    """Valid three-chain configs that fill every section, one per
+    deployment form."""
+    doc = tcp_short_doc()
+    doc["mac_phy"] = {"preset": "dot11b-11mbps", "payload_bytes": 1000,
+                      "access_mode": "basic", "slot_us": 20, "sifs_us": 10,
+                      "difs_us": 50, "overhead_us": 216.7, "ack_bytes": 14,
+                      "data_rate_bps": 11e6, "control_rate_bps": 11e6,
+                      "rts_bytes": 20, "cts_bytes": 14}
+    doc["backoff"] = {"cw_min": 32, "cw_max": 1024, "retry_limit": 7}
+    doc["traffic"].update(node_counts=[2, 3, 2], service_model="model2")
+    doc["solver"] = {"tolerance": 1e-8, "damping": 0.5, "max_iterations": 50,
+                     "multistart": 1}
+    doc["sweep"] = {"payload_bytes": [500, 1000]}
+    cells = [{"id": i + 1, "x_m": 400.0 * i, "y_m": 0, "radius_m": 25,
+              "node_count": 2, "channel": 1} for i in range(3)]
+    deployments = [
+        {"preset": "three-chain"},
+        {"carrier_sense_range_m": 500, "cells": cells},
+        {"adjacency": {"cells": [1, 2, 3], "edges": [[1, 2], [2, 3]],
+                       "node_counts": [2, 2, 2]}}]
+    return [{**doc, "deployment": dep} for dep in deployments]
+
+
+def doc_paths(node, prefix=()):
+    """Every key path into a parsed YAML document, parents first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from doc_paths(child, prefix + (key,))
+
+
+JUNK = st.one_of(
+    st.sampled_from([0, -1, -0.5, 1.5, 10 ** 400, float("nan"),
+                     float("inf"), -float("inf"), True, False, None, "",
+                     "false", "three-chain"]),
+    st.lists(st.one_of(st.integers(-2, 9), st.just("a")), max_size=8),
+    st.dictionaries(st.sampled_from(["a", "preset", "cells", "enabled"]),
+                    st.integers(-1, 3), max_size=3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(base=st.sampled_from(fuzz_base_docs()), data=st.data())
+def test_mutated_configs_end_in_one_of_three_outcomes(base, data):
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        path = data.draw(st.sampled_from(list(doc_paths(doc))), label="path")
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if data.draw(st.booleans(), label="drop"):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JUNK, label="value")
+        if not doc:
+            break
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(["infinite-rho", "--config", path,
+                       "--out", os.path.join(tmp, "out")])
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc in (1, 2) and len(lines) == 1, (rc, lines)
+        assert lines[0].startswith(("config error:" if rc == 1
+                                    else "analysis error:")), lines
 
 
 def test_module_entry_point_runs():

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellwlan.dcf import (BackoffParams, MacPhyParams, attempt_probability,
-                          backoff_preset, frame_exchange_times,
-                          mac_phy_preset, mac_phy_preset_names, mean_backoffs,
+from cellwlan.dcf import (MAC_PHY_PRESETS, BackoffParams, MacPhyParams,
+                          attempt_probability, backoff_preset,
+                          frame_exchange_times, mac_phy_preset, mean_backoffs,
                           solve_single_cell)
 
 import oracles
@@ -47,6 +47,10 @@ def test_attempt_probability_endpoints_and_monotone():
     vals = [attempt_probability(float(g), BO) for g in grid]
     # more collisions mean longer windows, so attempts get rarer
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+    # every mean backoff one slot: G = 1 exactly, though the two sums may
+    # round apart; the result must not exceed 1
+    got = attempt_probability(grid, mean_backoffs(3, 3, 255))
+    assert got.max() == 1.0 and got.min() > 1.0 - 1e-12
 
 
 def test_attempt_probability_rejects_degenerate_ladder():
@@ -55,6 +59,12 @@ def test_attempt_probability_rejects_degenerate_ladder():
         attempt_probability(0.5, zero)
     with pytest.raises(ValueError):
         attempt_probability(1.5, BO)
+    with pytest.raises(ValueError):
+        attempt_probability(np.array([0.5, np.nan]), BO)
+    # cw_min = 2 gives a mean first backoff of half a slot: G(0) = 2
+    for gamma in (0.0, np.array([0.0, 0.3])):
+        with pytest.raises(ValueError, match="below one slot"):
+            attempt_probability(gamma, mean_backoffs(2, 64, 3))
 
 
 def test_frame_times_frozen_1000_byte():
@@ -139,7 +149,7 @@ def test_with_payload_changes_only_payload():
 
 
 def test_presets():
-    assert mac_phy_preset_names() == ("dot11b-11mbps",)
+    assert sorted(MAC_PHY_PRESETS) == ["dot11b-11mbps"]
     assert backoff_preset("dot11b") == BO
     with pytest.raises(KeyError):
         mac_phy_preset("dot11g", 8000.0)

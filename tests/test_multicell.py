@@ -5,19 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-from cellwlan.dcf import backoff_preset, mac_phy_preset, solve_single_cell
+from cellwlan.dcf import (attempt_probability, backoff_preset, mac_phy_preset,
+                          solve_single_cell)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
-                                _attempt_vector, activation_rate,
-                                collision_probability,
+                                activation_rate, collision_probability,
                                 detailed_balance_residual, infinite_rho_x,
                                 mean_activity_time, payload_sweep,
-                                per_state_collision, saturation_throughputs,
+                                saturation_throughputs,
                                 solve_fixed_point, stationary_distribution,
                                 tcp_long_throughputs, unblocked_fraction)
 from cellwlan.topology import enumerate_independent_sets, graph_from_edges
 
 import oracles
-from cellwlan.dcf import attempt_probability
 
 MP = mac_phy_preset("dot11b-11mbps", 8000.0)
 BO = backoff_preset("dot11b-11mbps")
@@ -91,19 +90,18 @@ def test_stationary_distribution_handles_zero_and_extreme_rho():
 
 
 def test_per_state_collision_goldens():
-    ss = space(chain())
+    # the per-state reference that collision_probability is averaged from
+    cells, edges = [1, 2, 3], [(1, 2), (2, 3)]
     beta = (0.1, 0.1, 0.1)
     n = (2, 2, 2)
     # empty state: the middle cell fights its cellmate and both neighbors
-    assert per_state_collision(ss, (), 2, beta, n) == pytest.approx(
-        1.0 - 0.9 ** 5, rel=1e-12)
-    assert per_state_collision(ss, (), 1, beta, n) == pytest.approx(
-        1.0 - 0.9 ** 3, rel=1e-12)
+    assert oracles.collision_direct(cells, edges, (), 2, beta, n) == \
+        pytest.approx(1.0 - 0.9 ** 5, rel=1e-12)
+    assert oracles.collision_direct(cells, edges, (), 1, beta, n) == \
+        pytest.approx(1.0 - 0.9 ** 3, rel=1e-12)
     # cell 1 active: cell 2 is blocked, so cell 3 fights only its cellmate
-    assert per_state_collision(ss, (1,), 3, beta, n) == pytest.approx(
-        0.1, rel=1e-12)
-    with pytest.raises(ValueError):
-        per_state_collision(ss, (1,), 2, beta, n)  # blocked, not contending
+    assert oracles.collision_direct(cells, edges, (1,), 3, beta, n) == \
+        pytest.approx(0.1, rel=1e-12)
 
 
 def test_collision_probability_matches_scalar_average():
@@ -211,10 +209,17 @@ def test_detailed_balance_of_product_form_law():
 
 
 def test_attempt_vector_matches_scalar():
+    # one attempt_probability serves scalars and arrays; both agree with
+    # the Horner oracle (array rows and a lone gamma may be summed in a
+    # different order by BLAS, so the two can differ in the last bit)
     gammas = np.linspace(0.0, 1.0, 17)
-    got = _attempt_vector(gammas, BO)
-    want = [attempt_probability(float(g), BO) for g in gammas]
+    got = attempt_probability(gammas, BO)
+    assert got.shape == gammas.shape
+    scalar = [attempt_probability(float(g), BO) for g in gammas]
+    want = [oracles.attempt_probability_horner(float(g), BO.mean_backoffs)
+            for g in gammas]
     np.testing.assert_allclose(got, want, rtol=1e-12)
+    np.testing.assert_allclose(scalar, want, rtol=1e-12)
 
 
 def test_three_chain_frozen_regression():
@@ -255,7 +260,8 @@ def test_solution_is_a_true_fixed_point():
     np.testing.assert_allclose(pi, sol.pi, rtol=1e-9)
     gam = collision_probability(ss, pi, sol.beta, (5, 5, 5))
     np.testing.assert_allclose(gam, sol.gamma, rtol=1e-9)
-    np.testing.assert_allclose(_attempt_vector(gam, BO), sol.beta, atol=1e-10)
+    np.testing.assert_allclose(attempt_probability(gam, BO), sol.beta,
+                               atol=1e-10)
 
 
 def test_solver_agrees_from_custom_start():

@@ -10,8 +10,7 @@ from cellwlan.topology import (CellGeom, ContentionGraph, Deployment,
                                StateSpaceCapError, adjacency_text,
                                build_contention_graph, check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
-                               mis_share_table, mis_stats, partition_state,
-                               restrict)
+                               mis_share_table, mis_stats, restrict)
 from cellwlan.topology import _independent_sets
 
 import oracles
@@ -89,27 +88,22 @@ def test_state_space_masks_partition_every_state():
                  + ss.contending_mask.astype(int))
         assert np.all(total == 1)
         for s, members in enumerate(ss.states):
-            part = partition_state(g, frozenset(members))
+            blocked, contending = oracles.partition_direct(cells, edges,
+                                                           members)
             for j, c in enumerate(ss.cells):
-                assert ss.active_mask[s, j] == (c in part.transmitting)
-                assert ss.blocked_mask[s, j] == (c in part.blocked)
-                assert ss.contending_mask[s, j] == (c in part.contending)
+                assert ss.active_mask[s, j] == (c in members)
+                assert ss.blocked_mask[s, j] == (c in blocked)
+                assert ss.contending_mask[s, j] == (c in contending)
 
 
 def test_partition_three_chain():
-    g = three_chain()
-    p = partition_state(g, {1})
-    assert p.transmitting == {1}
-    assert p.blocked == {2}
-    assert p.contending == {3}
-    p = partition_state(g, {1, 3})
-    assert p.blocked == {2}
-    assert p.contending == frozenset()
-
-
-def test_partition_rejects_infeasible_state():
-    with pytest.raises(ValueError):
-        partition_state(three_chain(), {1, 2})
+    ss = enumerate_independent_sets(three_chain())
+    masks = (ss.active_mask, ss.blocked_mask, ss.contending_mask)
+    # columns are cells 1, 2, 3; one row per role
+    assert np.array_equal([m[ss.index_of((1,))] for m in masks],
+                          [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert np.array_equal([m[ss.index_of((1, 3))] for m in masks],
+                          [[1, 0, 1], [0, 1, 0], [0, 0, 0]])
 
 
 def test_index_of_and_cell_column():
