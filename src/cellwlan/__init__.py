@@ -10,10 +10,9 @@ delays when finite downloads share the cells.
 from .dcf import (BackoffParams, ConvergenceError, MacPhyParams,
                   attempt_probability, backoff_preset, frame_exchange_times,
                   mac_phy_preset, mean_backoffs, solve_single_cell)
-from .flows import (DelayResult, FlowParams, NetworkState, SimConfig,
+from .flows import (DelayResult, FlowParams, SimConfig,
                     effective_rate_fixed_point, mean_delay_analytic,
-                    service_rates_model1, service_rates_model2,
-                    simulate_flow_network)
+                    service_rate_table, simulate_flow_network)
 from .multicell import (FixedPointConfig, InfiniteRhoLimit, MulticellInput,
                         MulticellSolution, SweepPoint, TcpLongResult,
                         activation_rate, collision_probability,
@@ -28,6 +27,6 @@ from .topology import (CellGeom, ContentionGraph, Deployment, MisStats,
                        PbdReport, StateSpace, StateSpaceCapError,
                        adjacency_text, build_contention_graph, check_pbd,
                        dot_edges, enumerate_independent_sets,
-                       graph_from_edges, mis_share_table, mis_stats, restrict)
+                       graph_from_edges, mis_share_table, mis_stats)
 
 __version__ = "0.1.0"

@@ -106,6 +106,8 @@ class Key:
 # A key without a default is left out of the parsed section when absent.
 # ack/rts/cts have none so that a mac_phy preset or MacPhyParams supplies
 # them.  retry_limit stops at 255, the range of the 802.11 retry limits.
+# The keys that set the amount of work stop far above any useful value, so
+# that one key cannot ask for a run that never ends.
 SCHEMA = (
     Key("", "deployment", MAP, default=REQUIRED),
     Key("", "mac_phy", MAP),
@@ -163,13 +165,13 @@ SCHEMA = (
     Key("traffic", "service_model", ("model1", "model2"), default="model2"),
     Key("solver", "tolerance", default=1e-8, bounds="[0, inf)"),
     Key("solver", "damping", default=0.5, bounds="(0, 1]"),
-    Key("solver", "max_iterations", INT, default=5000, bounds="[1, inf)"),
-    Key("solver", "multistart", INT, default=3, bounds="[0, inf)"),
+    Key("solver", "max_iterations", INT, default=5000, bounds="[1, 1e6]"),
+    Key("solver", "multistart", INT, default=3, bounds="[0, 100]"),
     Key("sim", "enabled", BOOL, default=False),
     Key("sim", "seed", INT, default=1, bounds="[0, inf)", to="rng_seed"),
-    Key("sim", "flows_per_cell", INT, default=10_000, bounds="[1, inf)"),
+    Key("sim", "flows_per_cell", INT, default=10_000, bounds="[1, 1e6]"),
     Key("sim", "warmup_flows", INT, default=1_000, bounds="[0, inf)"),
-    Key("sim", "replications", INT, default=20, bounds="[1, inf)"),
+    Key("sim", "replications", INT, default=20, bounds="[1, 1000]"),
     Key("sweep", "payload_bytes", [NUM], per=BYTE, bounds="(0, inf)",
         to="sweep_payload_bits"),
 )
@@ -263,9 +265,12 @@ def _require(values: dict, keys, why: str) -> None:
             raise ConfigError(f"{row.path}: required{why}")
 
 
-def _per_cell(name: str, values, graph: ContentionGraph) -> None:
-    if values is not None and len(values) != graph.size:
+def _per_cell(name: str, values, listed: tuple[int, ...]) -> tuple:
+    """Entries given in the order the deployment lists its cells, put in
+    the graph's order (sorted ids)."""
+    if len(values) != len(listed):
         raise ConfigError(f"{name}: need one entry per cell")
+    return tuple(v for _, v in sorted(zip(listed, values)))
 
 
 def _build(section: str, make):
@@ -287,7 +292,8 @@ def _with_preset(section: str, values: dict, presets: dict, make):
 
 
 def _deployment(d: dict) -> tuple[Deployment | None, ContentionGraph,
-                                  tuple[int, ...]]:
+                                  tuple[int, ...], tuple[int, ...]]:
+    """Deployment, graph, cell ids as listed, node counts in graph order."""
     if sum(k in d for k in ("preset", "cells", "adjacency")) != 1:
         raise ConfigError("deployment: give exactly one of preset, cells, "
                           "adjacency")
@@ -308,9 +314,9 @@ def _deployment(d: dict) -> tuple[Deployment | None, ContentionGraph,
                                   f"names a cell not in cells")
         graph = _build("deployment",
                        lambda: graph_from_edges(cells, adj["edges"]))
-        counts = adj.get("node_counts", (2,) * graph.size)
-        _per_cell("deployment.adjacency.node_counts", counts, graph)
-        return None, graph, counts
+        counts = adj.get("node_counts", (2,) * len(cells))
+        return None, graph, cells, _per_cell(
+            "deployment.adjacency.node_counts", counts, cells)
     if "preset" in d:
         dep = DEPLOYMENT_PRESETS[d["preset"]]
     else:
@@ -319,8 +325,8 @@ def _deployment(d: dict) -> tuple[Deployment | None, ContentionGraph,
                                  **c) for c in d["cells"]),
             carrier_sense_range=d["carrier_sense_range"]))
     graph = build_contention_graph(dep)
-    counts = {c.cell_id: c.node_count for c in dep.cells}
-    return dep, graph, tuple(counts[c] for c in graph.cells)
+    counts = {c.cell_id: c.node_count for c in dep.cells}   # listed order
+    return dep, graph, tuple(counts), tuple(counts[c] for c in graph.cells)
 
 
 @dataclass
@@ -362,12 +368,13 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
         raise ConfigError(f"config is not valid YAML: {e}") from None
     v = _walk(raw, "", "")
 
-    deployment, graph, counts = _deployment(v["deployment"])
+    deployment, graph, listed, counts = _deployment(v["deployment"])
     traffic = v["traffic"]
+    for key, name in (("node_counts", "traffic.node_counts"),
+                      ("arrival_rates", "traffic.arrival_rates_per_s")):
+        if key in traffic:
+            traffic[key] = _per_cell(name, traffic[key], listed)
     counts = traffic.pop("node_counts", counts)
-    _per_cell("traffic.node_counts", counts, graph)
-    _per_cell("traffic.arrival_rates_per_s", traffic.get("arrival_rates"),
-              graph)
     mode = traffic["traffic_mode"]
     _require(traffic, _MODE_NEEDS[mode], f" for mode {mode}")
 

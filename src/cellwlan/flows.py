@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcf import ConvergenceError
-from .topology import ContentionGraph, mis_share_table, mis_stats, restrict
+from .topology import ContentionGraph, mis_share_table
 
 
 @dataclass(frozen=True)
@@ -43,82 +43,43 @@ class FlowParams:
     def __post_init__(self) -> None:
         if not all(r >= 0 for r in self.arrival_rates):  # NaN fails too
             raise ValueError("arrival rates must be >= 0")
-        if self.mean_flow_size <= 0 or self.single_cell_rate <= 0:
-            raise ValueError("mean_flow_size and single_cell_rate must be > 0")
+        if not (0 < self.mean_flow_size < np.inf
+                and 0 < self.single_cell_rate < np.inf):   # NaN fails too
+            raise ValueError("mean_flow_size and single_cell_rate must be "
+                             "finite and > 0")
         if self.service_model not in ("model1", "model2"):
             raise ValueError(f"unknown service model {self.service_model!r}")
 
 
-@dataclass(frozen=True)
-class NetworkState:
-    """Snapshot of flows in progress, one count per cell."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be >= 0")
+MAX_FIXED_POINT_CELLS = 20
 
 
-def service_rates_model1(state: NetworkState, graph: ContentionGraph,
-                         single_cell_rate: float) -> np.ndarray:
-    """Equal split of the single-cell rate with busy neighbors.
+def service_rate_table(graph: ContentionGraph, model: str,
+                       single_cell_rate: float) -> np.ndarray:
+    """Service rates of every busy pattern under one service model.
 
-    A busy cell with k busy neighbors serves at rate / (1 + k); an empty
-    cell serves at zero.
+    ``table[mask, j]`` is the rate of cell ``cells[j]`` when exactly the
+    cells of ``mask`` (bit j for cell j) have flows in progress, and 0
+    when j is not in ``mask``.  Under ``model1`` a busy cell with k busy
+    neighbors serves at single_cell_rate / (1 + k).  Under ``model2`` it
+    serves at its maximum-independent-set share of the busy subgraph, so
+    a cell outside every maximum independent set is starved outright.
+    Both depend on the busy pattern only, so the 2^n x n table holds the
+    whole model; graphs beyond MAX_FIXED_POINT_CELLS cells are refused.
     """
-    counts = state.counts
-    if len(counts) != graph.size:
-        raise ValueError("need one count per cell")
-    cols = {c: j for j, c in enumerate(graph.cells)}
-    out = np.zeros(graph.size)
-    for j, c in enumerate(graph.cells):
-        if counts[j] == 0:
-            continue
-        busy_nbrs = sum(1 for q in graph.neighbors(c) if counts[cols[q]] > 0)
-        out[j] = single_cell_rate / (1.0 + busy_nbrs)
-    return out
-
-
-def service_rates_model2(state: NetworkState, graph: ContentionGraph,
-                         single_cell_rate: float) -> np.ndarray:
-    """Topology-aware split: each busy cell gets its unblocked fraction in
-    the infinite-intensity limit of the busy-cell subgraph.
-
-    Unlike the equal split, this can starve a cell completely (rate zero)
-    when it sits outside every maximum independent set of the busy
-    subgraph.
-    """
-    counts = state.counts
-    if len(counts) != graph.size:
-        raise ValueError("need one count per cell")
-    busy = [c for j, c in enumerate(graph.cells) if counts[j] > 0]
-    out = np.zeros(graph.size)
-    if not busy:
-        return out
-    sub = restrict(graph, busy)
-    stats = mis_stats(sub)
-    ratio = {c: stats.per_cell[k] / stats.count for k, c in enumerate(sub.cells)}
-    for j, c in enumerate(graph.cells):
-        if counts[j] > 0:
-            out[j] = ratio[c] * single_cell_rate
-    return out
-
-
-def _rate_table(graph: ContentionGraph, params: FlowParams):
-    """Memoized service rates keyed by the busy/empty pattern."""
-    fn = service_rates_model1 if params.service_model == "model1" else service_rates_model2
-    cache: dict[tuple[bool, ...], np.ndarray] = {}
-
-    def rates(counts: tuple[int, ...]) -> np.ndarray:
-        key = tuple(c > 0 for c in counts)
-        got = cache.get(key)
-        if got is None:
-            got = fn(NetworkState(counts), graph, params.single_cell_rate)
-            cache[key] = got
-        return got
-
-    return rates
+    n = graph.size
+    if n > MAX_FIXED_POINT_CELLS:
+        raise ValueError(f"{n} cells; the table of all 2^n busy patterns is "
+                         f"capped at {MAX_FIXED_POINT_CELLS} cells")
+    if model == "model2":
+        return mis_share_table(graph) * single_cell_rate
+    if model != "model1":
+        raise ValueError(f"unknown service model {model!r}")
+    busy = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+    adj = np.array([[q in graph.neighbors(c) for q in graph.cells]
+                    for c in graph.cells], dtype=float)
+    # busy @ adj counts each cell's busy neighbors, exactly in float64
+    return np.where(busy > 0, single_cell_rate / (1.0 + busy @ adj), 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,6 +91,14 @@ class SimConfig:
     warmup_flows: int = 1_000
     replications: int = 20
     runaway_threshold: int = 100_000
+
+    def __post_init__(self) -> None:
+        if min(self.replications, self.flows_per_cell,
+               self.runaway_threshold) < 1:
+            raise ValueError("replications, flows_per_cell and "
+                             "runaway_threshold must be >= 1")
+        if min(self.warmup_flows, self.rng_seed) < 0:
+            raise ValueError("warmup_flows and rng_seed must be >= 0")
 
 
 @dataclass
@@ -151,10 +120,11 @@ class DelayResult:
 
 
 def _simulate_once(graph: ContentionGraph, params: FlowParams,
-                   cfg: SimConfig, rng: np.random.Generator, rates_of):
-    """One replication, with service rates from ``rates_of`` (a
-    ``_rate_table``).  Returns per-cell (mean delay, completed count,
-    stable flag, effective busy rate)."""
+                   cfg: SimConfig, rng: np.random.Generator,
+                   table: np.ndarray):
+    """One replication, with service rates from ``table`` (a
+    ``service_rate_table``).  Returns per-cell (mean delay, completed
+    count, stable flag, effective busy rate)."""
     n = graph.size
     nu = np.asarray(params.arrival_rates, dtype=float)
     ev = params.mean_flow_size
@@ -174,7 +144,8 @@ def _simulate_once(graph: ContentionGraph, params: FlowParams,
     stable = [True] * n
 
     now = 0.0
-    phi = rates_of(tuple(counts))
+    busy = 0                        # bit j set while cell j has flows
+    phi = table[busy].tolist()
     while True:
         if all(drec[j] >= target[j] for j in range(n)):
             break
@@ -190,11 +161,7 @@ def _simulate_once(graph: ContentionGraph, params: FlowParams,
                 if t_dep < t_next:
                     t_next, kind, cell = t_dep, "dep", j
         if not np.isfinite(t_next):
-            # nothing can ever happen again (starved cells only)
-            for j in range(n):
-                if drec[j] < target[j]:
-                    stable[j] = False
-            break
+            break           # nothing can ever happen again (starved cells)
         dt = t_next - now
         for j in range(n):
             if counts[j] > 0:
@@ -218,7 +185,9 @@ def _simulate_once(graph: ContentionGraph, params: FlowParams,
             if seen[cell] > cfg.warmup_flows and drec[cell] < target[cell]:
                 dsum[cell] += now - t_arr
                 drec[cell] += 1
-        phi = rates_of(tuple(counts))
+        if (counts[cell] > 0) != (busy >> cell & 1):
+            busy ^= 1 << cell       # the cell became busy or idle
+            phi = table[busy].tolist()
 
     for j in range(n):
         if drec[j] < target[j]:
@@ -242,6 +211,9 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
     if len(params.arrival_rates) != graph.size:
         raise ValueError("need one arrival rate per cell")
     n = graph.size
+    # no randomness in the rates: one table serves every replication
+    table = service_rate_table(graph, params.service_model,
+                               params.single_cell_rate)
     if all(r == 0 for r in params.arrival_rates):
         return DelayResult(mean_delay=np.full(n, np.nan),
                            confidence_halfwidth=None,
@@ -251,21 +223,15 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
                            replications=0)
 
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
-    rates_of = _rate_table(graph, params)   # no randomness: shared by all
-    means, compl, stab, effs = [], [], [], []
-    for ss in seeds:
-        rng = np.random.Generator(np.random.Philox(ss))
-        m, c, s, e = _simulate_once(graph, params, cfg, rng, rates_of)
-        means.append(m)
-        compl.append(c)
-        stab.append(s)
-        effs.append(e)
-    means_a = np.vstack(means)
+    runs = [_simulate_once(graph, params, cfg,
+                           np.random.Generator(np.random.Philox(ss)), table)
+            for ss in seeds]
+    means_a, compl, stab, effs = (np.vstack(r) for r in zip(*runs))
     # cells with no arrivals stay all-NaN; keep the reductions silent
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         grand = np.nanmean(means_a, axis=0)
-        eff = np.nanmean(np.vstack(effs), axis=0)
+        eff = np.nanmean(effs, axis=0)
         if cfg.replications > 1:
             sd = np.nanstd(means_a, axis=0, ddof=1)
             # the t quantile; scipy.special loads far faster than scipy.stats
@@ -276,12 +242,8 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
             half = np.full(n, np.nan)
     return DelayResult(mean_delay=grand, confidence_halfwidth=half,
                        effective_rates=eff,
-                       stable=np.vstack(stab).all(axis=0),
-                       completed=np.vstack(compl).sum(axis=0),
+                       stable=stab.all(axis=0), completed=compl.sum(axis=0),
                        replications=cfg.replications)
-
-
-MAX_FIXED_POINT_CELLS = 20
 
 
 @dataclass
@@ -305,7 +267,8 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
     Cell j is treated as busy independently with probability
     p_j = min(1, nu_j E[V] / (x_j rate)); for each busy set the cell's share
     is its maximum-independent-set fraction in the induced subgraph.  The
-    shares of all 2^n busy sets come from one ``mis_share_table``; each
+    shares of all 2^n busy sets come from one ``service_rate_table`` of
+    ``model2`` at unit rate, whatever ``params.service_model`` says; each
     iteration weighs them by their Bernoulli probabilities given that cell
     j is busy, so time and memory grow as 2^n n.  Graphs beyond
     MAX_FIXED_POINT_CELLS cells are refused.  Raises ConvergenceError when
@@ -313,14 +276,11 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
     ``max_iterations`` steps.
     """
     n = graph.size
-    if n > MAX_FIXED_POINT_CELLS:
-        raise ValueError(f"{n} cells; the fixed point tabulates all 2^n busy "
-                         f"sets and is capped at {MAX_FIXED_POINT_CELLS} cells")
+    share = service_rate_table(graph, "model2", 1.0)
     nu = np.asarray(params.arrival_rates, dtype=float)
     if nu.shape != (n,):
         raise ValueError("need one arrival rate per cell")
     work = nu * params.mean_flow_size / params.single_cell_rate  # load if x = 1
-    share = mis_share_table(graph)
     w = np.empty_like(share)
     own = np.eye(n, dtype=bool)
 

@@ -386,16 +386,6 @@ def mis_share_table(graph: ContentionGraph) -> np.ndarray:
     return per
 
 
-def restrict(graph: ContentionGraph, keep) -> ContentionGraph:
-    """Induced subgraph on the given subset of cells."""
-    keep = frozenset(keep)
-    if not keep <= set(graph.cells):
-        raise ValueError("subset contains unknown cells")
-    return ContentionGraph(
-        cells=tuple(sorted(keep)),
-        edges=frozenset(e for e in graph.edges if e <= keep))
-
-
 def adjacency_text(graph: ContentionGraph) -> str:
     """Plain-text adjacency list, one ``cell: neighbors...`` line per cell."""
     lines = []

@@ -35,6 +35,28 @@ def mis_counts_powerset(cells, edges):
     return alpha, len(top), per
 
 
+def service_rates_powerset(cells, edges, busy, model, rate):
+    """Per-cell service rates when the cells flagged in ``busy`` (aligned
+    with sorted ``cells``) have flows: model1 divides ``rate`` by one plus
+    the busy-neighbor count, model2 scales the cell's maximum independent
+    set share of the busy subgraph, counted by power-set filtering."""
+    cells = sorted(cells)
+    on = {c for c, b in zip(cells, busy) if b}
+    out = np.zeros(len(cells))
+    if model == "model1":
+        for j, c in enumerate(cells):
+            if c in on:
+                nbrs = {q for e in edges if c in e for q in e} - {c}
+                out[j] = rate / (1.0 + len(nbrs & on))
+    elif on:
+        sub_edges = [e for e in edges if set(e) <= on]
+        _, cnt, per = mis_counts_powerset(sorted(on), sub_edges)
+        for j, c in enumerate(cells):
+            if c in on:
+                out[j] = per[c] / cnt * rate
+    return out
+
+
 def random_graph(rng, n_cells, edge_prob):
     """Seeded Erdos-Renyi graph as (cells, edges) with ids 1..n_cells."""
     cells = list(range(1, n_cells + 1))

@@ -17,10 +17,9 @@ import yaml
 from cellwlan.cli import main as cli_main
 from cellwlan.dcf import (backoff_preset, frame_exchange_times,
                           mac_phy_preset, solve_single_cell)
-from cellwlan.flows import (FlowParams, NetworkState, SimConfig,
+from cellwlan.flows import (FlowParams, SimConfig,
                             effective_rate_fixed_point, mean_delay_analytic,
-                            service_rates_model1, service_rates_model2,
-                            simulate_flow_network)
+                            service_rate_table, simulate_flow_network)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 detailed_balance_residual, infinite_rho_x,
                                 payload_sweep, solve_fixed_point,
@@ -84,18 +83,18 @@ def test_criterion_02_mis_counting_identity_on_200_random_graphs():
 
 def test_criterion_03_service_model_goldens():
     g = _chain()
-    full = NetworkState((1, 1, 1))
-    assert tuple(service_rates_model1(full, g, 1.0)) == (0.5, 1.0 / 3.0, 0.5)
-    assert tuple(service_rates_model2(full, g, 1.0)) == (1.0, 0.0, 1.0)
+    full = 0b111                        # every cell of the chain busy
+    assert tuple(service_rate_table(g, "model1", 1.0)[full]) == (
+        0.5, 1.0 / 3.0, 0.5)
+    assert tuple(service_rate_table(g, "model2", 1.0)[full]) == (
+        1.0, 0.0, 1.0)
     mismatches = 0
     for n in range(1, 7):
         cells = list(range(1, n + 1))
         kn = graph_from_edges(cells, list(itertools.combinations(cells, 2)))
-        for pattern in itertools.product((0, 1), repeat=n):
-            st = NetworkState(pattern)
-            if not np.array_equal(service_rates_model1(st, kn, 1.0),
-                                  service_rates_model2(st, kn, 1.0)):
-                mismatches += 1
+        m1 = service_rate_table(kn, "model1", 1.0)
+        m2 = service_rate_table(kn, "model2", 1.0)
+        mismatches += int((m1 != m2).any(axis=1).sum())
     print(f"criterion 3: goldens exact; complete-graph mismatches: "
           f"{mismatches}")
     assert mismatches == 0

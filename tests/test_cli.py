@@ -260,6 +260,16 @@ def test_config_rejects_unknown_and_conflicting_keys(tmp_path, capsys):
         {"deployment": {"adjacency": {"cells": [1, 2]},
                         "carrier_sense_range_m": 500}},
         {"deployment": {"preset": "three-chain"}, "solver": {"damping": 2.0}},
+        {"deployment": {"preset": "three-chain"},
+         "solver": {"multistart": 101}},
+        {"deployment": {"preset": "three-chain"},
+         "solver": {"multistart": 1000000}},
+        {"deployment": {"preset": "three-chain"},
+         "solver": {"max_iterations": 1000001}},
+        {"deployment": {"preset": "three-chain"},
+         "sim": {"flows_per_cell": 1000001}},
+        {"deployment": {"preset": "three-chain"},
+         "sim": {"replications": 1001}},
     ]
     for doc in bad:
         cfg = write_cfg(tmp_path, doc)
@@ -399,11 +409,18 @@ def test_backoff_keys_override_the_preset(tmp_path):
 def test_schema_bounds_are_inclusive_where_stated(tmp_path):
     doc = chain_doc(backoff={"cw_min": 32, "cw_max": 1024,
                              "retry_limit": 255},
-                    solver={"damping": 1.0}, sim={"enabled": False})
+                    solver={"damping": 1.0, "multistart": 100,
+                            "max_iterations": 1000000},
+                    sim={"enabled": False, "flows_per_cell": 1000000,
+                         "replications": 1000})
     cfg = load_config(write_cfg(tmp_path, doc))
     assert cfg.backoff.retry_limit == 255
     assert cfg.solver.damping == 1.0
+    assert cfg.solver.multistart == 100
+    assert cfg.solver.max_iterations == 1000000
     assert cfg.sim_enabled is False
+    assert cfg.sim.flows_per_cell == 1000000
+    assert cfg.sim.replications == 1000
 
 
 def test_traffic_node_counts_override_deployment(tmp_path):
@@ -413,6 +430,35 @@ def test_traffic_node_counts_override_deployment(tmp_path):
     assert cfg.node_counts == (10, 10, 10)
     assert load_config(write_cfg(tmp_path, chain_doc(),
                                  "d.yaml")).node_counts == (2, 2, 2)
+
+
+def test_per_cell_lists_follow_the_listed_cell_order(tmp_path):
+    # cells listed out of id order: every per-cell list is read in the
+    # listed order, so cell 4 gets the first entry
+    doc = chain_doc(deployment={"adjacency": {
+        "cells": [4, 1, 3, 2], "edges": [[4, 1], [1, 3]],
+        "node_counts": [2, 4, 1, 3]}})
+    cfg = load_config(write_cfg(tmp_path, doc))
+    assert cfg.graph.cells == (1, 2, 3, 4)
+    assert cfg.node_counts == (4, 3, 1, 2)
+    out = tmp_path / "out"
+    assert main(["saturation", "--config", write_cfg(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out / "saturation_cells.csv")
+    assert [(r[0], r[1]) for r in rows] == [("1", "4"), ("2", "3"),
+                                            ("3", "1"), ("4", "2")]
+    doc["traffic"] = {"node_counts": [5, 6, 7, 8],
+                      "arrival_rates_per_s": [0.5, 1.0, 1.5, 2.0]}
+    cfg = load_config(write_cfg(tmp_path, doc))
+    assert cfg.node_counts == (6, 8, 7, 5)
+    assert cfg.arrival_rates == (1.0, 2.0, 1.5, 0.5)
+    geo = chain_doc(deployment={"carrier_sense_range_m": 500, "cells": [
+        {"id": 2, "x_m": 0, "y_m": 0, "radius_m": 25, "node_count": 9},
+        {"id": 1, "x_m": 400, "y_m": 0, "radius_m": 25}]},
+        traffic={"arrival_rates_per_s": [0.5, 1.0]})
+    cfg = load_config(write_cfg(tmp_path, geo))
+    assert cfg.node_counts == (2, 9)
+    assert cfg.arrival_rates == (1.0, 0.5)
 
 
 def fuzz_base_docs():

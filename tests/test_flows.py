@@ -9,10 +9,9 @@ import pytest
 
 from cellwlan import flows
 from cellwlan.dcf import ConvergenceError
-from cellwlan.flows import (FlowParams, MAX_FIXED_POINT_CELLS, NetworkState,
-                            SimConfig, effective_rate_fixed_point,
-                            mean_delay_analytic, service_rates_model1,
-                            service_rates_model2, simulate_flow_network)
+from cellwlan.flows import (FlowParams, MAX_FIXED_POINT_CELLS, SimConfig,
+                            effective_rate_fixed_point, mean_delay_analytic,
+                            service_rate_table, simulate_flow_network)
 from cellwlan.topology import graph_from_edges
 
 import oracles
@@ -22,44 +21,40 @@ def chain():
     return graph_from_edges([1, 2, 3], [(1, 2), (2, 3)])
 
 
-def rates_of_busy(graph, model, rate=1.0):
-    fn = service_rates_model2 if model == 2 else service_rates_model1
-    return lambda busy: fn(
-        NetworkState(tuple(1 if b else 0 for b in busy)), graph, rate)
+def mask_of(pattern):
+    """Row of the rate table for a busy/empty pattern over sorted cells."""
+    return sum(1 << j for j, b in enumerate(pattern) if b)
 
 
 def test_service_models_full_chain_goldens():
     g = chain()
-    full = NetworkState((1, 1, 1))
-    m1 = service_rates_model1(full, g, 1.0)
-    m2 = service_rates_model2(full, g, 1.0)
+    full = mask_of((1, 1, 1))
+    m1 = service_rate_table(g, "model1", 1.0)[full]
+    m2 = service_rate_table(g, "model2", 1.0)[full]
     assert tuple(m1) == (0.5, 1.0 / 3.0, 0.5)
     assert tuple(m2) == (1.0, 0.0, 1.0)
     theta = 3.7
-    np.testing.assert_allclose(service_rates_model1(full, g, theta),
+    np.testing.assert_allclose(service_rate_table(g, "model1", theta)[full],
                                [theta / 2, theta / 3, theta / 2], rtol=1e-12)
-    np.testing.assert_allclose(service_rates_model2(full, g, theta),
+    np.testing.assert_allclose(service_rate_table(g, "model2", theta)[full],
                                [theta, 0.0, theta], rtol=1e-12)
 
 
 def test_service_models_partial_occupancy():
     g = chain()
+    m1 = service_rate_table(g, "model1", 1.0)
+    m2 = service_rate_table(g, "model2", 1.0)
     # both models split a busy adjacent pair evenly
-    s = NetworkState((2, 1, 0))
-    np.testing.assert_allclose(service_rates_model1(s, g, 1.0),
-                               [0.5, 0.5, 0.0], rtol=1e-12)
-    np.testing.assert_allclose(service_rates_model2(s, g, 1.0),
-                               [0.5, 0.5, 0.0], rtol=1e-12)
+    s = mask_of((2, 1, 0))
+    np.testing.assert_allclose(m1[s], [0.5, 0.5, 0.0], rtol=1e-12)
+    np.testing.assert_allclose(m2[s], [0.5, 0.5, 0.0], rtol=1e-12)
     # the two edge cells are independent and both run at full rate
-    s = NetworkState((1, 0, 3))
-    np.testing.assert_allclose(service_rates_model1(s, g, 1.0),
-                               [1.0, 0.0, 1.0], rtol=1e-12)
-    np.testing.assert_allclose(service_rates_model2(s, g, 1.0),
-                               [1.0, 0.0, 1.0], rtol=1e-12)
+    s = mask_of((1, 0, 3))
+    np.testing.assert_allclose(m1[s], [1.0, 0.0, 1.0], rtol=1e-12)
+    np.testing.assert_allclose(m2[s], [1.0, 0.0, 1.0], rtol=1e-12)
     # nobody busy: all rates zero
-    empty = NetworkState((0, 0, 0))
-    assert not service_rates_model1(empty, g, 1.0).any()
-    assert not service_rates_model2(empty, g, 1.0).any()
+    assert not m1[0].any()
+    assert not m2[0].any()
 
 
 def test_service_models_agree_on_complete_graphs():
@@ -69,27 +64,52 @@ def test_service_models_agree_on_complete_graphs():
     for n in range(1, 7):
         cells = list(range(1, n + 1))
         g = graph_from_edges(cells, list(itertools.combinations(cells, 2)))
-        for pattern in itertools.product((0, 1), repeat=n):
-            st = NetworkState(pattern)
-            np.testing.assert_allclose(
-                service_rates_model1(st, g, 2.5),
-                service_rates_model2(st, g, 2.5), rtol=1e-12)
+        np.testing.assert_allclose(service_rate_table(g, "model1", 2.5),
+                                   service_rate_table(g, "model2", 2.5),
+                                   rtol=1e-12)
+
+
+def test_service_rate_table_matches_power_set_oracle():
+    rng = np.random.Generator(np.random.Philox(31))
+    clique = list(range(1, 7))
+    graphs = [([1, 2, 3], [(1, 2), (2, 3)]),
+              (clique, list(itertools.combinations(clique, 2)))]
+    for _ in range(25):
+        graphs.append(oracles.random_graph(rng, int(rng.integers(1, 9)),
+                                           float(rng.uniform(0.1, 0.9))))
+    for cells, edges in graphs:
+        g = graph_from_edges(cells, edges)
+        rate = float(rng.uniform(0.5, 5.0))
+        for model in ("model1", "model2"):
+            table = service_rate_table(g, model, rate)
+            assert table.shape == (1 << len(cells), len(cells))
+            for mask in range(1 << len(cells)):
+                busy = [mask >> j & 1 for j in range(len(cells))]
+                np.testing.assert_array_equal(
+                    table[mask], oracles.service_rates_powerset(
+                        cells, edges, busy, model, rate))
 
 
 def test_service_model_validation():
     g = chain()
-    with pytest.raises(ValueError):
-        service_rates_model1(NetworkState((1, 1)), g, 1.0)
-    with pytest.raises(ValueError):
-        NetworkState((1, -1, 0))
+    with pytest.raises(ValueError, match="unknown service model"):
+        service_rate_table(g, "model3", 1.0)
+    cells = list(range(1, MAX_FIXED_POINT_CELLS + 2))
+    big = graph_from_edges(cells, [])
+    with pytest.raises(ValueError, match="capped at"):
+        service_rate_table(big, "model1", 1.0)
+    with pytest.raises(ValueError, match="capped at"):
+        simulate_flow_network(big, FlowParams((0.1,) * len(cells), 1.0, 1.0))
     with pytest.raises(ValueError):
         FlowParams((0.1,), 1.0, 1.0, service_model="model3")
     with pytest.raises(ValueError):
         FlowParams((-0.1,), 1.0, 1.0)
     with pytest.raises(ValueError):
         FlowParams((float("nan"),), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        FlowParams((0.1,), 0.0, 1.0)
+    for size, rate in ((0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")),
+                       (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            FlowParams((0.1,), size, rate)
 
 
 def test_effective_rate_single_cell_is_mm1_ps():
@@ -195,19 +215,30 @@ def test_simulator_is_deterministic():
 
 def test_simulator_builds_one_rate_table_per_call(monkeypatch):
     # the busy-pattern rates hold no randomness, so all replications share
-    # one table: each of the 2^3 busy patterns is computed at most once
+    # one table
     calls = []
 
-    def counted(state, graph, rate):
-        calls.append(tuple(c > 0 for c in state.counts))
-        return service_rates_model2(state, graph, rate)
+    def counted(graph, model, rate):
+        calls.append(model)
+        return service_rate_table(graph, model, rate)
 
-    monkeypatch.setattr(flows, "service_rates_model2", counted)
-    params = FlowParams((0.3, 0.3, 0.3), 1.0, 1.0)
+    monkeypatch.setattr(flows, "service_rate_table", counted)
     cfg = SimConfig(rng_seed=3, flows_per_cell=300, warmup_flows=50,
                     replications=4)
-    simulate_flow_network(chain(), params, cfg)
-    assert len(calls) == len(set(calls)) <= 8
+    for model in ("model1", "model2"):
+        params = FlowParams((0.3, 0.3, 0.3), 1.0, 1.0, service_model=model)
+        simulate_flow_network(chain(), params, cfg)
+    assert calls == ["model1", "model2"]
+
+
+def test_sim_config_rejects_degenerate_plans():
+    for bad in ({"replications": 0}, {"flows_per_cell": 0},
+                {"warmup_flows": -1}, {"runaway_threshold": 0},
+                {"rng_seed": -1}):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
+    SimConfig(warmup_flows=0, rng_seed=0, replications=1, flows_per_cell=1,
+              runaway_threshold=1)
 
 
 def test_simulator_single_cell_matches_ps_closed_form():
@@ -230,7 +261,9 @@ def test_simulator_matches_exact_chain_both_models():
     nu = (0.1, 0.1, 0.1)
     for model in (1, 2):
         exact, trunc = oracles.exact_flow_delays(
-            (12, 16, 12), nu, 1.0, rates_of_busy(chain(), model))
+            (12, 16, 12), nu, 1.0,
+            lambda busy: oracles.service_rates_powerset(
+                [1, 2, 3], [(1, 2), (2, 3)], busy, f"model{model}", 1.0))
         assert trunc < 1e-9
         res = simulate_flow_network(
             chain(), FlowParams(nu, 1.0, 1.0, service_model=f"model{model}"),

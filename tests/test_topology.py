@@ -10,7 +10,7 @@ from cellwlan.topology import (CellGeom, ContentionGraph, Deployment,
                                StateSpaceCapError, adjacency_text,
                                build_contention_graph, check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
-                               mis_share_table, mis_stats, restrict)
+                               mis_share_table, mis_stats)
 from cellwlan.topology import _independent_sets
 
 import oracles
@@ -173,15 +173,6 @@ def test_neighbors_and_adjacent():
     assert g.neighbors(2) == {1, 3}
     assert g.neighbors(1) == {2}
     assert g.adjacent(1, 2) and not g.adjacent(1, 3)
-
-
-def test_restrict_keeps_only_inner_edges():
-    g = three_clique()
-    sub = restrict(g, {1, 3})
-    assert sub.cells == (1, 3)
-    assert sub.edges == frozenset({frozenset((1, 3))})
-    with pytest.raises(ValueError):
-        restrict(g, {1, 9})
 
 
 def _cell(cid, x, radius=25.0, channel=1):
