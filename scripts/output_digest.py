@@ -8,7 +8,10 @@ The corpus:
 - one adjacency config that lists its cells out of id order together with
   per-cell lists (label ``unsorted``);
 - seeded direct ``simulate_flow_network`` calls on random graphs of 1-7
-  cells, digesting every ``DelayResult`` field.
+  cells, and one call for each way a replication can end early (a
+  runaway queue, a model-2 cell starved into one, a cell without
+  arrivals, no event left to happen), digesting every ``DelayResult``
+  field.
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -104,6 +107,34 @@ def cli_digests(tmp: str):
                     yield f"{tag} {name}", _sha(fh.read())
 
 
+# (label, cells, edges, arrival rates, model, runaway threshold): one case
+# for each way a replication can end besides meeting every quota
+SIM_EXITS = (
+    ("runaway", [1], [], (1.5,), "model1", 60),
+    # the middle cell of a chain is starved whenever both ends are busy
+    ("starved-middle", [1, 2, 3], [(1, 2), (2, 3)], (0.6, 0.3, 0.6),
+     "model2", 40),
+    ("no-arrivals-cell", [1, 2, 3], [(1, 2), (2, 3)], (0.0, 0.2, 0.1),
+     "model2", 100_000),
+    # inter-arrival times of about 1e308 s overflow to infinity: no event
+    # is left to happen
+    ("no-events", [1, 2], [(1, 2)], (1e-308, 1e-308), "model1", 100_000),
+)
+FIELDS = ("mean_delay", "confidence_halfwidth", "effective_rates", "stable",
+          "completed", "replications")
+
+
+def _result_digests(tag: str, res):
+    for field in FIELDS:
+        value = getattr(res, field)
+        if value is None:
+            blob = b"None"
+        else:
+            value = np.asarray(value)
+            blob = f"{value.dtype}{value.shape}".encode() + value.tobytes()
+        yield f"{tag} {field}", _sha(blob)
+
+
 def sim_digests(count: int = 30):
     rng = np.random.Generator(np.random.Philox(99))
     for k in range(count):
@@ -122,15 +153,13 @@ def sim_digests(count: int = 30):
                         replications=3, runaway_threshold=300)
         res = simulate_flow_network(graph_from_edges(cells, edges), params,
                                     cfg)
-        for field in ("mean_delay", "confidence_halfwidth", "effective_rates",
-                      "stable", "completed", "replications"):
-            value = getattr(res, field)
-            if value is None:
-                blob = b"None"
-            else:
-                value = np.asarray(value)
-                blob = f"{value.dtype}{value.shape}".encode() + value.tobytes()
-            yield f"sim {k} n={n} {model} {field}", _sha(blob)
+        yield from _result_digests(f"sim {k} n={n} {model}", res)
+    for k, (label, cells, edges, nu, model, runaway) in enumerate(SIM_EXITS):
+        cfg = SimConfig(rng_seed=k, flows_per_cell=300, warmup_flows=10,
+                        replications=3, runaway_threshold=runaway)
+        res = simulate_flow_network(graph_from_edges(cells, edges),
+                                    FlowParams(nu, 1.0, 1.0, model), cfg)
+        yield from _result_digests(f"sim {label} {model}", res)
 
 
 def run() -> None:

@@ -170,7 +170,7 @@ SCHEMA = (
     Key("sim", "enabled", BOOL, default=False),
     Key("sim", "seed", INT, default=1, bounds="[0, inf)", to="rng_seed"),
     Key("sim", "flows_per_cell", INT, default=10_000, bounds="[1, 1e6]"),
-    Key("sim", "warmup_flows", INT, default=1_000, bounds="[0, inf)"),
+    Key("sim", "warmup_flows", INT, default=1_000, bounds="[0, 1e6]"),
     Key("sim", "replications", INT, default=20, bounds="[1, 1000]"),
     Key("sweep", "payload_bytes", [NUM], per=BYTE, bounds="(0, inf)",
         to="sweep_payload_bits"),

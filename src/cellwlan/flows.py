@@ -11,11 +11,20 @@ to busy cells; this captures cells that are starved outright.
 A replicated event simulation measures per-flow sojourn times under
 either model, and a fixed point over the cells' effective service rates
 turns the same idea into closed-form mean delays.
+
+Replay contract: every field of a simulated ``DelayResult`` is a fixed
+function of the inputs and ``SimConfig.rng_seed``.  The seed spawns one
+Philox generator per replication, and a replication reads nothing from
+it but standard exponentials, taken in blocks of ``_DRAWS`` and consumed
+in a fixed order (see ``_simulate_once``).  A block holds the same values
+as that many scalar draws, so the block size does not change the output;
+changing the draw order, the scaling or the order of the sums does.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -119,23 +128,52 @@ class DelayResult:
     replications: int = 0
 
 
+# standard exponentials per block of a replication's random stream
+_DRAWS = 1 << 12
+
+
+def _exponentials(rng: np.random.Generator):
+    """The generator's standard exponentials one at a time, drawn in
+    blocks of ``_DRAWS``; the same values, in the same order, as one
+    scalar draw after another."""
+    while True:
+        yield from rng.standard_exponential(_DRAWS).tolist()
+
+
 def _simulate_once(graph: ContentionGraph, params: FlowParams,
                    cfg: SimConfig, rng: np.random.Generator,
                    table: np.ndarray):
     """One replication, with service rates from ``table`` (a
     ``service_rate_table``).  Returns per-cell (mean delay, completed
-    count, stable flag, effective busy rate)."""
+    count, stable flag, effective busy rate).
+
+    Replay contract: ``rng`` gives one stream of standard exponentials.
+    The replication takes one inter-arrival time per cell with arrivals,
+    in cell order, then on each arrival the flow's size and the cell's
+    next inter-arrival time, scaling each by its mean (E[V] or 1/nu_j).
+    The next event is the earliest arrival or departure, ties going to
+    the first of arrival 0, departure 0, arrival 1, ...  Service received
+    per flow, busy time and rate integrals add up event by event, so the
+    output is bit for bit that of a loop taking one scalar draw per
+    exponential (``tests/oracles.py``).
+    """
     n = graph.size
-    nu = np.asarray(params.arrival_rates, dtype=float)
-    ev = params.mean_flow_size
+    nu = [float(r) for r in params.arrival_rates]
+    ev = float(params.mean_flow_size)
+    scale = [1.0 / r if r > 0 else math.inf for r in nu]
+    draw = _exponentials(rng).__next__
+    quota = cfg.flows_per_cell
+    warmup = cfg.warmup_flows
+    runaway = cfg.runaway_threshold
 
     counts = [0] * n
     progress = [0.0] * n            # per-flow service received, bits
     pending: list[list[tuple[float, float]]] = [[] for _ in range(n)]
     # pending[i]: heap of thresholds (progress at departure, arrival time)
-    next_arrival = [rng.exponential(1.0 / nu[j]) if nu[j] > 0 else np.inf
+    next_arrival = [draw() * scale[j] if nu[j] > 0 else math.inf
                     for j in range(n)]
-    target = [cfg.flows_per_cell if nu[j] > 0 else 0 for j in range(n)]
+    target = [quota if nu[j] > 0 else 0 for j in range(n)]
+    short = sum(t > 0 for t in target)  # cells still short of their quota
     seen = [0] * n                  # departures, including warmup
     dsum = [0.0] * n
     drec = [0] * n
@@ -143,51 +181,61 @@ def _simulate_once(graph: ContentionGraph, params: FlowParams,
     phi_int = [0.0] * n
     stable = [True] * n
 
+    # per busy mask: the busy cells that are served, with their rates,
+    # and the busy cells that are starved
+    rows: dict[int, tuple[list[tuple[int, float]], list[int]]] = {}
+    serving: list[tuple[int, float]] = []
+    starved: list[int] = []
     now = 0.0
     busy = 0                        # bit j set while cell j has flows
-    phi = table[busy].tolist()
-    while True:
-        if all(drec[j] >= target[j] for j in range(n)):
-            break
+    while short:
         # next event: earliest arrival or departure over all cells
-        t_next = np.inf
-        kind = None
-        cell = -1
-        for j in range(n):
-            if next_arrival[j] < t_next:
-                t_next, kind, cell = next_arrival[j], "arr", j
-            if counts[j] > 0 and phi[j] > 0.0 and pending[j]:
-                t_dep = now + (pending[j][0][0] - progress[j]) * counts[j] / phi[j]
-                if t_dep < t_next:
-                    t_next, kind, cell = t_dep, "dep", j
-        if not np.isfinite(t_next):
-            break           # nothing can ever happen again (starved cells)
+        t_next = min(next_arrival)
+        cell = next_arrival.index(t_next)
+        departs = False
+        for j, p in serving:
+            t_dep = now + (pending[j][0][0] - progress[j]) * counts[j] / p
+            if t_dep < t_next or (t_dep == t_next and j < cell
+                                  and not departs):
+                t_next, cell, departs = t_dep, j, True
+        if t_next == math.inf:
+            # no flow in progress, and every arrival time overflowed to inf
+            break
         dt = t_next - now
-        for j in range(n):
-            if counts[j] > 0:
-                busy_time[j] += dt
-                phi_int[j] += phi[j] * dt
-                if phi[j] > 0.0:
-                    progress[j] += phi[j] * dt / counts[j]
+        for j, p in serving:
+            w = p * dt
+            busy_time[j] += dt
+            phi_int[j] += w
+            progress[j] += w / counts[j]
+        for j in starved:           # phi_int gains 0.0 and progress stalls
+            busy_time[j] += dt
         now = t_next
-        if kind == "arr":
-            size = rng.exponential(ev)
-            heapq.heappush(pending[cell], (progress[cell] + size, now))
-            counts[cell] += 1
-            next_arrival[cell] = now + rng.exponential(1.0 / nu[cell])
-            if counts[cell] > cfg.runaway_threshold:
-                stable[cell] = False
-                break
-        else:
-            _, t_arr = heapq.heappop(pending[cell])
+        if departs:
+            t_arr = heapq.heappop(pending[cell])[1]
             counts[cell] -= 1
             seen[cell] += 1
-            if seen[cell] > cfg.warmup_flows and drec[cell] < target[cell]:
+            if seen[cell] > warmup and drec[cell] < quota:
                 dsum[cell] += now - t_arr
                 drec[cell] += 1
-        if (counts[cell] > 0) != (busy >> cell & 1):
-            busy ^= 1 << cell       # the cell became busy or idle
-            phi = table[busy].tolist()
+                if drec[cell] == quota:
+                    short -= 1
+            flips = counts[cell] == 0
+        else:
+            heapq.heappush(pending[cell], (progress[cell] + draw() * ev, now))
+            counts[cell] += 1
+            next_arrival[cell] = now + draw() * scale[cell]
+            if counts[cell] > runaway:
+                stable[cell] = False
+                break
+            flips = counts[cell] == 1
+        if flips:                   # the cell became busy or idle
+            busy ^= 1 << cell
+            if busy not in rows:
+                phi = table[busy].tolist()
+                rows[busy] = ([(j, p) for j, p in enumerate(phi) if p > 0.0],
+                              [j for j, p in enumerate(phi)
+                               if busy >> j & 1 and p == 0.0])
+            serving, starved = rows[busy]
 
     for j in range(n):
         if drec[j] < target[j]:

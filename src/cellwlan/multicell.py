@@ -117,17 +117,12 @@ def detailed_balance_residual(state_space: StateSpace, pi, lam, mu) -> float:
     pi = np.asarray(pi, dtype=float)
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    worst = 0.0
-    for s, members in enumerate(state_space.states):
-        for j, c in enumerate(state_space.cells):
-            if state_space.contending_mask[s, j]:
-                t = state_space.index_of(members + (c,))
-                up = pi[s] * lam[j]
-                down = pi[t] * mu[j]
-                scale = max(up, down)
-                if scale > 0.0:
-                    worst = max(worst, abs(up - down) / scale)
-    return worst
+    s, j = np.nonzero(state_space.contending_mask)
+    up = pi[s] * lam[j]
+    down = pi[state_space.toggle_index[s, j]] * mu[j]
+    scale = np.maximum(up, down)
+    flows = scale > 0.0     # false for NaN too
+    return float(np.max(np.abs(up - down)[flows] / scale[flows], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -178,6 +173,7 @@ class MulticellSolution:
     x: np.ndarray
     cell_throughput_pkts: np.ndarray
     per_node_throughput_pkts: np.ndarray
+    isolated_throughput_pkts: np.ndarray    # per cell, alone in the network
     normalized_network_throughput: float
     residual: float
     iterations: int
@@ -216,12 +212,18 @@ def saturation_throughputs(x, node_counts, mac_phy: MacPhyParams,
     the saturation throughput of an isolated cell with the same node
     count; cellmates share equally.
     """
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(node_counts)
+    cell = np.asarray(x, dtype=float) * _isolated_throughputs(
+        node_counts, mac_phy, backoff)
+    return cell, cell / np.asarray(node_counts)
+
+
+def _isolated_throughputs(node_counts, mac_phy: MacPhyParams,
+                          backoff: BackoffParams) -> np.ndarray:
+    """Per cell, the saturation throughput of an isolated cell with its
+    node count: one single-cell solve per distinct count."""
     iso = {m: solve_single_cell(int(m), mac_phy, backoff).throughput_pkts
            for m in sorted(set(node_counts))}
-    cell = x * np.array([iso[m] for m in node_counts])
-    return cell, cell / n
+    return np.array([iso[m] for m in node_counts])
 
 
 def solve_fixed_point(inp: MulticellInput,
@@ -265,13 +267,15 @@ def _solve(inp: MulticellInput, cfg: FixedPointConfig | None,
                     f"fixed point may not be unique")
 
     x = unblocked_fraction(ss, pi)
-    cell_thpt, node_thpt = saturation_throughputs(
-        x, inp.node_counts, inp.mac_phy, inp.backoff)
+    iso = _isolated_throughputs(inp.node_counts, inp.mac_phy, inp.backoff)
+    cell_thpt = x * iso
     return MulticellSolution(
         graph=inp.graph, node_counts=inp.node_counts,
         beta=beta, gamma=gamma, activation_rates=lam, mean_activities=act,
         rho=rho, pi=pi, x=x,
-        cell_throughput_pkts=cell_thpt, per_node_throughput_pkts=node_thpt,
+        cell_throughput_pkts=cell_thpt,
+        per_node_throughput_pkts=cell_thpt / np.asarray(inp.node_counts),
+        isolated_throughput_pkts=iso,
         normalized_network_throughput=float(x.sum()),
         residual=resid, iterations=it, state_space=ss,
         warnings=tuple(warnings))
@@ -302,7 +306,8 @@ def tcp_long_throughputs(graph: ContentionGraph, mac_phy: MacPhyParams,
     inp = MulticellInput(graph=graph, node_counts=(2,) * graph.size,
                          mac_phy=mac_eq, backoff=backoff)
     sol = solve_fixed_point(inp, cfg)
-    iso = solve_single_cell(2, mac_eq, backoff).throughput_pkts / 2.0
+    # every cell is a pair, so any cell's isolated throughput is the pair's
+    iso = float(sol.isolated_throughput_pkts[0]) / 2.0
     return TcpLongResult(
         ap_throughput_pkts=sol.x * iso,
         isolated_ap_throughput_pkts=iso,

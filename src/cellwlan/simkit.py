@@ -165,26 +165,23 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
     transitions = _whole("transitions", transitions)
 
     # Per-state jump tables: cumulative rates, target state indices, and
-    # the inverse total rate for holding times.
-    cums: list[list[float]] = []
-    targets: list[list[int]] = []
-    inv_rate = np.empty(n_states)
-    for s, members in enumerate(state_space.states):
-        row_c, row_t, acc = [], [], 0.0
-        for j, c in enumerate(state_space.cells):
-            if state_space.contending_mask[s, j] and lam[j] > 0.0:
-                acc += lam[j]
-                row_c.append(acc)
-                row_t.append(state_space.index_of(members + (c,)))
-        for c in members:
-            acc += mu[state_space.cell_column(c)]
-            row_c.append(acc)
-            row_t.append(state_space.index_of(tuple(m for m in members if m != c)))
-        if not row_c:
-            raise ValueError("absorbing state; no transitions available")
-        cums.append(row_c)
-        targets.append(row_t)
-        inv_rate[s] = 1.0 / acc
+    # the inverse total rate for holding times.  Columns are the moves in
+    # jump order; cumsum adds along a row left to right, and the 0.0 of a
+    # move that is not there leaves the running sum as it is.
+    moves = np.hstack((state_space.contending_mask & (lam > 0.0),
+                       state_space.active_mask))
+    if not moves.any(axis=1).all():
+        raise ValueError("absorbing state; no transitions available")
+    cum = np.where(moves, np.concatenate((lam, mu)), 0.0)
+    np.cumsum(cum, axis=1, out=cum)
+    inv_rate = 1.0 / cum[:, -1]
+    toggle = state_space.toggle_index
+    ends = np.cumsum(moves.sum(axis=1)).tolist()
+    flat_c = cum[moves].tolist()
+    flat_t = np.hstack((toggle, toggle))[moves].tolist()
+    cums = [flat_c[a:b] for a, b in zip([0] + ends, ends)]
+    targets = [flat_t[a:b] for a, b in zip([0] + ends, ends)]
+    del moves, cum, flat_c, flat_t  # the walk needs only the row lists
     cuts = _cut_points(cums)
 
     if n_states <= _COMPOSE_MAX_STATES:

@@ -265,6 +265,34 @@ class StateSpace:
         return self._cell_col[cell_id]
 
     @cached_property
+    def toggle_index(self) -> np.ndarray:
+        """``toggle_index[s, j]``: the state that state s becomes when cell
+        j joins it (j contending in s) or leaves it (j a member of s); -1
+        where j is blocked in s.  Built on first use, then kept.
+
+        Sort the states once by their member bits.  Clearing bit j keeps
+        the order of the states that hold cell j and maps them one to one
+        onto the states that j can join, so the two sorted lists pair up.
+        """
+        packed = np.packbits(self.active_mask, axis=1)
+        order = np.lexsort(packed.T)
+        holds = self.active_mask[order].T
+        joins = self.contending_mask[order].T
+        # filled one cell at a time, so laid out (cell, state)
+        toggle = np.full(holds.shape, -1, dtype=np.intp)
+        bits = np.packbits(np.eye(len(self.cells), dtype=bool), axis=1)
+        for j, bit in enumerate(bits):
+            holding, joinable = order[holds[j]], order[joins[j]]
+            if not (len(holding) == len(joinable) and np.array_equal(
+                    packed[holding] ^ bit, packed[joinable])):
+                raise ValueError("states are not every independent set: "
+                                 f"cell {self.cells[j]} cannot join or leave "
+                                 "some of them")
+            toggle[j, joinable] = holding
+            toggle[j, holding] = joinable
+        return toggle.T
+
+    @cached_property
     def collision_index(self) -> CollisionIndex:
         """Built on first use, then kept with the state space."""
         cont, n_cells = self.contending_mask, len(self.cells)

@@ -5,6 +5,7 @@ ladders, bisection, dense chains) so the package's vectorized code is
 checked against structurally different math.
 """
 
+import heapq
 import itertools
 import math
 from bisect import bisect_right
@@ -346,3 +347,85 @@ def slotted_reference(graph, node_counts, beta, t_success_slots,
             "tagged_attempts": np.asarray(a_tag),
             "tagged_collisions": np.asarray(c_tag),
             "successes": np.asarray(succ)}
+
+
+def flow_replication_reference(graph, params, cfg, rng, table):
+    """One replication of the flow simulator, one event at a time.
+
+    Takes each exponential by its own scalar ``rng.exponential`` call and
+    rescans every cell on every event, as ``flows._simulate_once`` did
+    before it drew in blocks; service rates come from ``table`` (a
+    ``service_rate_table``).  Returns per-cell (mean delay, completed
+    count, stable flag, effective busy rate).
+    """
+    n = graph.size
+    nu = np.asarray(params.arrival_rates, dtype=float)
+    ev = params.mean_flow_size
+
+    counts = [0] * n
+    progress = [0.0] * n            # per-flow service received, bits
+    pending: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+    # pending[i]: heap of thresholds (progress at departure, arrival time)
+    next_arrival = [rng.exponential(1.0 / nu[j]) if nu[j] > 0 else np.inf
+                    for j in range(n)]
+    target = [cfg.flows_per_cell if nu[j] > 0 else 0 for j in range(n)]
+    seen = [0] * n                  # departures, including warmup
+    dsum = [0.0] * n
+    drec = [0] * n
+    busy_time = [0.0] * n
+    phi_int = [0.0] * n
+    stable = [True] * n
+
+    now = 0.0
+    busy = 0                        # bit j set while cell j has flows
+    phi = table[busy].tolist()
+    while True:
+        if all(drec[j] >= target[j] for j in range(n)):
+            break
+        # next event: earliest arrival or departure over all cells
+        t_next = np.inf
+        kind = None
+        cell = -1
+        for j in range(n):
+            if next_arrival[j] < t_next:
+                t_next, kind, cell = next_arrival[j], "arr", j
+            if counts[j] > 0 and phi[j] > 0.0 and pending[j]:
+                t_dep = now + (pending[j][0][0] - progress[j]) * counts[j] / phi[j]
+                if t_dep < t_next:
+                    t_next, kind, cell = t_dep, "dep", j
+        if not np.isfinite(t_next):
+            break           # nothing can ever happen again (starved cells)
+        dt = t_next - now
+        for j in range(n):
+            if counts[j] > 0:
+                busy_time[j] += dt
+                phi_int[j] += phi[j] * dt
+                if phi[j] > 0.0:
+                    progress[j] += phi[j] * dt / counts[j]
+        now = t_next
+        if kind == "arr":
+            size = rng.exponential(ev)
+            heapq.heappush(pending[cell], (progress[cell] + size, now))
+            counts[cell] += 1
+            next_arrival[cell] = now + rng.exponential(1.0 / nu[cell])
+            if counts[cell] > cfg.runaway_threshold:
+                stable[cell] = False
+                break
+        else:
+            _, t_arr = heapq.heappop(pending[cell])
+            counts[cell] -= 1
+            seen[cell] += 1
+            if seen[cell] > cfg.warmup_flows and drec[cell] < target[cell]:
+                dsum[cell] += now - t_arr
+                drec[cell] += 1
+        if (counts[cell] > 0) != (busy >> cell & 1):
+            busy ^= 1 << cell       # the cell became busy or idle
+            phi = table[busy].tolist()
+
+    for j in range(n):
+        if drec[j] < target[j]:
+            stable[j] = False
+    mean = np.array([dsum[j] / drec[j] if drec[j] else np.nan for j in range(n)])
+    eff = np.array([phi_int[j] / busy_time[j] if busy_time[j] > 0 else np.nan
+                    for j in range(n)])
+    return mean, np.array(drec), np.array(stable), eff

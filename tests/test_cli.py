@@ -270,6 +270,10 @@ def test_config_rejects_unknown_and_conflicting_keys(tmp_path, capsys):
          "sim": {"flows_per_cell": 1000001}},
         {"deployment": {"preset": "three-chain"},
          "sim": {"replications": 1001}},
+        {"deployment": {"preset": "three-chain"},
+         "sim": {"warmup_flows": 1000001}},
+        {"deployment": {"preset": "three-chain"},
+         "sim": {"warmup_flows": 1000000000000}},
     ]
     for doc in bad:
         cfg = write_cfg(tmp_path, doc)
@@ -412,7 +416,7 @@ def test_schema_bounds_are_inclusive_where_stated(tmp_path):
                     solver={"damping": 1.0, "multistart": 100,
                             "max_iterations": 1000000},
                     sim={"enabled": False, "flows_per_cell": 1000000,
-                         "replications": 1000})
+                         "warmup_flows": 1000000, "replications": 1000})
     cfg = load_config(write_cfg(tmp_path, doc))
     assert cfg.backoff.retry_limit == 255
     assert cfg.solver.damping == 1.0
@@ -421,6 +425,7 @@ def test_schema_bounds_are_inclusive_where_stated(tmp_path):
     assert cfg.sim_enabled is False
     assert cfg.sim.flows_per_cell == 1000000
     assert cfg.sim.replications == 1000
+    assert cfg.sim.warmup_flows == 1000000
 
 
 def test_traffic_node_counts_override_deployment(tmp_path):

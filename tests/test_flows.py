@@ -349,3 +349,66 @@ def test_confidence_quantile_is_student_t():
     from scipy.stats import t
     for df in range(1, 31):
         assert stdtrit(df, 0.975) == t.ppf(0.975, df)
+
+
+# (label, cells, edges, arrival rates, E[V], model, plan); between them the
+# cases end on every exit of the event loop: all quotas met, a runaway cut
+# (including a model-2 middle cell starved by its busy neighbors), and no
+# event left at all (rates so small that every inter-arrival time
+# overflows to infinity, at once or after a first flow)
+REPLAY_CASES = [
+    ("chain", [1, 2, 3], [(1, 2), (2, 3)], (0.1, 0.1, 0.1), 1.0, "model1",
+     SimConfig(rng_seed=3, flows_per_cell=300, warmup_flows=50,
+               replications=3)),
+    ("no-arrivals-cell", [1, 2, 3], [(1, 2), (2, 3)], (0.0, 0.2, 0.1), 1.5,
+     "model2", SimConfig(rng_seed=4, flows_per_cell=200, warmup_flows=20,
+                         replications=2)),
+    ("starved-middle", [1, 2, 3], [(1, 2), (2, 3)], (0.6, 0.3, 0.6), 1.0,
+     "model2", SimConfig(rng_seed=5, flows_per_cell=400, warmup_flows=10,
+                         replications=3, runaway_threshold=40)),
+    ("runaway", [1], [], (1.5,), 1.0, "model1",
+     SimConfig(rng_seed=6, flows_per_cell=500, warmup_flows=10,
+               replications=2, runaway_threshold=60)),
+    ("no-events", [1, 2], [(1, 2)], (1e-309, 1e-309), 1.0, "model2",
+     SimConfig(rng_seed=7, flows_per_cell=10, warmup_flows=0,
+               replications=2)),
+    ("overflowing-arrivals", [1], [], (1e-308,), 1.0, "model1",
+     SimConfig(rng_seed=8, flows_per_cell=10, warmup_flows=0,
+               replications=6)),
+    ("one-replication-no-warmup", [1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)],
+     (0.2, 0.1, 0.15, 0.2), 0.8, "model2",
+     SimConfig(rng_seed=9, flows_per_cell=150, warmup_flows=0,
+               replications=1)),
+    # one cell and 2,500 recorded flows: more than 5,000 draws, past the
+    # end of the first block
+    ("many-draws", [1], [], (0.5,), 1.0, "model1",
+     SimConfig(rng_seed=10, flows_per_cell=2500, warmup_flows=0,
+               replications=1)),
+]
+RESULT_FIELDS = ("mean_delay", "confidence_halfwidth", "effective_rates",
+                 "stable", "completed", "replications")
+
+
+@pytest.mark.parametrize("draws", [flows._DRAWS, 5])
+def test_simulator_replays_the_scalar_draw_loop(monkeypatch, draws):
+    # drawing the exponentials in blocks, of any size, and the tighter
+    # event loop leave every output field as the one-draw-at-a-time loop
+    # gave it, under both service models
+    monkeypatch.setattr(flows, "_DRAWS", draws)
+    for label, cells, edges, nu, ev, model, cfg in REPLAY_CASES:
+        g = graph_from_edges(cells, edges)
+        params = FlowParams(nu, ev, 1.0, service_model=model)
+        got = simulate_flow_network(g, params, cfg)
+        # the reference's numpy 1 / nu warns where it overflows to inf
+        with monkeypatch.context() as m, np.errstate(over="ignore"):
+            m.setattr(flows, "_simulate_once",
+                      oracles.flow_replication_reference)
+            want = simulate_flow_network(g, params, cfg)
+        for field in RESULT_FIELDS:
+            a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), \
+                (label, field, a, b)
+        if label == "many-draws":
+            assert 2 * want.completed[0] > flows._DRAWS
+        if label in ("starved-middle", "runaway", "no-events"):
+            assert not want.stable.all(), label

@@ -328,6 +328,27 @@ def test_tcp_long_equivalent_pair():
     assert res.solution.node_counts == (2,)
 
 
+def test_tcp_long_solves_the_isolated_pair_once(monkeypatch):
+    # the pair's isolated throughput scales x and is reported as well:
+    # one single-cell solve serves both, and it equals a fresh solve exactly
+    import cellwlan.multicell as multicell
+    calls = []
+
+    def counted(node_count, mac_phy, backoff):
+        calls.append(node_count)
+        return solve_single_cell(node_count, mac_phy, backoff)
+
+    monkeypatch.setattr(multicell, "solve_single_cell", counted)
+    res = tcp_long_throughputs(chain(), MP, BO, tcp_data_bits=12000.0,
+                               tcp_ack_bits=320.0)
+    assert calls == [2]
+    pair = solve_single_cell(2, MP.with_payload(6160.0), BO).throughput_pkts
+    assert res.isolated_ap_throughput_pkts == pair / 2.0
+    assert type(res.isolated_ap_throughput_pkts) is float
+    np.testing.assert_array_equal(res.solution.isolated_throughput_pkts,
+                                  [pair] * 3)
+
+
 def test_tcp_long_three_chain_frozen():
     res = tcp_long_throughputs(chain(), MP, BO, tcp_data_bits=12000.0,
                                tcp_ack_bits=320.0)

@@ -113,6 +113,36 @@ def test_index_of_and_cell_column():
     assert [ss.cell_column(c) for c in (1, 2, 3)] == [0, 1, 2]
 
 
+def test_toggle_index_matches_index_of():
+    # the sorted-bits pairing gives the same targets as looking up each
+    # member tuple with the cell added or removed
+    rng = np.random.Generator(np.random.Philox(55))
+    graphs = [three_chain(), graph_from_edges([3, 10, 42], [(3, 42)]),
+              graph_from_edges([1], []), graph_from_edges(list(range(1, 10)), [])]
+    for _ in range(20):
+        graphs.append(graph_from_edges(*oracles.random_graph(
+            rng, int(rng.integers(1, 12)), float(rng.uniform(0.1, 0.8)))))
+    for g in graphs:
+        ss = enumerate_independent_sets(g)
+        toggle = ss.toggle_index
+        assert toggle.shape == (len(ss), g.size)
+        for s, members in enumerate(ss.states):
+            for j, c in enumerate(ss.cells):
+                if ss.contending_mask[s, j]:
+                    want = ss.index_of(members + (c,))
+                elif ss.active_mask[s, j]:
+                    want = ss.index_of(tuple(m for m in members if m != c))
+                else:
+                    want = -1
+                assert toggle[s, j] == want, (g, members, c)
+
+
+def test_toggle_index_needs_every_independent_set():
+    from cellwlan.topology import StateSpace
+    with pytest.raises(ValueError, match="cannot join or leave"):
+        StateSpace(three_chain(), [(), (1,), (2,)]).toggle_index
+
+
 def test_state_space_rejects_adjacent_members():
     from cellwlan.topology import StateSpace
     with pytest.raises(ValueError):
