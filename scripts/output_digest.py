@@ -11,7 +11,12 @@ The corpus:
   cells, and one call for each way a replication can end early (a
   runaway queue, a model-2 cell starved into one, a cell without
   arrivals, no event left to happen), digesting every ``DelayResult``
-  field.
+  field;
+- direct library calls, digesting every field of the result:
+  ``solve_single_cell`` for 1-30 nodes, ``effective_rate_fixed_point`` on
+  seeded 3-12-cell chains, and ``simulate_ctmc`` on a 6-cell chain (21
+  states, resolved by composing jump tables) and a 10-cell chain (144
+  states, walked step by step).
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -27,6 +32,7 @@ The whole corpus takes a few seconds.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -37,8 +43,11 @@ import numpy as np
 import yaml
 
 from cellwlan.cli import main
-from cellwlan.flows import FlowParams, SimConfig, simulate_flow_network
-from cellwlan.topology import graph_from_edges
+from cellwlan.dcf import backoff_preset, mac_phy_preset, solve_single_cell
+from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
+                            simulate_flow_network)
+from cellwlan.simkit import simulate_ctmc
+from cellwlan.topology import enumerate_independent_sets, graph_from_edges
 
 VERBS = ("saturation", "tcp-long", "tcp-short", "infinite-rho", "sweep",
          "validate")
@@ -120,12 +129,10 @@ SIM_EXITS = (
     # is left to happen
     ("no-events", [1, 2], [(1, 2)], (1e-308, 1e-308), "model1", 100_000),
 )
-FIELDS = ("mean_delay", "confidence_halfwidth", "effective_rates", "stable",
-          "completed", "replications")
 
 
 def _result_digests(tag: str, res):
-    for field in FIELDS:
+    for field in (f.name for f in dataclasses.fields(res)):
         value = getattr(res, field)
         if value is None:
             blob = b"None"
@@ -162,9 +169,35 @@ def sim_digests(count: int = 30):
         yield from _result_digests(f"sim {label} {model}", res)
 
 
+def _chain(n: int):
+    return graph_from_edges(list(range(1, n + 1)),
+                            [(k, k + 1) for k in range(1, n)])
+
+
+def library_digests():
+    mac = mac_phy_preset("dot11b-11mbps", 8000.0)
+    backoff = backoff_preset("dot11b-11mbps")
+    for n in range(1, 31):
+        yield from _result_digests(f"single-cell n={n}",
+                                   solve_single_cell(n, mac, backoff))
+    rng = np.random.Generator(np.random.Philox(5))
+    for n in range(3, 13):
+        nu = tuple(rng.uniform(0.0, 0.6, size=n).tolist())
+        res = effective_rate_fixed_point(_chain(n), FlowParams(nu, 1.0, 1.0))
+        yield from _result_digests(f"effective-rate chain {n}", res)
+    for n in (6, 10):
+        g = _chain(n)
+        lam = rng.uniform(0.2, 3.0, size=n)
+        mu = rng.uniform(0.5, 2.0, size=n)
+        run = simulate_ctmc(enumerate_independent_sets(g), lam, mu,
+                            transitions=150_000, seed=n)
+        yield from _result_digests(f"ctmc chain {n}", run)
+
+
 def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for label, digest in itertools.chain(cli_digests(tmp), sim_digests()):
+        for label, digest in itertools.chain(cli_digests(tmp), sim_digests(),
+                                             library_digests()):
             print(f"{digest}  {label}")
 
 

@@ -40,7 +40,7 @@ from .flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                     mean_delay_analytic, simulate_flow_network)
 from .multicell import (FixedPointConfig, MulticellInput, infinite_rho_x,
                         payload_sweep, solve_fixed_point,
-                        tcp_long_throughputs)
+                        tcp_long_throughputs, tcp_pair)
 from .topology import (CellGeom, ContentionGraph, Deployment,
                        StateSpaceCapError, build_contention_graph, check_pbd,
                        graph_from_edges)
@@ -510,10 +510,9 @@ def _run_tcp_long(cfg: AnalysisConfig) -> tuple[dict, tuple]:
 
 def _tcp_short_rate(cfg: AnalysisConfig) -> float:
     """Single-cell effective rate for short TCP flows, bits per second."""
-    eq_payload = (cfg.tcp_data_bits + cfg.tcp_ack_bits) / 2.0
-    mac_eq = cfg.mac_phy.with_payload(eq_payload)
-    ap_pkts = solve_single_cell(2, mac_eq, cfg.backoff).throughput_pkts / 2.0
-    return ap_pkts * cfg.app_data_bits
+    mac_eq, ap_share = tcp_pair(cfg.mac_phy, cfg.tcp_data_bits, cfg.tcp_ack_bits)
+    pair_pkts = solve_single_cell(2, mac_eq, cfg.backoff).throughput_pkts
+    return pair_pkts * ap_share * cfg.app_data_bits
 
 
 def _run_tcp_short(cfg: AnalysisConfig) -> tuple[dict, tuple]:

@@ -153,31 +153,39 @@ def _slot_fractions(beta: float, n: int) -> tuple[float, float, float]:
     return p_idle, p_succ, 1.0 - p_idle - p_succ
 
 
+def damped_fixed_point(step, x0, tolerance: float, damping: float,
+                       max_iterations: int, what: str):
+    """Damped iteration x <- (1 - damping) x + damping t of scalars or
+    arrays, with ``(t, aux) = step(x)``.  Once the residual max|t - x| is
+    at most ``tolerance``, returns (x after that update, that step's aux,
+    iterations, residual); raises ConvergenceError naming ``what`` if
+    ``max_iterations`` steps do not get there."""
+    x, resid = x0, np.inf
+    for it in range(1, max_iterations + 1):
+        target, aux = step(x)
+        resid = float(np.abs(target - x).max())
+        x = (1.0 - damping) * x + damping * target
+        if resid <= tolerance:
+            return x, aux, it, resid
+    raise ConvergenceError(
+        f"{what}: residual {resid:.3e} > tol {tolerance:.1e} "
+        f"after {max_iterations} iterations")
+
+
 def solve_single_cell(node_count: int, mac_phy: MacPhyParams,
-                      backoff: BackoffParams, tol: float = 1e-10,
-                      damping: float = 0.5, max_iterations: int = 10000) -> SingleCellSolution:
+                      backoff: BackoffParams) -> SingleCellSolution:
     """Solve the attempt/collision fixed point for one isolated cell.
 
-    Damped iteration of beta <- G(1 - (1 - beta)^(n-1)); for a single node
-    this reduces to beta = G(0) immediately.
+    Damped iteration of beta <- G(1 - (1 - beta)^(n-1)) from 1 / b_0 to a
+    residual of 1e-10; for a single node it stops at beta = G(0) at once.
     """
     n = int(node_count)
     if n < 1:
         raise ValueError("node_count must be >= 1")
     t_s, t_c = frame_exchange_times(mac_phy)
-    beta = attempt_probability(0.0, backoff)  # start from 1 / b_0
-    resid = np.inf
-    for it in range(1, max_iterations + 1):
-        gamma = 1.0 - (1.0 - beta) ** (n - 1)
-        target = attempt_probability(gamma, backoff)
-        resid = abs(target - beta)
-        beta = (1.0 - damping) * beta + damping * target
-        if resid <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"single-cell fixed point: residual {resid:.3e} > tol {tol:.1e} "
-            f"after {max_iterations} iterations")
+    beta, _, it, resid = damped_fixed_point(
+        lambda b: (attempt_probability(1.0 - (1.0 - b) ** (n - 1), backoff), None),
+        attempt_probability(0.0, backoff), 1e-10, 0.5, 10000, "single-cell fixed point")
     gamma = 1.0 - (1.0 - beta) ** (n - 1)
     p_idle, p_succ, p_coll = _slot_fractions(beta, n)
     cycle = p_idle * mac_phy.slot_time + p_succ * t_s + p_coll * t_c

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcf import ConvergenceError
+from .dcf import damped_fixed_point
 from .topology import ContentionGraph, mis_share_table
 
 
@@ -128,6 +128,8 @@ class DelayResult:
     replications: int = 0
 
 
+# bound on a flow simulation's estimated events, run at about 1e6 a second
+MAX_SIM_EVENTS = 1e9
 # standard exponentials per block of a replication's random stream
 _DRAWS = 1 << 12
 
@@ -253,7 +255,8 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
     Each replication runs until every cell with arrivals has recorded its
     quota of post-warmup flow delays, or a queue passes the runaway
     threshold (the replication is then cut short and the affected cells
-    marked unstable).
+    marked unstable).  Raises ValueError when the run would take more than
+    MAX_SIM_EVENTS events by estimate (a tiny arrival rate beside others).
     """
     cfg = cfg or SimConfig()
     if len(params.arrival_rates) != graph.size:
@@ -270,6 +273,14 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
                            completed=np.zeros(n, dtype=int),
                            replications=0)
 
+    # two events per flow, sum(nu) / min(nu) flows per flow of the slowest
+    live = [r for r in params.arrival_rates if r > 0]
+    events = (2.0 * cfg.replications * (cfg.warmup_flows + cfg.flows_per_cell)
+              * sum(live) / min(live))
+    if not events <= MAX_SIM_EVENTS:
+        raise ValueError(f"flow simulation would take about {events:.1e} "
+                         f"events, over the bound of {MAX_SIM_EVENTS:.0e}; "
+                         f"the slowest cell sets every replication's length")
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
     runs = [_simulate_once(graph, params, cfg,
                            np.random.Generator(np.random.Philox(ss)), table)
@@ -332,7 +343,7 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
     w = np.empty_like(share)
     own = np.eye(n, dtype=bool)
 
-    def f(x: np.ndarray) -> np.ndarray:
+    def step(x: np.ndarray):
         with np.errstate(divide="ignore"):
             p = np.minimum(1.0, np.where(x > 0, work / np.where(x > 0, x, 1.0),
                                          np.inf))
@@ -348,20 +359,10 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
             half = 1 << o
             np.multiply(w[:half], busy[o], out=w[half:2 * half])
             w[:half] *= idle[o]
-        return np.einsum("ij,ij->j", w, share)
+        return np.einsum("ij,ij->j", w, share), None
 
-    x = np.ones(n)
-    resid = np.inf
-    for it in range(1, max_iterations + 1):
-        target = f(x)
-        resid = float(np.max(np.abs(target - x)))
-        x = (1.0 - damping) * x + damping * target
-        if resid <= tolerance:
-            break
-    else:
-        raise ConvergenceError(
-            f"effective-rate fixed point: residual {resid:.3e} "
-            f"> tol {tolerance:.1e} after {max_iterations} iterations")
+    x, _, it, resid = damped_fixed_point(step, np.ones(n), tolerance, damping,
+                                         max_iterations, "effective-rate fixed point")
     with np.errstate(divide="ignore"):
         loads = np.where(x > 0, work / np.where(x > 0, x, 1.0), np.inf)
     return EffectiveRateResult(x_hat=x, effective_rates=x * params.single_cell_rate,

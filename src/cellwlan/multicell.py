@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcf import (BackoffParams, ConvergenceError, MacPhyParams,
-                  attempt_probability, frame_exchange_times,
-                  solve_single_cell)
+                  attempt_probability, damped_fixed_point,
+                  frame_exchange_times, solve_single_cell)
 from .topology import (ContentionGraph, MisStats, StateSpace,
                        enumerate_independent_sets, mis_stats)
 
@@ -146,8 +146,8 @@ class FixedPointConfig:
     """Iteration controls for the coupled fixed point.
 
     ``initial_beta`` of None starts every cell at 1/b_0.  ``multistart``
-    extra random starts probe uniqueness; disagreement beyond 100x the
-    tolerance is reported as a warning on the solution.
+    extra random starts (from Philox seed 7) probe uniqueness; disagreement
+    beyond 100x the tolerance is reported as a warning on the solution.
     """
 
     tolerance: float = 1e-8
@@ -155,7 +155,6 @@ class FixedPointConfig:
     max_iterations: int = 5000
     initial_beta: tuple[float, ...] | None = None
     multistart: int = 3
-    multistart_seed: int = 7
 
 
 @dataclass
@@ -179,29 +178,6 @@ class MulticellSolution:
     iterations: int
     state_space: StateSpace
     warnings: tuple[str, ...] = ()
-
-
-def _iterate(beta0: np.ndarray, state_space: StateSpace, n: np.ndarray,
-             slot_time: float, t_s: float, t_c: float,
-             backoff: BackoffParams, cfg: FixedPointConfig):
-    """Damped iteration of beta <- G(gamma(beta)); returns the full
-    operating point at the last iterate."""
-    beta = beta0.copy()
-    w = cfg.damping
-    for it in range(1, cfg.max_iterations + 1):
-        lam = activation_rate(beta, n, slot_time)
-        act = mean_activity_time(beta, n, t_s, t_c)
-        rho = lam * act
-        pi = stationary_distribution(state_space, rho)
-        gamma = collision_probability(state_space, pi, beta, n)
-        target = attempt_probability(gamma, backoff)
-        resid = float(np.max(np.abs(target - beta)))
-        beta = (1.0 - w) * beta + w * target
-        if resid <= cfg.tolerance:
-            return beta, gamma, lam, act, rho, pi, it, resid
-    raise ConvergenceError(
-        f"multi-cell fixed point: residual {resid:.3e} > tol "
-        f"{cfg.tolerance:.1e} after {cfg.max_iterations} iterations")
 
 
 def saturation_throughputs(x, node_counts, mac_phy: MacPhyParams,
@@ -247,16 +223,27 @@ def _solve(inp: MulticellInput, cfg: FixedPointConfig | None,
     else:
         beta0 = np.full(inp.graph.size, attempt_probability(0.0, inp.backoff))
 
-    beta, gamma, lam, act, rho, pi, it, resid = _iterate(
-        beta0, ss, n, slot, t_s, t_c, inp.backoff, cfg)
+    def step(beta):
+        lam = activation_rate(beta, n, slot)
+        act = mean_activity_time(beta, n, t_s, t_c)
+        rho = lam * act
+        pi = stationary_distribution(ss, rho)
+        gamma = collision_probability(ss, pi, beta, n)
+        return attempt_probability(gamma, inp.backoff), (gamma, lam, act, rho, pi)
+
+    def solve(start):
+        return damped_fixed_point(step, start, cfg.tolerance, cfg.damping,
+                                  cfg.max_iterations, "multi-cell fixed point")
+
+    beta, (gamma, lam, act, rho, pi), it, resid = solve(beta0)
 
     warnings = []
     if cfg.multistart and cfg.initial_beta is None:
-        rng = np.random.Generator(np.random.Philox(cfg.multistart_seed))
+        rng = np.random.Generator(np.random.Philox(7))
         for k in range(cfg.multistart):
             alt0 = rng.uniform(1e-3, 0.999, size=inp.graph.size)
             try:
-                alt = _iterate(alt0, ss, n, slot, t_s, t_c, inp.backoff, cfg)[0]
+                alt = solve(alt0)[0]
             except ConvergenceError:
                 warnings.append(f"uniqueness start {k}: did not converge")
                 continue
@@ -281,14 +268,20 @@ def _solve(inp: MulticellInput, cfg: FixedPointConfig | None,
         warnings=tuple(warnings))
 
 
+def tcp_pair(mac_phy: MacPhyParams, tcp_data_bits: float,
+             tcp_ack_bits: float) -> tuple[MacPhyParams, float]:
+    """The saturated pair that stands in for a cell of long-lived,
+    delayed-ACK-free TCP downloads (the AP and one aggregate station, both
+    sending frames of the mean of the data and ACK frame sizes): its
+    MAC/PHY, and the AP's share of the frames it delivers, one half."""
+    eq_payload = (float(tcp_data_bits) + float(tcp_ack_bits)) / 2.0
+    return mac_phy.with_payload(eq_payload), 0.5
+
+
 @dataclass
 class TcpLongResult:
-    """Per-AP TCP-DATA throughput for long-lived, delayed-ACK-free TCP.
-
-    Each cell is replaced by an equivalent saturated pair (the AP and one
-    aggregate station) sending frames of the average of the TCP data and
-    ACK MAC frame sizes; half the delivered frames are data packets.
-    """
+    """Per-AP TCP-DATA throughput for long-lived TCP, each cell replaced by
+    its ``tcp_pair``."""
 
     ap_throughput_pkts: np.ndarray
     isolated_ap_throughput_pkts: float
@@ -301,17 +294,16 @@ def tcp_long_throughputs(graph: ContentionGraph, mac_phy: MacPhyParams,
                          tcp_ack_bits: float,
                          cfg: FixedPointConfig | None = None) -> TcpLongResult:
     """AP throughputs when every cell carries long-lived TCP downloads."""
-    eq_payload = (float(tcp_data_bits) + float(tcp_ack_bits)) / 2.0
-    mac_eq = mac_phy.with_payload(eq_payload)
+    mac_eq, ap_share = tcp_pair(mac_phy, tcp_data_bits, tcp_ack_bits)
     inp = MulticellInput(graph=graph, node_counts=(2,) * graph.size,
                          mac_phy=mac_eq, backoff=backoff)
     sol = solve_fixed_point(inp, cfg)
     # every cell is a pair, so any cell's isolated throughput is the pair's
-    iso = float(sol.isolated_throughput_pkts[0]) / 2.0
+    iso = float(sol.isolated_throughput_pkts[0]) * ap_share
     return TcpLongResult(
         ap_throughput_pkts=sol.x * iso,
         isolated_ap_throughput_pkts=iso,
-        equivalent_payload_bits=eq_payload,
+        equivalent_payload_bits=mac_eq.payload_bits,
         solution=sol)
 
 
@@ -324,14 +316,14 @@ class InfiniteRhoLimit:
     mis: MisStats
 
 
-def infinite_rho_x(graph: ContentionGraph, cap: int | None = None) -> InfiniteRhoLimit:
+def infinite_rho_x(graph: ContentionGraph) -> InfiniteRhoLimit:
     """Unblocked fractions in the infinite-intensity limit.
 
     Mass concentrates on the maximum independent sets, uniformly, so cell
     i is unblocked in exactly the fraction of them it belongs to, and the
     normalized network throughput is the independence number.
     """
-    stats = mis_stats(graph) if cap is None else mis_stats(graph, cap)
+    stats = mis_stats(graph)
     # counting identity: every one of the `count` sets has max_size members
     assert sum(stats.per_cell) == stats.max_size * stats.count
     x = tuple(c / stats.count for c in stats.per_cell)

@@ -57,34 +57,33 @@ def _whole(name: str, value) -> int:
     return int(value)
 
 
-def _cut_points(rows: list[list[float]]) -> list[list[float]]:
-    """Per row of cumulative rates, for every entry but the last, the
-    smallest double u with u * row[-1] >= row[i].
+def _cut_points(cum: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """For flat rows of cumulative rates (row r ends before ``ends[r]``),
+    at every entry but a row's last the smallest double u with
+    u * total >= cum[i], total being the row's last entry; inf at the last.
 
-    ``bisect_right(row, u * row[-1])`` passes entry i exactly when u is at
+    ``bisect_right(row, u * total)`` passes entry i exactly when u is at
     least this cut, so the cuts turn the jump into a lookup on u itself.
-    The last entry needs none: the jump's index is clamped to it.
+    The last entry's inf is never passed, which clamps the jump to it.
     """
-    values = np.array([v for row in rows for v in row[:-1]], dtype=float)
-    totals = np.repeat([row[-1] for row in rows], [len(row) - 1 for row in rows])
-    u = values / totals
-    while (high := u * totals >= values).any():
+    totals = np.repeat(cum[ends - 1], np.diff(ends, prepend=0))
+    u = cum / totals
+    while (high := u * totals >= cum).any():
         u[high] = np.nextafter(u[high], -np.inf)
-    while (low := u * totals < values).any():
+    while (low := u * totals < cum).any():
         u[low] = np.nextafter(u[low], np.inf)
-    flat = u.tolist()
-    ends = np.cumsum([len(row) - 1 for row in rows]).tolist()
-    return [flat[end - len(row) + 1:end] for row, end in zip(rows, ends)]
+    u[ends - 1] = np.inf
+    return u
 
 
-def _jump_table(cuts: list[list[float]], targets: list[list[int]]):
+def _jump_table(cuts: np.ndarray, targets: np.ndarray, ends: np.ndarray):
     """Merged cut points of all states, and ``table[r, s]``: the state
     after s when u falls in interval r (``searchsorted(edges, u, "right")``)."""
-    edges = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in cuts]))
-    table = np.empty((len(edges) + 1, len(cuts)), dtype=np.intp)
-    for s, (c, t) in enumerate(zip(cuts, targets)):
-        table[0, s] = t[0]
-        table[1:, s] = np.asarray(t)[np.searchsorted(c, edges, side="right")]
+    edges = np.unique(cuts)[:-1]        # every row ends in the same inf
+    table = np.empty((len(edges) + 1, len(ends)), dtype=np.intp)
+    for s, (a, b) in enumerate(zip(np.r_[0, ends[:-1]], ends)):
+        table[0, s] = targets[a]
+        table[1:, s] = targets[a:b][np.searchsorted(cuts[a:b], edges, side="right")]
     return edges, table
 
 
@@ -123,13 +122,15 @@ def _compose_walk(edges: np.ndarray, table: np.ndarray, s: int,
     return int(flat[rows[k - 1] + visited[-1]])
 
 
-def _sequential_walk(cuts: list[list[float]], targets: list[list[int]],
+def _sequential_walk(cuts: list[float], targets: list[int], ends: list[int],
                      s: int, us: np.ndarray, visited: np.ndarray) -> int:
-    """The same walk as ``_compose_walk``, one step at a time."""
+    """The same walk as ``_compose_walk``, one step at a time, on the flat
+    jump rows (state s's row ends before ``ends[s]``)."""
+    starts = [0] + ends[:-1]
     out = [0] * len(us)
     for t, u in enumerate(us.tolist()):
         out[t] = s
-        s = targets[s][bisect_right(cuts[s], u)]
+        s = targets[bisect_right(cuts, u, starts[s], ends[s])]
     visited[:] = out
     return s
 
@@ -164,10 +165,10 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
         raise ValueError("rates must be lam >= 0, mu > 0")
     transitions = _whole("transitions", transitions)
 
-    # Per-state jump tables: cumulative rates, target state indices, and
-    # the inverse total rate for holding times.  Columns are the moves in
-    # jump order; cumsum adds along a row left to right, and the 0.0 of a
-    # move that is not there leaves the running sum as it is.
+    # Per-state jump rows, flat: cut points, target state indices, and the
+    # inverse total rate for holding times.  Columns are the moves in jump
+    # order; cumsum adds along a row left to right, and the 0.0 of a move
+    # that is not there leaves the running sum as it is.
     moves = np.hstack((state_space.contending_mask & (lam > 0.0),
                        state_space.active_mask))
     if not moves.any(axis=1).all():
@@ -175,23 +176,21 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
     cum = np.where(moves, np.concatenate((lam, mu)), 0.0)
     np.cumsum(cum, axis=1, out=cum)
     inv_rate = 1.0 / cum[:, -1]
-    toggle = state_space.toggle_index
-    ends = np.cumsum(moves.sum(axis=1)).tolist()
-    flat_c = cum[moves].tolist()
-    flat_t = np.hstack((toggle, toggle))[moves].tolist()
-    cums = [flat_c[a:b] for a, b in zip([0] + ends, ends)]
-    targets = [flat_t[a:b] for a, b in zip([0] + ends, ends)]
-    del moves, cum, flat_c, flat_t  # the walk needs only the row lists
-    cuts = _cut_points(cums)
+    ends = np.cumsum(moves.sum(axis=1))
+    cuts = _cut_points(cum[moves], ends)
+    targets = np.hstack((state_space.toggle_index,) * 2)[moves]
+    del moves, cum  # the walk needs only the flat rows
 
     if n_states <= _COMPOSE_MAX_STATES:
-        edges, table = _jump_table(cuts, targets)
+        edges, table = _jump_table(cuts, targets, ends)
 
         def walk(s, us, visited):
             return _compose_walk(edges, table, s, us, visited)
     else:
+        cuts, targets, ends = cuts.tolist(), targets.tolist(), ends.tolist()
+
         def walk(s, us, visited):
-            return _sequential_walk(cuts, targets, s, us, visited)
+            return _sequential_walk(cuts, targets, ends, s, us, visited)
 
     # The walk and the sums run over pieces of a chunk, which bounds the
     # working arrays.  bincount adds in index order, so with the running

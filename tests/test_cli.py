@@ -361,7 +361,7 @@ def test_analysis_failures_exit_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, doc)
     assert main(["saturation", "--config", cfg,
                  "--out", str(tmp_path / "o1")]) == 2
-    assert "analysis error" in capsys.readouterr().err
+    assert "analysis error: multi-cell fixed point" in capsys.readouterr().err
     doc = chain_doc(backoff={"cw_min": 1, "cw_max": 1, "retry_limit": 0})
     cfg = write_cfg(tmp_path, doc, "degen.yaml")
     assert main(["saturation", "--config", cfg,
@@ -379,6 +379,14 @@ def test_analysis_failures_exit_one(tmp_path, capsys):
     assert main(["tcp-short", "--config", cfg,
                  "--out", str(tmp_path / "o3")]) == 2
     assert "analysis error: effective-rate fixed point" in \
+        capsys.readouterr().err
+    # one cell far slower than the others: the flow simulation is refused
+    doc = tcp_short_doc()
+    doc["traffic"]["arrival_rates_per_s"] = [0.5, 1e-9, 0.5]
+    cfg = write_cfg(tmp_path, doc, "slow.yaml")
+    assert main(["tcp-short", "--config", cfg,
+                 "--out", str(tmp_path / "o5")]) == 2
+    assert "analysis error: flow simulation would take" in \
         capsys.readouterr().err
 
 

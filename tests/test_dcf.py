@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cellwlan.dcf import (MAC_PHY_PRESETS, BackoffParams, MacPhyParams,
-                          attempt_probability, backoff_preset,
-                          frame_exchange_times, mac_phy_preset, mean_backoffs,
-                          solve_single_cell)
+from cellwlan.dcf import (MAC_PHY_PRESETS, BackoffParams, ConvergenceError,
+                          MacPhyParams, attempt_probability, backoff_preset,
+                          damped_fixed_point, frame_exchange_times,
+                          mac_phy_preset, mean_backoffs, solve_single_cell)
 
 import oracles
 
@@ -126,6 +126,26 @@ def test_single_cell_throughput_peaks_in_the_middle():
              for n in (1, 5, 50)]
     assert thpts[1] > thpts[0]
     assert thpts[1] > thpts[2]
+
+
+def test_damped_fixed_point_returns_the_updated_iterate_and_last_aux():
+    # x -> (x / 2 + 1, x): the fixed point is 2, and aux is the x a step saw
+    seen = []
+
+    def step(x):
+        seen.append(x)
+        return x / 2 + 1, x
+
+    x, aux, it, resid = damped_fixed_point(
+        step, np.array([0.0, 6.0]), 1e-3, 0.5, 100, "toy")
+    last = seen[-1]
+    assert it == len(seen) and aux is last
+    assert resid == np.max(np.abs(last / 2 + 1 - last)) <= 1e-3
+    np.testing.assert_array_equal(x, 0.5 * last + 0.5 * (last / 2 + 1))
+    assert not np.array_equal(x, aux)
+    with pytest.raises(ConvergenceError, match=r"^toy: residual 2\.000e\+00 "
+                       r"> tol 1\.0e-03 after 1 iterations$"):
+        damped_fixed_point(step, np.array([0.0, 6.0]), 1e-3, 0.5, 1, "toy")
 
 
 def test_single_cell_validation():

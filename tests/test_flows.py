@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ def test_simulator_effective_rates_are_plausible():
                                    warmup_flows=200, replications=5))
     assert np.all(res.effective_rates <= 1.0 + 1e-9)
     assert np.all(res.effective_rates > 0.5)
+
+
+def test_simulator_refuses_runs_that_would_not_end():
+    # every replication runs until the slowest cell has its quota, so
+    # (0.5, 1e-9) /s would take about 2e14 events at the default plan
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"about 2\.2e\+14 events"):
+        simulate_flow_network(graph_from_edges([1, 2], []),
+                              FlowParams((0.5, 1e-9), 1.0, 1.0))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_simulator_arrival_count_validation():

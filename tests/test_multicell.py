@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cellwlan.dcf import (attempt_probability, backoff_preset, mac_phy_preset,
-                          solve_single_cell)
+from cellwlan.dcf import (ConvergenceError, attempt_probability,
+                          backoff_preset, mac_phy_preset, solve_single_cell)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 activation_rate, collision_probability,
                                 detailed_balance_residual, infinite_rho_x,
@@ -407,3 +407,11 @@ def test_input_validation():
                          mac_phy=MP, backoff=BO)
     with pytest.raises(ValueError):
         solve_fixed_point(inp, FixedPointConfig(initial_beta=(0.1, 0.1)))
+
+
+def test_nonconvergence_is_a_convergence_error():
+    inp = MulticellInput(graph=chain(), node_counts=(10, 10, 10),
+                         mac_phy=MP, backoff=BO)
+    with pytest.raises(ConvergenceError, match=r"^multi-cell fixed point: "
+                       r"residual .* after 1 iterations$"):
+        solve_fixed_point(inp, FixedPointConfig(max_iterations=1))

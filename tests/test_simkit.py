@@ -249,10 +249,12 @@ def test_cut_points_are_the_exact_thresholds():
     rng = np.random.Generator(np.random.Philox(808))
     rows = [np.cumsum(rng.uniform(1e-3, 10.0, int(rng.integers(1, 12)))).tolist()
             for _ in range(300)]
-    cuts = simkit._cut_points(rows)
-    for row, cut in zip(rows, cuts):
-        assert len(cut) == len(row) - 1
-        for value, c in zip(row, cut):
+    ends = np.cumsum([len(row) for row in rows])
+    cuts = simkit._cut_points(np.concatenate(rows), ends).tolist()
+    for row, end in zip(rows, ends.tolist()):
+        cut = cuts[end - len(row):end]
+        assert cut[-1] == math.inf
+        for value, c in zip(row[:-1], cut):
             assert c * row[-1] >= value
             assert math.nextafter(c, -math.inf) * row[-1] < value
 
