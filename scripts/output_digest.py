@@ -16,7 +16,12 @@ The corpus:
   ``solve_single_cell`` for 1-30 nodes, ``effective_rate_fixed_point`` on
   seeded 3-12-cell chains, and ``simulate_ctmc`` on a 6-cell chain (21
   states, resolved by composing jump tables) and a 10-cell chain (144
-  states, walked step by step).
+  states, walked step by step);
+- ``enumerate_independent_sets`` and ``mis_stats`` on seeded graphs of
+  1-16 cells with non-contiguous ids and on the 5x5 grid, digesting the
+  member tuples (their repr, so the type of each member counts), the
+  three role masks, ``toggle_index`` and the ``MisStats`` repr;
+- the ``infinite-rho`` verb on the 5x5 grid (25 cells, 55,447 states).
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -47,7 +52,8 @@ from cellwlan.dcf import backoff_preset, mac_phy_preset, solve_single_cell
 from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                             simulate_flow_network)
 from cellwlan.simkit import simulate_ctmc
-from cellwlan.topology import enumerate_independent_sets, graph_from_edges
+from cellwlan.topology import (enumerate_independent_sets, graph_from_edges,
+                               mis_stats)
 
 VERBS = ("saturation", "tcp-long", "tcp-short", "infinite-rho", "sweep",
          "validate")
@@ -95,12 +101,25 @@ def cli_configs():
                            "model2", 3)
 
 
+def _grid(rows: int, cols: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Cells 1..rows*cols in row-major order, edges between 4-neighbors."""
+    cells = list(range(1, rows * cols + 1))
+    edges = [(c, c + 1) for c in cells if c % cols] + \
+        [(c, c + cols) for c in cells[:-cols]]
+    return cells, edges
+
+
 def cli_digests(tmp: str):
-    for label, doc in cli_configs():
+    cells, edges = _grid(5, 5)
+    grid = {"deployment": {"adjacency": {"cells": cells,
+                                         "edges": [list(e) for e in edges]}}}
+    runs = [(label, doc, VERBS) for label, doc in cli_configs()]
+    runs.append(("grid5x5", grid, ("infinite-rho",)))
+    for label, doc, verbs in runs:
         cfg = os.path.join(tmp, f"{label}.yaml")
         with open(cfg, "w", encoding="utf-8") as fh:
             yaml.safe_dump(doc, fh)
-        for verb, fmt in itertools.product(VERBS, ("csv", "doc")):
+        for verb, fmt in itertools.product(verbs, ("csv", "doc")):
             out = os.path.join(tmp, label, verb, fmt)
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), \
@@ -131,15 +150,16 @@ SIM_EXITS = (
 )
 
 
+def _array_sha(value) -> str:
+    value = np.asarray(value)
+    return _sha(f"{value.dtype}{value.shape}".encode() + value.tobytes())
+
+
 def _result_digests(tag: str, res):
     for field in (f.name for f in dataclasses.fields(res)):
         value = getattr(res, field)
-        if value is None:
-            blob = b"None"
-        else:
-            value = np.asarray(value)
-            blob = f"{value.dtype}{value.shape}".encode() + value.tobytes()
-        yield f"{tag} {field}", _sha(blob)
+        yield f"{tag} {field}", (_sha(b"None") if value is None
+                                 else _array_sha(value))
 
 
 def sim_digests(count: int = 30):
@@ -194,10 +214,32 @@ def library_digests():
         yield from _result_digests(f"ctmc chain {n}", run)
 
 
+def state_space_digests(count: int = 32):
+    rng = np.random.Generator(np.random.Philox(11))
+    graphs = []
+    for k in range(count):
+        n = k % 16 + 1
+        cells = sorted(rng.choice(1000, size=n, replace=False).tolist())
+        p = float(rng.uniform(0.1, 0.7))
+        edges = [(a, b) for a, b in itertools.combinations(cells, 2)
+                 if rng.random() < p]
+        graphs.append((f"graph {k} n={n}", cells, edges))
+    graphs.append(("grid 5x5", *_grid(5, 5)))
+    for label, cells, edges in graphs:
+        g = graph_from_edges(cells, edges)
+        ss = enumerate_independent_sets(g)
+        yield f"states {label} members", _sha(repr(ss.states).encode())
+        for name in ("active_mask", "blocked_mask", "contending_mask",
+                     "toggle_index"):
+            yield f"states {label} {name}", _array_sha(getattr(ss, name))
+        yield f"mis-stats {label}", _sha(repr(mis_stats(g)).encode())
+
+
 def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in itertools.chain(cli_digests(tmp), sim_digests(),
-                                             library_digests()):
+                                             library_digests(),
+                                             state_space_digests()):
             print(f"{digest}  {label}")
 
 

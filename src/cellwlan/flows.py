@@ -85,10 +85,9 @@ def service_rate_table(graph: ContentionGraph, model: str,
     if model != "model1":
         raise ValueError(f"unknown service model {model!r}")
     busy = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(float)
-    adj = np.array([[q in graph.neighbors(c) for q in graph.cells]
-                    for c in graph.cells], dtype=float)
-    # busy @ adj counts each cell's busy neighbors, exactly in float64
-    return np.where(busy > 0, single_cell_rate / (1.0 + busy @ adj), 0.0)
+    # busy @ adjacency counts each cell's busy neighbors, exactly in float64
+    return np.where(busy > 0, single_cell_rate
+                    / (1.0 + busy @ graph.adjacency.astype(float)), 0.0)
 
 
 @dataclass(frozen=True)

@@ -205,12 +205,29 @@ def _isolated_throughputs(node_counts, mac_phy: MacPhyParams,
 def solve_fixed_point(inp: MulticellInput,
                       cfg: FixedPointConfig | None = None) -> MulticellSolution:
     """Solve the coupled attempt/collision fixed point of the network."""
-    return _solve(inp, cfg, enumerate_independent_sets(inp.graph))
+    ss = enumerate_independent_sets(inp.graph)
+    beta, (gamma, lam, act, rho, pi), it, resid, warnings = _fixed_point(
+        inp, cfg, ss)
+    x = unblocked_fraction(ss, pi)
+    iso = _isolated_throughputs(inp.node_counts, inp.mac_phy, inp.backoff)
+    cell_thpt = x * iso
+    return MulticellSolution(
+        graph=inp.graph, node_counts=inp.node_counts,
+        beta=beta, gamma=gamma, activation_rates=lam, mean_activities=act,
+        rho=rho, pi=pi, x=x,
+        cell_throughput_pkts=cell_thpt,
+        per_node_throughput_pkts=cell_thpt / np.asarray(inp.node_counts),
+        isolated_throughput_pkts=iso,
+        normalized_network_throughput=float(x.sum()),
+        residual=resid, iterations=it, state_space=ss,
+        warnings=tuple(warnings))
 
 
-def _solve(inp: MulticellInput, cfg: FixedPointConfig | None,
-           ss: StateSpace) -> MulticellSolution:
-    """``solve_fixed_point`` over an already enumerated state space."""
+def _fixed_point(inp: MulticellInput, cfg: FixedPointConfig | None,
+                 ss: StateSpace):
+    """The damped fixed point over an enumerated state space, then the
+    multistart check: ``(beta, (gamma, lam, act, rho, pi), iterations,
+    residual, warnings)``."""
     cfg = cfg or FixedPointConfig()
     n = np.asarray(inp.node_counts, dtype=float)
     slot = inp.mac_phy.slot_time
@@ -253,19 +270,7 @@ def _solve(inp: MulticellInput, cfg: FixedPointConfig | None,
                     f"uniqueness start {k}: solutions differ by {gap:.3e}; "
                     f"fixed point may not be unique")
 
-    x = unblocked_fraction(ss, pi)
-    iso = _isolated_throughputs(inp.node_counts, inp.mac_phy, inp.backoff)
-    cell_thpt = x * iso
-    return MulticellSolution(
-        graph=inp.graph, node_counts=inp.node_counts,
-        beta=beta, gamma=gamma, activation_rates=lam, mean_activities=act,
-        rho=rho, pi=pi, x=x,
-        cell_throughput_pkts=cell_thpt,
-        per_node_throughput_pkts=cell_thpt / np.asarray(inp.node_counts),
-        isolated_throughput_pkts=iso,
-        normalized_network_throughput=float(x.sum()),
-        residual=resid, iterations=it, state_space=ss,
-        warnings=tuple(warnings))
+    return beta, (gamma, lam, act, rho, pi), it, resid, warnings
 
 
 def tcp_pair(mac_phy: MacPhyParams, tcp_data_bits: float,
@@ -348,16 +353,17 @@ def payload_sweep(inp: MulticellInput, payload_bits_values,
 
     Larger payloads stretch the activity times, raising every access
     intensity, so the network slides toward its infinite-intensity limit.
-    The state space depends on the graph alone, so it is enumerated once.
+    The state space depends on the graph alone, so it is enumerated once;
+    a point keeps no throughput, so no isolated cell is solved.
     """
     ss = enumerate_independent_sets(inp.graph)
     points = []
     for pb in payload_bits_values:
         mp = inp.mac_phy.with_payload(float(pb))
-        sol = _solve(
+        beta, (*_, rho, pi), *_ = _fixed_point(
             MulticellInput(inp.graph, inp.node_counts, mp, inp.backoff), cfg, ss)
+        x = unblocked_fraction(ss, pi)
         points.append(SweepPoint(
-            payload_bits=float(pb),
-            beta=tuple(sol.beta), rho=tuple(sol.rho), x=tuple(sol.x),
-            normalized_network_throughput=sol.normalized_network_throughput))
+            payload_bits=float(pb), beta=tuple(beta), rho=tuple(rho),
+            x=tuple(x), normalized_network_throughput=float(x.sum())))
     return tuple(points)

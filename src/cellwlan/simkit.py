@@ -291,8 +291,7 @@ def simulate_slotted(graph: ContentionGraph, node_counts, beta,
     t_collision_slots = _whole("t_collision_slots", t_collision_slots)
     horizon_slots = _whole("horizon_slots", horizon_slots)
 
-    cols = {c: j for j, c in enumerate(graph.cells)}
-    nbrs = [sorted(cols[x] for x in graph.neighbors(c)) for c in graph.cells]
+    nbrs = [np.flatnonzero(row).tolist() for row in graph.adjacency]
 
     # inverse CDF of the number of attempting cellmates, Binomial(n-1, beta)
     other_cum: list[list[float]] = []

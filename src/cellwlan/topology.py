@@ -11,7 +11,6 @@ sets of simultaneously transmitting cells.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,12 +60,6 @@ class Deployment:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate cell ids in deployment")
 
-    def cell(self, cell_id: int) -> CellGeom:
-        for c in self.cells:
-            if c.cell_id == cell_id:
-                return c
-        raise KeyError(cell_id)
-
 
 def _ap_distance(a: CellGeom, b: CellGeom) -> float:
     return math.dist(a.ap_position, b.ap_position)
@@ -92,6 +85,17 @@ class ContentionGraph:
 
     def adjacent(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """``adjacency[i, j]``: cells ``cells[i]`` and ``cells[j]`` contend.
+        Built on first use, then kept read-only."""
+        col = {c: j for j, c in enumerate(self.cells)}
+        adj = np.zeros((self.size, self.size), dtype=bool)
+        for a, b in self.edges:
+            adj[col[a], col[b]] = adj[col[b], col[a]] = True
+        adj.flags.writeable = False
+        return adj
 
     @property
     def size(self) -> int:
@@ -205,54 +209,45 @@ class CollisionIndex:
     neighbors: np.ndarray
 
 
-def _member_mask(states: tuple[tuple[int, ...], ...],
-                 cells: tuple[int, ...]) -> np.ndarray:
-    """(state, cell) membership, filled from one flat array of members."""
-    sizes = np.fromiter(map(len, states), dtype=np.intp, count=len(states))
-    members = np.fromiter(itertools.chain.from_iterable(states),
-                          dtype=np.int64, count=int(sizes.sum()))
-    cell_ids = np.array(cells, dtype=np.int64)
-    cols = np.searchsorted(cell_ids, members)
-    if np.any(cell_ids.take(cols, mode="clip") != members):
-        raise ValueError("states contain cells outside the graph")
-    mask = np.zeros((len(states), len(cells)), dtype=bool)
-    mask[np.repeat(np.arange(len(states)), sizes), cols] = True
-    return mask
-
-
 class StateSpace:
     """All independent sets of a contention graph, in canonical order.
 
-    States are ordered lexicographically by their sorted member tuple, so
-    the empty state is always index 0.  Boolean masks over (state, cell)
-    are precomputed for vectorized work: ``active_mask`` marks members,
-    ``blocked_mask`` marks their neighbors, ``contending_mask`` the rest.
-    ``active_float`` is ``active_mask`` as 0.0/1.0 for matrix products.
+    ``active_mask[s, j]`` marks cell ``cells[j]`` as a member of state s;
+    it is the one representation the state space is built from.  States
+    are ordered lexicographically by their sorted member tuple, so the
+    empty state is always index 0.  ``blocked_mask`` marks the members'
+    neighbors and ``contending_mask`` the rest; ``active_float`` is
+    ``active_mask`` as 0.0/1.0 for matrix products.  ``states``, the
+    member tuples, is built on first use.
     """
 
-    def __init__(self, graph: ContentionGraph, states: list[tuple[int, ...]]):
+    def __init__(self, graph: ContentionGraph, active_mask: np.ndarray):
+        mask = np.asarray(active_mask)
+        if mask.dtype != bool or mask.shape[1:] != (graph.size,):
+            raise ValueError(f"active_mask must be a bool array of shape "
+                             f"(states, {graph.size})")
         self.graph = graph
-        self.states = tuple(states)
         self.cells = graph.cells
         self._cell_col = {c: j for j, c in enumerate(graph.cells)}
-        n_cells = len(self.cells)
-        self.adjacency = np.zeros((n_cells, n_cells), dtype=bool)
-        for e in graph.edges:
-            a, b = sorted(e)
-            self.adjacency[self._cell_col[a], self._cell_col[b]] = True
-            self.adjacency[self._cell_col[b], self._cell_col[a]] = True
-        self.active_mask = _member_mask(self.states, self.cells)
-        touched = np.zeros_like(self.active_mask)
+        self.adjacency = graph.adjacency
+        self.active_mask = mask
+        touched = np.zeros_like(mask)
         for j, row in enumerate(self.adjacency):
-            touched[:, j] = self.active_mask[:, row].any(axis=1)
-        if np.any(touched & self.active_mask):
+            touched[:, j] = mask[:, row].any(axis=1)
+        if np.any(touched & mask):
             raise ValueError("states contain an adjacent pair; not independent sets")
-        self.blocked_mask = touched & ~self.active_mask
-        self.contending_mask = ~(self.active_mask | self.blocked_mask)
-        self.active_float = self.active_mask.astype(float)
+        self.blocked_mask = touched & ~mask
+        self.contending_mask = ~(mask | self.blocked_mask)
+        self.active_float = mask.astype(float)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.active_mask)
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """Member tuples in state order, built on first use."""
+        ids = np.array(self.cells, dtype=np.int64)
+        return tuple(tuple(ids[row].tolist()) for row in self.active_mask)
 
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
@@ -316,30 +311,27 @@ class StateSpace:
             neighbors=np.array(neighbors, dtype=bool).reshape(len(owner), n_cells))
 
 
-def _independent_sets(graph: ContentionGraph, cap: int) -> list[tuple[int, ...]]:
-    """All independent sets as sorted member tuples, lexicographic order.
+def _independent_sets(graph: ContentionGraph, cap: int) -> np.ndarray:
+    """All independent sets as a (state, cell) membership mask, ordered
+    lexicographically by sorted member tuple.
 
-    Include/exclude search on the lowest-index vertex, driven by an explicit
-    stack of (members, next vertex, banned-vertex bitmask); raises once more
-    than ``cap`` states have been produced.
+    Built one cell at a time from the last: the sets over cells k.. are
+    the empty set, then k joined to each set over cells k+1.. that holds
+    no neighbor of k, then the other sets over cells k+1..; each part
+    keeps its order, so the whole is in order without a sort.  The count
+    only grows, so it is checked against ``cap`` at every step.
     """
-    order = list(graph.cells)
-    bit = {c: 1 << k for k, c in enumerate(order)}
-    nbr_bits = [sum(bit[q] for q in graph.neighbors(c)) for c in order]
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
-    while stack:
-        prefix, start, banned = stack.pop()
-        out.append(prefix)
-        if len(out) > cap:
+    n = graph.size
+    sets = np.zeros((1, n), dtype=bool)
+    for k in range(n - 1, -1, -1):
+        free = sets[~sets[:, graph.adjacency[k]].any(axis=1)]
+        if len(free) + len(sets) > cap:
             raise StateSpaceCapError(
-                f"graph with {graph.size} cells has more than {cap} "
+                f"graph with {n} cells has more than {cap} "
                 f"independent sets; enumeration refused")
-        for k in range(start, len(order)):
-            if not banned >> k & 1:
-                stack.append((prefix + (order[k],), k + 1, banned | nbr_bits[k]))
-    out.sort()
-    return out
+        free[:, k] = True
+        sets = np.concatenate((sets[:1], free, sets[1:]))
+    return sets
 
 
 def enumerate_independent_sets(graph: ContentionGraph,
@@ -367,14 +359,10 @@ class MisStats:
 def mis_stats(graph: ContentionGraph, cap: int = DEFAULT_STATE_CAP) -> MisStats:
     """Independence number and maximum-independent-set counts."""
     sets_ = _independent_sets(graph, cap)
-    alpha = max(len(s) for s in sets_)
-    top = [s for s in sets_ if len(s) == alpha]
-    per = {c: 0 for c in graph.cells}
-    for s in top:
-        for c in s:
-            per[c] += 1
-    return MisStats(cells=graph.cells, max_size=alpha, count=len(top),
-                    per_cell=tuple(per[c] for c in graph.cells))
+    size = sets_.sum(axis=1)
+    top = sets_[size == size.max()]
+    return MisStats(cells=graph.cells, max_size=int(size.max()),
+                    count=len(top), per_cell=tuple(top.sum(axis=0).tolist()))
 
 
 def mis_share_table(graph: ContentionGraph) -> np.ndarray:
@@ -390,8 +378,7 @@ def mis_share_table(graph: ContentionGraph) -> np.ndarray:
     division.  Memory is 2^n x n floats.
     """
     n = graph.size
-    col = {c: j for j, c in enumerate(graph.cells)}
-    nbr = [sum(1 << col[q] for q in graph.neighbors(c)) for c in graph.cells]
+    nbr = graph.adjacency @ (1 << np.arange(n))
     alpha = np.zeros(1 << n, dtype=np.intp)
     count = np.ones(1 << n)
     per = np.zeros((1 << n, n))

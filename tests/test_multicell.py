@@ -396,6 +396,33 @@ def test_payload_sweep_monotone_and_consistent():
     np.testing.assert_allclose(single.beta, sol.beta, rtol=1e-12)
 
 
+def test_payload_sweep_solves_no_single_cell(monkeypatch):
+    # a sweep point keeps no throughput, so no isolated cell is solved;
+    # each point is the fixed point that solve_fixed_point reaches
+    import cellwlan.multicell as multicell
+    inp = MulticellInput(graph=chain(), node_counts=(10, 5, 10),
+                         mac_phy=MP, backoff=BO)
+    payloads = tuple(8.0 * b for b in range(100, 1501, 100))
+    want = [solve_fixed_point(MulticellInput(inp.graph, inp.node_counts,
+                                             MP.with_payload(pb), BO))
+            for pb in payloads]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_single_cell(*args)
+
+    monkeypatch.setattr(multicell, "solve_single_cell", counted)
+    points = payload_sweep(inp, payloads)
+    assert calls == []
+    assert len(points) == 15
+    for pt, sol in zip(points, want):
+        assert pt.beta == tuple(sol.beta) and pt.rho == tuple(sol.rho)
+        assert pt.x == tuple(sol.x)
+        assert (pt.normalized_network_throughput
+                == sol.normalized_network_throughput)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         MulticellInput(graph=chain(), node_counts=(10, 10), mac_phy=MP,

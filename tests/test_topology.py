@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from cellwlan.topology import (CellGeom, ContentionGraph, Deployment,
-                               StateSpaceCapError, adjacency_text,
-                               build_contention_graph, check_pbd, dot_edges,
+                               MisStats, StateSpace, StateSpaceCapError,
+                               adjacency_text, build_contention_graph,
+                               check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
                                mis_share_table, mis_stats)
 from cellwlan.topology import _independent_sets
@@ -138,17 +139,56 @@ def test_toggle_index_matches_index_of():
 
 
 def test_toggle_index_needs_every_independent_set():
-    from cellwlan.topology import StateSpace
+    # the three-chain's states without {1, 3}
+    mask = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=bool)
     with pytest.raises(ValueError, match="cannot join or leave"):
-        StateSpace(three_chain(), [(), (1,), (2,)]).toggle_index
+        StateSpace(three_chain(), mask).toggle_index
 
 
 def test_state_space_rejects_adjacent_members():
-    from cellwlan.topology import StateSpace
-    with pytest.raises(ValueError):
-        StateSpace(three_chain(), [(), (1, 2)])
-    with pytest.raises(ValueError):
-        StateSpace(three_chain(), [(), (4,)])
+    with pytest.raises(ValueError, match="adjacent pair"):
+        StateSpace(three_chain(), np.array([[0, 0, 0], [1, 1, 0]], dtype=bool))
+
+
+@pytest.mark.parametrize("mask", [
+    np.zeros((2, 4), dtype=bool),       # a column for a cell not in the graph
+    np.zeros((2, 2), dtype=bool),
+    np.zeros(3, dtype=bool),
+    np.array([[0, 0, 0], [1, 0, 0]]),   # 0/1 integers, not bools
+])
+def test_state_space_rejects_a_malformed_mask(mask):
+    with pytest.raises(ValueError, match="bool array of shape"):
+        StateSpace(three_chain(), mask)
+
+
+def test_adjacency_matches_neighbor_sets():
+    rng = np.random.Generator(np.random.Philox(77))
+    graphs = [([3, 10, 42], [(3, 42)]), ([7], [])]
+    for _ in range(30):
+        n = int(rng.integers(1, 12))
+        ids = sorted(rng.choice(500, size=n, replace=False).tolist())
+        graphs.append((ids, [(a, b) for a, b in itertools.combinations(ids, 2)
+                             if rng.random() < 0.4]))
+    for cells, edges in graphs:
+        g = graph_from_edges(cells, edges)
+        nbrs = oracles.neighbors_direct(cells, edges)
+        assert g.adjacency.tolist() == [[q in nbrs[c] for q in cells]
+                                        for c in cells]
+        assert not g.adjacency.flags.writeable
+        assert g.adjacency is g.adjacency
+        assert enumerate_independent_sets(g).adjacency is g.adjacency
+
+
+def test_states_and_mis_stats_hold_python_ints():
+    # the CLI formats these values as they are
+    g = graph_from_edges([3, 10, 42], [(3, 42)])
+    for members in enumerate_independent_sets(g).states:
+        assert all(type(c) is int for c in members)
+    stats = mis_stats(g)
+    assert stats == MisStats(cells=(3, 10, 42), max_size=2, count=2,
+                             per_cell=(1, 2, 1))
+    assert all(type(v) is int for v in
+               (*stats.cells, stats.max_size, stats.count, *stats.per_cell))
 
 
 def test_state_space_masks_follow_sparse_cell_ids():
