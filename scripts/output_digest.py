@@ -21,7 +21,16 @@ The corpus:
   1-16 cells with non-contiguous ids and on the 5x5 grid, digesting the
   member tuples (their repr, so the type of each member counts), the
   three role masks, ``toggle_index`` and the ``MisStats`` repr;
-- the ``infinite-rho`` verb on the 5x5 grid (25 cells, 55,447 states).
+- the ``infinite-rho`` verb on the 5x5 grid (25 cells, 55,447 states);
+- ``saturation`` and ``sweep`` on the 3-cell chain and on a seeded
+  6-cell config with a ``max_iterations`` low enough that uniqueness
+  probes fail and their warnings reach the output;
+- ``solve_fixed_point`` and ``payload_sweep`` on seeded graphs of 1-8
+  cells and on the 5x5 grid, at the default solver settings and at a
+  ``max_iterations`` between the main solve's count and the probes',
+  digesting every field of the solution and of each sweep point
+  (warnings included; the graph by its sorted edges, the state space by
+  its membership mask).
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -51,6 +60,8 @@ from cellwlan.cli import main
 from cellwlan.dcf import backoff_preset, mac_phy_preset, solve_single_cell
 from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                             simulate_flow_network)
+from cellwlan.multicell import (FixedPointConfig, MulticellInput,
+                                payload_sweep, solve_fixed_point)
 from cellwlan.simkit import simulate_ctmc
 from cellwlan.topology import (enumerate_independent_sets, graph_from_edges,
                                mis_stats)
@@ -115,6 +126,8 @@ def cli_digests(tmp: str):
                                          "edges": [list(e) for e in edges]}}}
     runs = [(label, doc, VERBS) for label, doc in cli_configs()]
     runs.append(("grid5x5", grid, ("infinite-rho",)))
+    for label, doc in PROBE_CONFIGS:
+        runs.append((f"{label}-probes", doc, ("saturation", "sweep")))
     for label, doc, verbs in runs:
         cfg = os.path.join(tmp, f"{label}.yaml")
         with open(cfg, "w", encoding="utf-8") as fh:
@@ -133,6 +146,20 @@ def cli_digests(tmp: str):
             for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
                 with open(os.path.join(out, name), "rb") as fh:
                     yield f"{tag} {name}", _sha(fh.read())
+
+
+# (label, config) pairs whose solver stops the uniqueness probes before
+# they settle, while every main solve still converges
+PROBE_CONFIGS = (
+    ("three-chain", {**_doc({"preset": "three-chain"}, [1.0, 2.0, 3.0],
+                            "model2", 7),
+                     "solver": {"max_iterations": 26}}),
+    ("adj6", {**_doc({"adjacency": {
+        "cells": [1, 2, 3, 4, 5, 6],
+        "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6], [2, 5]],
+        "node_counts": [3, 1, 4, 1, 5, 2]}}, [1.0] * 6, "model1", 2),
+        "solver": {"max_iterations": 30, "multistart": 5}}),
+)
 
 
 # (label, cells, edges, arrival rates, model, runaway threshold): one case
@@ -214,6 +241,51 @@ def library_digests():
         yield from _result_digests(f"ctmc chain {n}", run)
 
 
+def _solution_digests(tag: str, res):
+    for field in (f.name for f in dataclasses.fields(res)):
+        value = getattr(res, field)
+        if field == "graph":
+            edges = sorted(sorted(e) for e in value.edges)
+            yield f"{tag} {field}", _sha(repr((value.cells, edges)).encode())
+        elif field == "state_space":
+            yield f"{tag} {field}", _array_sha(value.active_mask)
+        elif field == "warnings":
+            yield f"{tag} {field}", _sha(repr(value).encode())
+        else:
+            yield f"{tag} {field}", _array_sha(value)
+
+
+def fixed_point_digests(count: int = 12):
+    backoff = backoff_preset("dot11b-11mbps")
+    rng = np.random.Generator(np.random.Philox(31))
+    nets = []
+    for k in range(count):
+        n = k % 8 + 1
+        cells = list(range(1, n + 1))
+        edges = [(a, b) for a, b in itertools.combinations(cells, 2)
+                 if rng.random() < 0.5]
+        counts = tuple(int(c) for c in rng.integers(1, 9, size=n))
+        nets.append((f"graph {k} n={n}", graph_from_edges(cells, edges),
+                     counts, float(rng.uniform(4000.0, 12000.0)), 2))
+    nets.append(("grid 5x5", graph_from_edges(*_grid(5, 5)), (2,) * 25,
+                 8000.0, 2))
+    for label, g, counts, payload, points in nets:
+        inp = MulticellInput(g, counts, mac_phy_preset("dot11b-11mbps",
+                                                       payload), backoff)
+        main_its = solve_fixed_point(
+            inp, FixedPointConfig(multistart=0)).iterations
+        for name, cfg in (("default", FixedPointConfig()),
+                          ("short", FixedPointConfig(
+                              max_iterations=main_its + 2, multistart=4))):
+            yield from _solution_digests(f"fixed-point {label} {name}",
+                                         solve_fixed_point(inp, cfg))
+            sweep = payload_sweep(inp, [payload * (1 + p / 20.0)
+                                        for p in range(points)], cfg)
+            for p, pt in enumerate(sweep):
+                yield from _solution_digests(
+                    f"payload-sweep {label} {name} point {p}", pt)
+
+
 def state_space_digests(count: int = 32):
     rng = np.random.Generator(np.random.Philox(11))
     graphs = []
@@ -239,7 +311,8 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in itertools.chain(cli_digests(tmp), sim_digests(),
                                              library_digests(),
-                                             state_space_digests()):
+                                             state_space_digests(),
+                                             fixed_point_digests()):
             print(f"{digest}  {label}")
 
 

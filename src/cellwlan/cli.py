@@ -361,7 +361,9 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
     """Parse and validate one YAML configuration document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML was built with it
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                               yaml.SafeLoader))
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
     except yaml.YAMLError as e:
@@ -572,16 +574,19 @@ def _run_sweep(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     points = payload_sweep(inp, cfg.sweep_payload_bits, cfg.solver)
     rows = []
     srows = []
+    warnings = []
     for pt in points:
         srows.append([pt.payload_bits / 8.0,
                       pt.normalized_network_throughput])
         for j, c in enumerate(cfg.graph.cells):
             rows.append([pt.payload_bits / 8.0, c, pt.beta[j], pt.rho[j],
                          pt.x[j]])
+        warnings += [f"payload {_fmt(pt.payload_bits / 8.0)} B: {w}"
+                     for w in pt.warnings]
     tables = {"points": (["payload_bytes", "cell", "beta", "rho", "x"], rows),
               "summary": (["payload_bytes", "normalized_network_throughput"],
                           srows)}
-    return tables, ()
+    return tables, tuple(warnings)
 
 
 def _run_validate(cfg: AnalysisConfig) -> tuple[dict, tuple]:
@@ -639,22 +644,34 @@ def _print_presets() -> None:
               f"retry limit {p['retry_limit']})")
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = argparse.ArgumentParser(
+            prog="cellwlan",
+            description="Cell-level analysis of multi-cell CSMA/CA WLANs")
+        sub = _PARSER.add_subparsers(dest="verb", required=True)
+        for verb in (*_VERBS, "presets"):
+            p = sub.add_parser(verb)
+            if verb != "presets":
+                p.add_argument("--config", required=True,
+                               help="YAML configuration document")
+                p.add_argument("--out", default="cellwlan-out",
+                               help="output directory (default: cellwlan-out)")
+                p.add_argument("--seed", type=int, default=None,
+                               help="override the sim seed from the config")
+                p.add_argument("--format", choices=("csv", "doc"),
+                               default="csv",
+                               help="csv: one file per table; doc: single JSON")
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cellwlan",
-        description="Cell-level analysis of multi-cell CSMA/CA WLANs")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in (*_VERBS, "presets"):
-        p = sub.add_parser(verb)
-        if verb != "presets":
-            p.add_argument("--config", required=True,
-                           help="YAML configuration document")
-            p.add_argument("--out", default="cellwlan-out",
-                           help="output directory (default: cellwlan-out)")
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the sim seed from the config")
-            p.add_argument("--format", choices=("csv", "doc"), default="csv",
-                           help="csv: one file per table; doc: single JSON")
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -159,14 +159,36 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
     arrays, with ``(t, aux) = step(x)``.  Once the residual max|t - x| is
     at most ``tolerance``, returns (x after that update, that step's aux,
     iterations, residual); raises ConvergenceError naming ``what`` if
-    ``max_iterations`` steps do not get there."""
-    x, resid = x0, np.inf
+    ``max_iterations`` steps do not get there.
+
+    A 2-D ``x0`` is a batch of independent rows.  Each row stops at its
+    own first residual at most ``tolerance``, under the same update, and
+    ``step`` sees only the rows still running.  Nothing is raised: the
+    call returns (rows, None, iterations per row, residual per row), and
+    a row that never settled keeps its last iterate, ``max_iterations``
+    and a residual that is not at most ``tolerance``."""
+    batch = np.ndim(x0) == 2
+    x, resid = (np.array(x0, dtype=float) if batch else x0), np.inf
+    if batch:
+        rows, live = x.copy(), np.arange(len(x))
+        its, resids = np.full(len(x), max_iterations), np.full(len(x), np.inf)
     for it in range(1, max_iterations + 1):
         target, aux = step(x)
-        resid = float(np.abs(target - x).max())
+        diff = np.abs(target - x)
         x = (1.0 - damping) * x + damping * target
-        if resid <= tolerance:
-            return x, aux, it, resid
+        if not batch:
+            resid = float(diff.max())
+            if resid <= tolerance:
+                return x, aux, it, resid
+            continue
+        rows[live], resids[live] = x, diff.max(axis=1)
+        done = resids[live] <= tolerance
+        its[live[done]] = it
+        x, live = x[~done], live[~done]
+        if not live.size:
+            break
+    if batch:
+        return rows, None, its, resids
     raise ConvergenceError(
         f"{what}: residual {resid:.3e} > tol {tolerance:.1e} "
         f"after {max_iterations} iterations")

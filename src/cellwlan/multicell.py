@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcf import (BackoffParams, ConvergenceError, MacPhyParams,
-                  attempt_probability, damped_fixed_point,
-                  frame_exchange_times, solve_single_cell)
+from .dcf import (BackoffParams, MacPhyParams, attempt_probability,
+                  damped_fixed_point, frame_exchange_times, solve_single_cell)
 from .topology import (ContentionGraph, MisStats, StateSpace,
                        enumerate_independent_sets, mis_stats)
 
 LOG_ZERO = -np.inf
+# a batch of uniqueness probes holds at most this many (row, state) floats
+# in each of its arrays: 8 MB
+_PROBE_BATCH_STATES = 1 << 20
 
 
 def activation_rate(beta, node_count, slot_time):
@@ -60,21 +62,24 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
 
     pi(A) is proportional to the product of the access intensities of the
     members of A.  Computed in log space so extreme intensities stay
-    finite.
+    finite.  A (rows, cells) ``rho`` gives one law per row.
     """
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (len(state_space.cells),) or np.any(rho < 0):
+    if (rho.ndim not in (1, 2) or rho.shape[-1] != len(state_space.cells)
+            or np.any(rho < 0)):
         raise ValueError("need one access intensity >= 0 per cell")
     silent = rho == 0.0
     # 0 * -inf is nan, so keep the matmul finite and kill the states that
-    # contain a silent cell afterwards
+    # contain a silent cell afterwards; one product per row, since a row of
+    # a matrix product is not bit-equal to it
     log_rho = np.log(np.where(silent, 1.0, rho))
-    logw = state_space.active_float @ log_rho
+    logw = (state_space.active_float @ log_rho if rho.ndim == 1 else
+            np.stack([state_space.active_float @ row for row in log_rho]))
     if silent.any():
-        logw[state_space.active_mask[:, silent].any(axis=1)] = LOG_ZERO
-    logw -= logw.max()
+        logw[silent @ state_space.active_float.T > 0.0] = LOG_ZERO
+    logw -= logw.max(axis=-1, keepdims=True)
     w = np.exp(logw)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def collision_probability(state_space: StateSpace, pi, beta,
@@ -86,21 +91,30 @@ def collision_probability(state_space: StateSpace, pi, beta,
     summed per (cell, pattern of contending neighbors), each pattern's
     collision probability is a product of silence probabilities
     (1-beta_j)^n_j, finite for beta_j = 1, and each cell averages over its
-    few patterns.
+    few patterns.  (rows, states) ``pi`` with (rows, cells) ``beta`` give
+    one average per row.
     """
     idx = state_space.collision_index
     pi = np.asarray(pi, dtype=float)
     miss = 1.0 - np.asarray(beta, dtype=float)
     n = np.asarray(node_counts, dtype=float)
-    silent = (miss[idx.owner] ** (n[idx.owner] - 1.0)
-              * np.where(idx.neighbors, miss ** n, 1.0).prod(axis=1))
-    mass = np.bincount(idx.column, weights=np.repeat(pi, idx.counts),
-                       minlength=len(idx.owner))
+    silent = (miss[..., idx.owner] ** (n[idx.owner] - 1.0)
+              * np.where(idx.neighbors, (miss ** n)[..., None, :], 1.0)
+              .prod(axis=-1))
     cells = len(state_space.cells)
-    num = np.bincount(idx.owner, weights=mass * (1.0 - silent), minlength=cells)
-    den = np.bincount(idx.owner, weights=mass, minlength=cells)
-    # den >= pi(empty state) > 0: every cell contends in the empty state.
-    return num / den
+
+    def average(p, s):
+        mass = np.bincount(idx.column, weights=np.repeat(p, idx.counts),
+                           minlength=len(idx.owner))
+        num = np.bincount(idx.owner, weights=mass * (1.0 - s),
+                          minlength=cells)
+        den = np.bincount(idx.owner, weights=mass, minlength=cells)
+        # den >= pi(empty state) > 0: every cell contends in the empty state.
+        return num / den
+
+    if pi.ndim == 1:
+        return average(pi, silent)
+    return np.stack([average(p, s) for p, s in zip(pi, silent)])
 
 
 def unblocked_fraction(state_space: StateSpace, pi) -> np.ndarray:
@@ -146,8 +160,11 @@ class FixedPointConfig:
     """Iteration controls for the coupled fixed point.
 
     ``initial_beta`` of None starts every cell at 1/b_0.  ``multistart``
-    extra random starts (from Philox seed 7) probe uniqueness; disagreement
-    beyond 100x the tolerance is reported as a warning on the solution.
+    extra random starts (from Philox seed 7) probe uniqueness after the
+    main solve.  They run as the rows of one batched damped iteration,
+    each row stopping on its own; a probe that does not settle within
+    ``max_iterations``, or settles more than 100x the tolerance away from
+    the solution, is reported as a warning on the solution.
     """
 
     tolerance: float = 1e-8
@@ -255,20 +272,24 @@ def _fixed_point(inp: MulticellInput, cfg: FixedPointConfig | None,
     beta, (gamma, lam, act, rho, pi), it, resid = solve(beta0)
 
     warnings = []
-    if cfg.multistart and cfg.initial_beta is None:
+    if cfg.multistart > 0 and cfg.initial_beta is None:
         rng = np.random.Generator(np.random.Philox(7))
-        for k in range(cfg.multistart):
-            alt0 = rng.uniform(1e-3, 0.999, size=inp.graph.size)
-            try:
-                alt = solve(alt0)[0]
-            except ConvergenceError:
-                warnings.append(f"uniqueness start {k}: did not converge")
-                continue
-            gap = float(np.max(np.abs(alt - beta)))
-            if gap > 100.0 * cfg.tolerance:
-                warnings.append(
-                    f"uniqueness start {k}: solutions differ by {gap:.3e}; "
-                    f"fixed point may not be unique")
+        starts = rng.uniform(1e-3, 0.999,
+                             size=(cfg.multistart, inp.graph.size))
+        # the probes are the rows of one batched iteration, as many per
+        # batch as keep its (rows, states) arrays within the budget
+        per_batch = max(1, _PROBE_BATCH_STATES // len(ss))
+        for first in range(0, cfg.multistart, per_batch):
+            alts, _, _, resids = solve(starts[first:first + per_batch])
+            for k, (alt, r) in enumerate(zip(alts, resids), first):
+                if not r <= cfg.tolerance:
+                    warnings.append(f"uniqueness start {k}: did not converge")
+                    continue
+                gap = float(np.max(np.abs(alt - beta)))
+                if gap > 100.0 * cfg.tolerance:
+                    warnings.append(
+                        f"uniqueness start {k}: solutions differ by "
+                        f"{gap:.3e}; fixed point may not be unique")
 
     return beta, (gamma, lam, act, rho, pi), it, resid, warnings
 
@@ -338,13 +359,15 @@ def infinite_rho_x(graph: ContentionGraph) -> InfiniteRhoLimit:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One converged operating point of a payload sweep."""
+    """One converged operating point of a payload sweep, with the
+    warnings of its uniqueness probes."""
 
     payload_bits: float
     beta: tuple[float, ...]
     rho: tuple[float, ...]
     x: tuple[float, ...]
     normalized_network_throughput: float
+    warnings: tuple[str, ...] = ()
 
 
 def payload_sweep(inp: MulticellInput, payload_bits_values,
@@ -360,10 +383,11 @@ def payload_sweep(inp: MulticellInput, payload_bits_values,
     points = []
     for pb in payload_bits_values:
         mp = inp.mac_phy.with_payload(float(pb))
-        beta, (*_, rho, pi), *_ = _fixed_point(
+        beta, (*_, rho, pi), _, _, warnings = _fixed_point(
             MulticellInput(inp.graph, inp.node_counts, mp, inp.backoff), cfg, ss)
         x = unblocked_fraction(ss, pi)
         points.append(SweepPoint(
             payload_bits=float(pb), beta=tuple(beta), rho=tuple(rho),
-            x=tuple(x), normalized_network_throughput=float(x.sum())))
+            x=tuple(x), normalized_network_throughput=float(x.sum()),
+            warnings=tuple(warnings)))
     return tuple(points)

@@ -429,3 +429,51 @@ def flow_replication_reference(graph, params, cfg, rng, table):
     eff = np.array([phi_int[j] / busy_time[j] if busy_time[j] > 0 else np.nan
                     for j in range(n)])
     return mean, np.array(drec), np.array(stable), eff
+
+
+def fixed_point_sequential_probes(inp, cfg):
+    """The coupled fixed point with its uniqueness probes as one damped
+    solve per start, in start order, on the 1-D kernels:
+    ``(beta, probe betas (None where a probe did not converge),
+    warnings)``.  Raises ConvergenceError if the main solve does."""
+    from cellwlan.dcf import (ConvergenceError, attempt_probability,
+                              damped_fixed_point, frame_exchange_times)
+    from cellwlan.multicell import (activation_rate, collision_probability,
+                                    mean_activity_time,
+                                    stationary_distribution)
+    from cellwlan.topology import enumerate_independent_sets
+
+    ss = enumerate_independent_sets(inp.graph)
+    n = np.asarray(inp.node_counts, dtype=float)
+    t_s, t_c = frame_exchange_times(inp.mac_phy)
+
+    def step(beta):
+        rho = (activation_rate(beta, n, inp.mac_phy.slot_time)
+               * mean_activity_time(beta, n, t_s, t_c))
+        gamma = collision_probability(
+            ss, stationary_distribution(ss, rho), beta, n)
+        return attempt_probability(gamma, inp.backoff), None
+
+    def solve(start):
+        return damped_fixed_point(step, start, cfg.tolerance, cfg.damping,
+                                  cfg.max_iterations, "multi-cell fixed point")[0]
+
+    beta = solve(np.full(inp.graph.size,
+                         attempt_probability(0.0, inp.backoff)))
+    probes, warnings = [], []
+    rng = np.random.Generator(np.random.Philox(7))
+    for k in range(cfg.multistart):
+        alt0 = rng.uniform(1e-3, 0.999, size=inp.graph.size)
+        try:
+            alt = solve(alt0)
+        except ConvergenceError:
+            probes.append(None)
+            warnings.append(f"uniqueness start {k}: did not converge")
+            continue
+        probes.append(alt)
+        gap = float(np.max(np.abs(alt - beta)))
+        if gap > 100.0 * cfg.tolerance:
+            warnings.append(
+                f"uniqueness start {k}: solutions differ by {gap:.3e}; "
+                f"fixed point may not be unique")
+    return beta, probes, warnings

@@ -552,3 +552,23 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "three-chain" in proc.stdout
+
+
+def test_sweep_reports_its_uniqueness_warnings(tmp_path, capsys):
+    # at 1000 B the main solve settles in 18 iterations and the three
+    # probes need 27, 27 and 25: each point keeps the probes' warnings
+    doc = chain_doc(solver={"max_iterations": 20})
+    doc["sweep"] = {"payload_bytes": [1000, 1000]}
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert main(["saturation", "--config", cfg,
+                 "--out", str(tmp_path / "t")]) == 0
+    _, meta = read_csv(tmp_path / "t" / "saturation_meta.csv")
+    point = [v for k, v in meta if k.startswith("warning_")]
+    assert point == [f"uniqueness start {k}: did not converge"
+                     for k in range(3)]
+    _, meta = read_csv(tmp_path / "s" / "sweep_meta.csv")
+    assert [v for k, v in meta if k.startswith("warning_")] == \
+        [f"payload 1000 B: {w}" for w in point + point]
+    out = capsys.readouterr().out
+    assert out.count("  warning: payload 1000 B: uniqueness start") == 6

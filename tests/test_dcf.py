@@ -148,6 +148,33 @@ def test_damped_fixed_point_returns_the_updated_iterate_and_last_aux():
         damped_fixed_point(step, np.array([0.0, 6.0]), 1e-3, 0.5, 1, "toy")
 
 
+def test_damped_fixed_point_runs_a_2d_iterate_as_independent_rows():
+    # x -> x^2 undamped: starts below 1 settle at 0, the smaller the
+    # sooner, a start of 2 runs away, and 0 and 1 are fixed from the start
+    x0 = np.array([[0.5, 0.1], [2.0, 0.5], [0.9, 0.3], [0.0, 1.0]])
+    seen = []
+
+    def step(x):
+        seen.append(len(x))
+        return x * x, None
+
+    rows, aux, its, resids = damped_fixed_point(step, x0, 1e-9, 1.0, 9, "toy")
+    assert aux is None
+    for r, start in enumerate(x0):
+        try:
+            want, _, it, resid = damped_fixed_point(
+                step, start, 1e-9, 1.0, 9, "toy")
+        except ConvergenceError:
+            assert r == 1 and its[r] == 9 and not resids[r] <= 1e-9
+            np.testing.assert_array_equal(rows[r], [2.0 ** 512, 0.5 ** 512])
+            continue
+        assert rows[r].tobytes() == want.tobytes()
+        assert (its[r], resids[r]) == (it, resid)
+    assert list(its) == [6, 9, 9, 1]
+    # each iteration steps only the rows still running
+    assert seen[:9] == [sum(its >= k) for k in range(1, 10)]
+
+
 def test_single_cell_validation():
     with pytest.raises(ValueError):
         solve_single_cell(0, MP, BO)

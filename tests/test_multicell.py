@@ -1,12 +1,14 @@
 """Coupled multi-cell model: product-form law, collisions, fixed point."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
 from cellwlan.dcf import (ConvergenceError, attempt_probability,
-                          backoff_preset, mac_phy_preset, solve_single_cell)
+                          backoff_preset, damped_fixed_point, mac_phy_preset,
+                          solve_single_cell)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 activation_rate, collision_probability,
                                 detailed_balance_residual, infinite_rho_x,
@@ -442,3 +444,96 @@ def test_nonconvergence_is_a_convergence_error():
     with pytest.raises(ConvergenceError, match=r"^multi-cell fixed point: "
                        r"residual .* after 1 iterations$"):
         solve_fixed_point(inp, FixedPointConfig(max_iterations=1))
+
+
+def _probe_runs(monkeypatch, inp, cfg):
+    """solve_fixed_point, with the results of its batched damped calls:
+    (solution, probe rows, rows per batch)."""
+    import cellwlan.multicell as multicell
+    batches = []
+
+    def recorded(step, x0, *args):
+        out = damped_fixed_point(step, x0, *args)
+        if np.ndim(x0) == 2:
+            batches.append(out)
+        return out
+
+    monkeypatch.setattr(multicell, "damped_fixed_point", recorded)
+    sol = solve_fixed_point(inp, cfg)
+    monkeypatch.undo()
+    rows = [row for alts, *_ in batches for row in alts]
+    return sol, rows, [len(alts) for alts, *_ in batches]
+
+
+def _assert_probes_match(got_rows, want_rows):
+    assert len(got_rows) == len(want_rows)
+    for got, want in zip(got_rows, want_rows):
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_batched_probes_match_one_solve_per_start(monkeypatch):
+    # max_iterations a few steps past the main solve's count, so that some
+    # probes settle and some do not; damping 1.0 oscillates on some graphs
+    rng = np.random.Generator(np.random.Philox(12))
+    outcomes = collections.Counter()
+    for k in range(30):
+        n = k % 10 + 1
+        cells, edges = oracles.random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
+        counts = tuple(int(c) for c in rng.integers(1, 11, size=n))
+        mp = mac_phy_preset("dot11b-11mbps", float(rng.uniform(400, 12000)))
+        inp = MulticellInput(graph_from_edges(cells, edges), counts, mp, BO)
+        damping = (0.5, 1.0, 0.8, 0.3, 1.0)[k % 5]
+        tolerance = (1e-8, 1e-13, 1e-8)[k % 3]
+        try:
+            main_it = solve_fixed_point(inp, FixedPointConfig(
+                tolerance=tolerance, damping=damping, max_iterations=400,
+                multistart=0)).iterations
+        except ConvergenceError:
+            main_it = 400
+        cfg = FixedPointConfig(
+            tolerance=tolerance, damping=damping,
+            max_iterations=main_it + int(rng.integers(0, 12)),
+            multistart=(0, 1, 3, 7)[k % 4])
+        try:
+            beta, want_rows, want_warnings = \
+                oracles.fixed_point_sequential_probes(inp, cfg)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                solve_fixed_point(inp, cfg)
+            outcomes["main failed"] += 1
+            continue
+        sol, got_rows, _ = _probe_runs(monkeypatch, inp, cfg)
+        assert sol.beta.tobytes() == beta.tobytes()
+        assert list(sol.warnings) == want_warnings
+        _assert_probes_match(got_rows, want_rows)
+        outcomes["settled"] += sum(r is not None for r in want_rows)
+        outcomes["unsettled"] += sum(r is None for r in want_rows)
+    assert min(outcomes["settled"], outcomes["unsettled"]) >= 10
+    assert outcomes["main failed"] >= 1
+
+
+def test_probe_batches_bound_their_arrays(monkeypatch):
+    import cellwlan.multicell as multicell
+    rows, cols = 4, 5
+    cells = list(range(1, rows * cols + 1))
+    edges = [(c, c + 1) for c in cells if c % cols] + \
+        [(c, c + cols) for c in cells[:-cols]]
+    inp = MulticellInput(graph_from_edges(cells, edges), (2,) * len(cells),
+                         MP, BO)
+    states = len(space(inp.graph))
+    # the main solve takes 19 iterations, the probes 25-30
+    cfg = FixedPointConfig(multistart=100, max_iterations=28)
+    _, want_rows, want_warnings = oracles.fixed_point_sequential_probes(inp, cfg)
+    sol, got_rows, sizes = _probe_runs(monkeypatch, inp, cfg)
+    assert max(sizes) * states <= multicell._PROBE_BATCH_STATES
+    assert list(sol.warnings) == want_warnings
+    assert 0 < sum(r is None for r in want_rows) < 100
+    _assert_probes_match(got_rows, want_rows)
+    # a budget of a few rows splits the probes into batches, and the
+    # starts keep their numbers across them
+    monkeypatch.setattr(multicell, "_PROBE_BATCH_STATES", 7 * states)
+    sol7, rows7, sizes7 = _probe_runs(monkeypatch, inp, cfg)
+    assert sizes7 == [7] * 14 + [2]
+    assert sol7.warnings == sol.warnings
+    _assert_probes_match(rows7, want_rows)
