@@ -30,7 +30,18 @@ The corpus:
   ``max_iterations`` between the main solve's count and the probes',
   digesting every field of the solution and of each sweep point
   (warnings included; the graph by its sorted edges, the state space by
-  its membership mask).
+  its membership mask);
+- seeded geometric deployments of 1-12 cells on mixed channels, listed
+  out of id order, with pairs on both sides of the carrier-sense
+  boundary and straddling it, plus one with exact ties at the boundary,
+  through ``build_contention_graph``, ``check_pbd``, ``dot_edges`` and
+  ``adjacency_text``;
+- the stdout of the ``presets`` verb and the ``KeyError`` text of an
+  unknown MAC/PHY and backoff preset;
+- the outcome (result, or exception type and text) of each bad input
+  that the library refuses: a NaN or infinite MAC/PHY field, mean
+  backoff, AP position, radius or carrier-sense range, and a solver
+  setting out of range.
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -57,13 +68,16 @@ import numpy as np
 import yaml
 
 from cellwlan.cli import main
-from cellwlan.dcf import backoff_preset, mac_phy_preset, solve_single_cell
+from cellwlan.dcf import (BackoffParams, backoff_preset, mac_phy_preset,
+                          solve_single_cell)
 from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                             simulate_flow_network)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 payload_sweep, solve_fixed_point)
 from cellwlan.simkit import simulate_ctmc
-from cellwlan.topology import (enumerate_independent_sets, graph_from_edges,
+from cellwlan.topology import (CellGeom, Deployment, adjacency_text,
+                               build_contention_graph, check_pbd, dot_edges,
+                               enumerate_independent_sets, graph_from_edges,
                                mis_stats)
 
 VERBS = ("saturation", "tcp-long", "tcp-short", "infinite-rho", "sweep",
@@ -307,12 +321,101 @@ def state_space_digests(count: int = 32):
         yield f"mis-stats {label}", _sha(repr(mis_stats(g)).encode())
 
 
+def _geometry(label: str, dep: Deployment):
+    g = build_contention_graph(dep)
+    edges = sorted(sorted(e) for e in g.edges)
+    yield f"{label} graph", _sha(repr((g.cells, edges)).encode())
+    yield f"{label} pbd", _sha(repr(check_pbd(dep)).encode())
+    yield f"{label} dot", _sha(dot_edges(g).encode())
+    yield f"{label} adjacency", _sha(adjacency_text(g).encode())
+
+
+def geometry_digests(count: int = 24):
+    rng = np.random.Generator(np.random.Philox(41))
+    for k in range(count):
+        n = k % 12 + 1
+        ids = rng.choice(100, size=n, replace=False).tolist()
+        xs, ys = rng.uniform(0.0, 800.0, size=(2, n)).tolist()
+        radii = rng.uniform(0.0, 80.0, size=n).tolist()
+        counts = rng.integers(1, 9, size=n).tolist()
+        channels = rng.choice((1, 6), size=n).tolist()
+        cells = tuple(CellGeom(c, (x, y), r, m, ch) for c, x, y, r, m, ch
+                      in zip(ids, xs, ys, radii, counts, channels))
+        dep = Deployment(cells, float(rng.uniform(200.0, 500.0)))
+        yield from _geometry(f"geometry {k} n={n}", dep)
+    # at the range of 500: the AP distance of cells 1 and 2, the worst
+    # case of cells 3 and 5 and the best case of cells 4 and 5; cell 6 is
+    # alone on its channel
+    ties = (CellGeom(2, (500.0, 0.0), 0.0), CellGeom(1, (0.0, 0.0), 0.0),
+            CellGeom(5, (0.0, 1000.0), 25.0), CellGeom(4, (0.0, 1550.0), 25.0),
+            CellGeom(3, (0.0, 1450.0), 25.0),
+            CellGeom(6, (0.0, 0.0), 0.0, channel=6))
+    yield from _geometry("geometry ties", Deployment(ties, 500.0))
+
+
+def _outcome(make) -> bytes:
+    """repr of make()'s result, or its exception's type and text."""
+    try:
+        return repr(make()).encode()
+    except Exception as e:  # noqa: BLE001 - the outcome is the digest
+        return f"{type(e).__name__}: {e}".encode()
+
+
+def _pair_network(position, radius: float, carrier_sense_range: float):
+    """Edges and PBD report of cell 1 at the origin and cell 2."""
+    dep = Deployment((CellGeom(1, (0.0, 0.0), 25.0),
+                      CellGeom(2, position, radius)), carrier_sense_range)
+    return (sorted(map(sorted, build_contention_graph(dep).edges)),
+            check_pbd(dep))
+
+
+def refusal_digests():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["presets"])
+    yield f"cli presets rc={rc} stdout", _sha(stdout.getvalue().encode())
+    yield "preset unknown mac_phy", _sha(_outcome(
+        lambda: mac_phy_preset("dot11g", 8000.0)))
+    yield "preset unknown backoff", _sha(_outcome(
+        lambda: backoff_preset("dot11g")))
+    mac = mac_phy_preset("dot11b-11mbps", 8000.0)
+    backoff = backoff_preset("dot11b-11mbps")
+    for field in ("slot_time", "sifs", "difs", "overhead_time", "data_rate",
+                  "control_rate", "payload_bits", "ack_bits"):
+        for bad in (float("nan"), float("inf")):
+            yield f"bad mac_phy {field}={bad}", _sha(_outcome(
+                lambda: solve_single_cell(4, dataclasses.replace(
+                    mac, **{field: bad}), backoff).throughput_pkts))
+    for bad in (float("nan"), float("inf")):
+        yield f"bad mean_backoffs {bad}", _sha(_outcome(
+            lambda: solve_single_cell(4, mac, BackoffParams(
+                1, (15.5, bad))).throughput_pkts))
+        for label, pos, radius, rcs in (
+                ("ap_position", (bad, 0.0), 25.0, 500.0),
+                ("radius", (300.0, 0.0), bad, 500.0),
+                ("carrier_sense_range", (300.0, 0.0), 25.0, bad)):
+            yield f"bad {label} {bad}", _sha(_outcome(
+                lambda: _pair_network(pos, radius, rcs)))
+    inp = MulticellInput(_chain(3), (10, 10, 10), mac, backoff)
+    for setting, value in (("damping", 0.0), ("damping", 1.5),
+                           ("damping", float("nan")), ("tolerance", -1.0),
+                           ("max_iterations", 0), ("multistart", -2)):
+        yield f"bad solver {setting}={value}", _sha(_outcome(
+            lambda: solve_fixed_point(
+                inp, FixedPointConfig(**{setting: value})).x))
+    yield "bad effective-rate damping=0", _sha(_outcome(
+        lambda: effective_rate_fixed_point(
+            _chain(3), FlowParams((0.1,) * 3, 1.0, 1.0), damping=0.0).x_hat))
+
+
 def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in itertools.chain(cli_digests(tmp), sim_digests(),
                                              library_digests(),
                                              state_space_digests(),
-                                             fixed_point_digests()):
+                                             fixed_point_digests(),
+                                             geometry_digests(),
+                                             refusal_digests()):
             print(f"{digest}  {label}")
 
 

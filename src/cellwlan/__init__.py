@@ -16,11 +16,9 @@ from .flows import (DelayResult, FlowParams, SimConfig,
 from .multicell import (FixedPointConfig, InfiniteRhoLimit, MulticellInput,
                         MulticellSolution, SweepPoint, TcpLongResult,
                         activation_rate, collision_probability,
-                        detailed_balance_residual, infinite_rho_x,
-                        mean_activity_time, payload_sweep,
-                        saturation_throughputs, solve_fixed_point,
-                        stationary_distribution, tcp_long_throughputs,
-                        unblocked_fraction)
+                        infinite_rho_x, mean_activity_time, payload_sweep,
+                        solve_fixed_point, stationary_distribution,
+                        tcp_long_throughputs, unblocked_fraction)
 from .simkit import (CtmcRun, SlottedRun, simulate_ctmc, simulate_slotted,
                      slots_for)
 from .topology import (CellGeom, ContentionGraph, Deployment, MisStats,

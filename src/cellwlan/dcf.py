@@ -11,6 +11,7 @@ structure (idle / success / collision) then gives saturation throughput.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class MacPhyParams:
     def __post_init__(self) -> None:
         if self.access_mode not in ("basic", "rts-cts"):
             raise ValueError(f"unknown access_mode {self.access_mode!r}")
+        for name, value in vars(self).items():
+            if name != "access_mode" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if min(self.slot_time, self.data_rate, self.control_rate) <= 0:
             raise ValueError("slot_time and rates must be > 0")
         if min(self.sifs, self.difs, self.overhead_time, self.payload_bits,
@@ -64,6 +68,9 @@ class BackoffParams:
     def __post_init__(self) -> None:
         if len(self.mean_backoffs) != self.retry_limit + 1:
             raise ValueError("need retry_limit + 1 mean backoffs")
+        if not all(math.isfinite(b) for b in self.mean_backoffs):
+            raise ValueError(f"mean_backoffs must be finite, not "
+                             f"{self.mean_backoffs}")
         if any(b < 0 for b in self.mean_backoffs):
             raise ValueError("mean backoffs must be >= 0")
 
@@ -166,7 +173,16 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
     ``step`` sees only the rows still running.  Nothing is raised: the
     call returns (rows, None, iterations per row, residual per row), and
     a row that never settled keeps its last iterate, ``max_iterations``
-    and a residual that is not at most ``tolerance``."""
+    and a residual that is not at most ``tolerance``.
+
+    A setting out of range (NaN included) raises ValueError naming it."""
+    if not tolerance >= 0:
+        raise ValueError(f"{what}: tolerance must be >= 0, not {tolerance}")
+    if not 0 < damping <= 1:
+        raise ValueError(f"{what}: damping must be in (0, 1], not {damping}")
+    if not max_iterations >= 1:
+        raise ValueError(f"{what}: max_iterations must be >= 1, "
+                         f"not {max_iterations}")
     batch = np.ndim(x0) == 2
     x, resid = (np.array(x0, dtype=float) if batch else x0), np.inf
     if batch:
@@ -232,23 +248,23 @@ BACKOFF_PRESETS = {name: dict(cw_min=32, cw_max=1024, retry_limit=7)
                    for name in ("dot11b-11mbps", "dot11b")}
 
 
+def _preset(presets: dict, kind: str, name: str) -> dict:
+    """The fields of preset ``name``; KeyError listing the known names."""
+    try:
+        return presets[name]
+    except KeyError:
+        raise KeyError(f"unknown {kind} preset {name!r}; "
+                       f"have {sorted(presets)}") from None
+
+
 def mac_phy_preset(name: str, payload_bits: float,
                    access_mode: str = "basic") -> MacPhyParams:
     """Named MAC/PHY parameter set with the given payload size."""
-    try:
-        base = MAC_PHY_PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown MAC/PHY preset {name!r}; "
-                       f"have {sorted(MAC_PHY_PRESETS)}") from None
     return MacPhyParams(payload_bits=float(payload_bits),
-                        access_mode=access_mode, **base)
+                        access_mode=access_mode,
+                        **_preset(MAC_PHY_PRESETS, "MAC/PHY", name))
 
 
 def backoff_preset(name: str) -> BackoffParams:
     """Named contention-window ladder."""
-    try:
-        ladder = BACKOFF_PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown backoff preset {name!r}; "
-                       f"have {sorted(BACKOFF_PRESETS)}") from None
-    return mean_backoffs(**ladder)
+    return mean_backoffs(**_preset(BACKOFF_PRESETS, "backoff", name))

@@ -123,22 +123,6 @@ def unblocked_fraction(state_space: StateSpace, pi) -> np.ndarray:
     return pi @ (~state_space.blocked_mask)
 
 
-def detailed_balance_residual(state_space: StateSpace, pi, lam, mu) -> float:
-    """Largest relative violation of pi(A) lam_i = pi(A + i) mu_i over all
-    feasible activations; zero for the exact product-form law.  Each pair is
-    normalized by the larger of its two flows so the result is scale-free;
-    pairs with no flow in either direction contribute nothing."""
-    pi = np.asarray(pi, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    s, j = np.nonzero(state_space.contending_mask)
-    up = pi[s] * lam[j]
-    down = pi[state_space.toggle_index[s, j]] * mu[j]
-    scale = np.maximum(up, down)
-    flows = scale > 0.0     # false for NaN too
-    return float(np.max(np.abs(up - down)[flows] / scale[flows], initial=0.0))
-
-
 @dataclass(frozen=True)
 class MulticellInput:
     """A contention graph with per-cell node counts and shared MAC/PHY."""
@@ -173,6 +157,10 @@ class FixedPointConfig:
     initial_beta: tuple[float, ...] | None = None
     multistart: int = 3
 
+    def __post_init__(self) -> None:
+        if not self.multistart >= 0:
+            raise ValueError(f"multistart must be >= 0, not {self.multistart}")
+
 
 @dataclass
 class MulticellSolution:
@@ -197,19 +185,6 @@ class MulticellSolution:
     warnings: tuple[str, ...] = ()
 
 
-def saturation_throughputs(x, node_counts, mac_phy: MacPhyParams,
-                           backoff: BackoffParams) -> tuple[np.ndarray, np.ndarray]:
-    """Cell and per-node saturation throughputs (packets per second).
-
-    A cell that is unblocked an x_i fraction of time delivers x_i times
-    the saturation throughput of an isolated cell with the same node
-    count; cellmates share equally.
-    """
-    cell = np.asarray(x, dtype=float) * _isolated_throughputs(
-        node_counts, mac_phy, backoff)
-    return cell, cell / np.asarray(node_counts)
-
-
 def _isolated_throughputs(node_counts, mac_phy: MacPhyParams,
                           backoff: BackoffParams) -> np.ndarray:
     """Per cell, the saturation throughput of an isolated cell with its
@@ -221,7 +196,12 @@ def _isolated_throughputs(node_counts, mac_phy: MacPhyParams,
 
 def solve_fixed_point(inp: MulticellInput,
                       cfg: FixedPointConfig | None = None) -> MulticellSolution:
-    """Solve the coupled attempt/collision fixed point of the network."""
+    """Solve the coupled attempt/collision fixed point of the network.
+
+    A cell that is unblocked an x_i fraction of time delivers x_i times
+    the saturation throughput of an isolated cell with the same node
+    count; cellmates share equally.
+    """
     ss = enumerate_independent_sets(inp.graph)
     beta, (gamma, lam, act, rho, pi), it, resid, warnings = _fixed_point(
         inp, cfg, ss)

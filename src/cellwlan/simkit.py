@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multicell import unblocked_fraction
 from .topology import ContentionGraph, StateSpace
 
 _CHUNK = 1 << 16
@@ -221,9 +222,9 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
         del us, es  # free this chunk's draws before the next are made
 
     pi_hat = hold / hold.sum()
-    x_hat = pi_hat @ (~state_space.blocked_mask)
     return CtmcRun(seed=seed, transitions=transitions, holding_time=hold,
-                   empirical_pi=pi_hat, empirical_x=x_hat)
+                   empirical_pi=pi_hat,
+                   empirical_x=unblocked_fraction(state_space, pi_hat))
 
 
 def slots_for(duration: float, slot_time: float) -> int:

@@ -40,8 +40,12 @@ class CellGeom:
     channel: int = 1
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError(f"cell {self.cell_id}: radius must be >= 0")
+        if not all(math.isfinite(v) for v in self.ap_position):
+            raise ValueError(f"cell {self.cell_id}: ap_position must be "
+                             f"finite, not {self.ap_position}")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError(f"cell {self.cell_id}: radius must be finite "
+                             f"and >= 0, not {self.radius}")
         if self.node_count < 1:
             raise ValueError(f"cell {self.cell_id}: node_count must be >= 1")
 
@@ -54,15 +58,22 @@ class Deployment:
     carrier_sense_range: float
 
     def __post_init__(self) -> None:
-        if self.carrier_sense_range <= 0:
-            raise ValueError("carrier_sense_range must be > 0")
+        if not 0 < self.carrier_sense_range < math.inf:
+            raise ValueError(f"carrier_sense_range must be finite and > 0, "
+                             f"not {self.carrier_sense_range}")
         ids = [c.cell_id for c in self.cells]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate cell ids in deployment")
 
 
-def _ap_distance(a: CellGeom, b: CellGeom) -> float:
-    return math.dist(a.ap_position, b.ap_position)
+def _cochannel_pairs(deployment: Deployment):
+    """Each co-channel cell pair with its AP distance, as ``(a, b, d)``
+    with the lower id in ``a``, in cell-id order."""
+    cl = sorted(deployment.cells, key=lambda c: c.cell_id)
+    for i, a in enumerate(cl):
+        for b in cl[i + 1:]:
+            if a.channel == b.channel:
+                yield a, b, math.dist(a.ap_position, b.ap_position)
 
 
 @dataclass(frozen=True)
@@ -82,9 +93,6 @@ class ContentionGraph:
 
     def neighbors(self, cell_id: int) -> frozenset[int]:
         return frozenset(next(iter(e - {cell_id})) for e in self.edges if cell_id in e)
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self.edges
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -122,15 +130,10 @@ def build_contention_graph(deployment: Deployment) -> ContentionGraph:
     range counts as out of range.
     """
     cells = tuple(sorted(c.cell_id for c in deployment.cells))
-    edges = set()
-    cl = sorted(deployment.cells, key=lambda c: c.cell_id)
-    for i, a in enumerate(cl):
-        for b in cl[i + 1:]:
-            if a.channel != b.channel:
-                continue
-            if _ap_distance(a, b) < deployment.carrier_sense_range:
-                edges.add(frozenset((a.cell_id, b.cell_id)))
-    return ContentionGraph(cells=cells, edges=frozenset(edges))
+    edges = frozenset(frozenset((a.cell_id, b.cell_id))
+                      for a, b, d in _cochannel_pairs(deployment)
+                      if d < deployment.carrier_sense_range)
+    return ContentionGraph(cells=cells, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -168,20 +171,15 @@ def check_pbd(deployment: Deployment) -> PbdReport:
     outside it, and a violation otherwise.
     """
     rels = []
-    cl = sorted(deployment.cells, key=lambda c: c.cell_id)
     rcs = deployment.carrier_sense_range
-    for i, a in enumerate(cl):
-        for b in cl[i + 1:]:
-            if a.channel != b.channel:
-                continue
-            d = _ap_distance(a, b)
-            if d + a.radius + b.radius < rcs:
-                rel = "dependent"
-            elif d - a.radius - b.radius >= rcs:
-                rel = "independent"
-            else:
-                rel = "partial"
-            rels.append(PairRelation(a.cell_id, b.cell_id, rel))
+    for a, b, d in _cochannel_pairs(deployment):
+        if d + a.radius + b.radius < rcs:
+            rel = "dependent"
+        elif d - a.radius - b.radius >= rcs:
+            rel = "independent"
+        else:
+            rel = "partial"
+        rels.append(PairRelation(a.cell_id, b.cell_id, rel))
     violations = tuple(r for r in rels if r.relation == "partial")
     return PbdReport(satisfied=not violations, pairs=tuple(rels),
                      violations=violations)
@@ -228,7 +226,6 @@ class StateSpace:
                              f"(states, {graph.size})")
         self.graph = graph
         self.cells = graph.cells
-        self._cell_col = {c: j for j, c in enumerate(graph.cells)}
         self.adjacency = graph.adjacency
         self.active_mask = mask
         touched = np.zeros_like(mask)
@@ -255,9 +252,6 @@ class StateSpace:
 
     def index_of(self, members) -> int:
         return self._index[tuple(sorted(members))]
-
-    def cell_column(self, cell_id: int) -> int:
-        return self._cell_col[cell_id]
 
     @cached_property
     def toggle_index(self) -> np.ndarray:

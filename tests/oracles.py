@@ -231,6 +231,22 @@ def exact_flow_delays(caps, nu, ev, rates_of_busy, step_tol=1e-14,
 SIM_CHUNK = 1 << 16
 
 
+def detailed_balance_residual(state_space, pi, lam, mu):
+    """Largest relative violation of pi(A) lam_i = pi(A + i) mu_i over all
+    feasible activations; zero for the exact product-form law.  Each pair is
+    normalized by the larger of its two flows so the result is scale-free;
+    pairs with no flow in either direction contribute nothing."""
+    pi = np.asarray(pi, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    s, j = np.nonzero(state_space.contending_mask)
+    up = pi[s] * lam[j]
+    down = pi[state_space.toggle_index[s, j]] * mu[j]
+    scale = np.maximum(up, down)
+    flows = scale > 0.0     # false for NaN too
+    return float(np.max(np.abs(up - down)[flows] / scale[flows], initial=0.0))
+
+
 def ctmc_reference(state_space, lam, mu, transitions, seed):
     """Holding time per state of the CTMC jump chain, one step at a time.
 
@@ -247,7 +263,7 @@ def ctmc_reference(state_space, lam, mu, transitions, seed):
                 row_c.append(acc)
                 row_t.append(state_space.index_of(members + (c,)))
         for c in members:
-            acc += mu[state_space.cell_column(c)]
+            acc += mu[state_space.cells.index(c)]
             row_c.append(acc)
             row_t.append(state_space.index_of(tuple(m for m in members if m != c)))
         cums.append(row_c)

@@ -21,9 +21,8 @@ from cellwlan.flows import (FlowParams, SimConfig,
                             effective_rate_fixed_point, mean_delay_analytic,
                             service_rate_table, simulate_flow_network)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
-                                detailed_balance_residual, infinite_rho_x,
-                                payload_sweep, solve_fixed_point,
-                                stationary_distribution,
+                                infinite_rho_x, payload_sweep,
+                                solve_fixed_point, stationary_distribution,
                                 tcp_long_throughputs)
 from cellwlan.simkit import simulate_ctmc, simulate_slotted, slots_for
 from cellwlan.topology import enumerate_independent_sets, graph_from_edges
@@ -116,7 +115,7 @@ def test_criterion_04_product_form_against_trajectories():
         pi = stationary_distribution(ss, lam / mu)
         run = simulate_ctmc(ss, lam, mu, transitions=10_000_000, seed=4)
         tv = 0.5 * float(np.abs(run.empirical_pi - pi).sum())
-        resid = detailed_balance_residual(ss, pi, lam, mu)
+        resid = oracles.detailed_balance_residual(ss, pi, lam, mu)
         lines.append(f"{name} TV={tv:.5f} residual={resid:.1e}")
         assert tv <= 0.01
         assert resid <= 1e-9

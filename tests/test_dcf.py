@@ -189,6 +189,20 @@ def test_mac_phy_validation():
         dataclasses.replace(MP, payload_bits=-1.0)
 
 
+@pytest.mark.parametrize("field", [
+    f.name for f in dataclasses.fields(MacPhyParams) if f.name != "access_mode"])
+def test_mac_phy_rejects_non_finite(field):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(MP, **{field: bad})
+
+
+def test_backoff_rejects_non_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mean_backoffs must be finite"):
+            BackoffParams(retry_limit=1, mean_backoffs=(15.5, bad))
+
+
 def test_with_payload_changes_only_payload():
     p = MP.with_payload(800.0)
     assert p.payload_bits == 800.0
@@ -198,7 +212,9 @@ def test_with_payload_changes_only_payload():
 def test_presets():
     assert sorted(MAC_PHY_PRESETS) == ["dot11b-11mbps"]
     assert backoff_preset("dot11b") == BO
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=r"unknown MAC/PHY preset 'dot11g'; "
+                                       r"have \['dot11b-11mbps'\]"):
         mac_phy_preset("dot11g", 8000.0)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=r"unknown backoff preset 'dot11g'; "
+                                       r"have \['dot11b', 'dot11b-11mbps'\]"):
         backoff_preset("dot11g")

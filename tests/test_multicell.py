@@ -9,12 +9,12 @@ import pytest
 from cellwlan.dcf import (ConvergenceError, attempt_probability,
                           backoff_preset, damped_fixed_point, mac_phy_preset,
                           solve_single_cell)
+from cellwlan.flows import FlowParams, effective_rate_fixed_point
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 activation_rate, collision_probability,
-                                detailed_balance_residual, infinite_rho_x,
-                                mean_activity_time, payload_sweep,
-                                saturation_throughputs,
-                                solve_fixed_point, stationary_distribution,
+                                infinite_rho_x, mean_activity_time,
+                                payload_sweep, solve_fixed_point,
+                                stationary_distribution,
                                 tcp_long_throughputs, unblocked_fraction)
 from cellwlan.topology import enumerate_independent_sets, graph_from_edges
 
@@ -201,13 +201,13 @@ def test_detailed_balance_of_product_form_law():
         lam = rng.uniform(10.0, 1e4, size=n)
         mu = rng.uniform(10.0, 1e4, size=n)
         pi = stationary_distribution(ss, lam / mu)
-        assert detailed_balance_residual(ss, pi, lam, mu) <= 1e-12
+        assert oracles.detailed_balance_residual(ss, pi, lam, mu) <= 1e-12
         # a perturbed law must be flagged
         bad = pi.copy()
         bad[0] *= 1.5
         bad /= bad.sum()
         if len(ss) > 1:
-            assert detailed_balance_residual(ss, bad, lam, mu) > 1e-3
+            assert oracles.detailed_balance_residual(ss, bad, lam, mu) > 1e-3
 
 
 def test_attempt_vector_matches_scalar():
@@ -246,7 +246,7 @@ def test_three_chain_frozen_regression():
     assert sol.normalized_network_throughput == pytest.approx(
         1.9842110017245733, rel=1e-9)
     assert sol.warnings == ()
-    assert detailed_balance_residual(
+    assert oracles.detailed_balance_residual(
         sol.state_space, sol.pi, sol.activation_rates,
         1.0 / sol.mean_activities) <= 1e-9
 
@@ -310,12 +310,18 @@ def test_network_throughput_within_packing_bound_at_realistic_load():
 
 
 def test_saturation_throughputs_scaling():
-    cell, node = saturation_throughputs([1.0, 0.5], (10, 2), MP, BO)
-    iso10 = solve_single_cell(10, MP, BO).throughput_pkts
-    iso2 = solve_single_cell(2, MP, BO).throughput_pkts
-    assert cell[0] == pytest.approx(iso10, rel=1e-12)
-    assert cell[1] == pytest.approx(0.5 * iso2, rel=1e-12)
-    np.testing.assert_allclose(node, cell / np.array([10, 2]), rtol=1e-12)
+    # each cell delivers x times the throughput of an isolated cell with
+    # its node count, and its nodes share that equally
+    sol = solve_fixed_point(MulticellInput(
+        graph=graph_from_edges([1, 2], [(1, 2)]), node_counts=(10, 2),
+        mac_phy=MP, backoff=BO))
+    for j, n in enumerate((10, 2)):
+        iso = solve_single_cell(n, MP, BO).throughput_pkts
+        assert sol.isolated_throughput_pkts[j] == pytest.approx(iso, rel=1e-12)
+        assert sol.cell_throughput_pkts[j] == pytest.approx(
+            sol.x[j] * iso, rel=1e-12)
+        assert sol.per_node_throughput_pkts[j] == pytest.approx(
+            sol.cell_throughput_pkts[j] / n, rel=1e-12)
 
 
 def test_tcp_long_equivalent_pair():
@@ -436,6 +442,26 @@ def test_input_validation():
                          mac_phy=MP, backoff=BO)
     with pytest.raises(ValueError):
         solve_fixed_point(inp, FixedPointConfig(initial_beta=(0.1, 0.1)))
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("damping", 0.0), ("damping", 1.5), ("damping", float("nan")),
+    ("tolerance", -1.0), ("tolerance", float("nan")),
+    ("max_iterations", 0)])
+def test_bad_solver_setting_is_named(setting, value):
+    # refused before the first iteration, by every solver that iterates
+    inp = MulticellInput(graph=chain(), node_counts=(10, 10, 10),
+                         mac_phy=MP, backoff=BO)
+    with pytest.raises(ValueError, match=f"{setting} must be"):
+        solve_fixed_point(inp, FixedPointConfig(**{setting: value}))
+    with pytest.raises(ValueError, match=f"{setting} must be"):
+        effective_rate_fixed_point(chain(), FlowParams((0.1,) * 3, 1.0, 1.0),
+                                   **{setting: value})
+
+
+def test_negative_multistart_is_named():
+    with pytest.raises(ValueError, match="multistart must be >= 0"):
+        FixedPointConfig(multistart=-2)
 
 
 def test_nonconvergence_is_a_convergence_error():

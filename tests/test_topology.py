@@ -111,7 +111,11 @@ def test_index_of_and_cell_column():
     ss = enumerate_independent_sets(three_chain())
     assert ss.index_of(()) == 0
     assert ss.index_of((3, 1)) == ss.index_of((1, 3))
-    assert [ss.cell_column(c) for c in (1, 2, 3)] == [0, 1, 2]
+    # column j of the role masks is cell cells[j]
+    assert ss.cells == (1, 2, 3)
+    for c in ss.cells:
+        assert np.flatnonzero(ss.active_mask[ss.index_of((c,))]).tolist() \
+            == [ss.cells.index(c)]
 
 
 def test_toggle_index_matches_index_of():
@@ -242,7 +246,9 @@ def test_neighbors_and_adjacent():
     g = three_chain()
     assert g.neighbors(2) == {1, 3}
     assert g.neighbors(1) == {2}
-    assert g.adjacent(1, 2) and not g.adjacent(1, 3)
+    col = g.cells.index
+    assert g.adjacency[col(1), col(2)] and g.adjacency[col(2), col(1)]
+    assert not g.adjacency[col(1), col(3)]
 
 
 def _cell(cid, x, radius=25.0, channel=1):
@@ -316,6 +322,25 @@ def test_geometry_validation():
                    carrier_sense_range=500.0)
     with pytest.raises(ValueError):
         Deployment(cells=(_cell(1, 0.0),), carrier_sense_range=0.0)
+
+
+# per geometry field, constructors that put a given value into it
+_GEOMETRY_FIELDS = {
+    "ap_position": (lambda v: CellGeom(1, (v, 0.0), 25.0),
+                    lambda v: CellGeom(1, (0.0, v), 25.0)),
+    "radius": (lambda v: _cell(1, 0.0, radius=v),),
+    "carrier_sense_range": (
+        lambda v: Deployment(cells=(_cell(1, 0.0),), carrier_sense_range=v),),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_GEOMETRY_FIELDS))
+def test_geometry_rejects_non_finite(field):
+    # a NaN position or range would silently give a different network
+    for make in _GEOMETRY_FIELDS[field]:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                make(bad)
 
 
 def test_text_renderings():
