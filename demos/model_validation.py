@@ -42,8 +42,7 @@ sol = solve_fixed_point(MulticellInput(
 t_s, t_c = frame_exchange_times(mac)
 slotted = simulate_slotted(
     graph, (2, 2, 2), sol.beta, slots_for(t_s, mac.slot_time),
-    slots_for(t_c, mac.slot_time), 1_000_000, seed=1,
-    slot_time=mac.slot_time)
+    slots_for(t_c, mac.slot_time), 1_000_000, seed=1)
 print("\nper-cell collision probability, (analytic | simulated):")
 for j, c in enumerate(graph.cells):
     print(f"  cell {c}: {sol.gamma[j]:.4f} | "

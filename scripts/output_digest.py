@@ -17,6 +17,10 @@ The corpus:
   seeded 3-12-cell chains, and ``simulate_ctmc`` on a 6-cell chain (21
   states, resolved by composing jump tables) and a 10-cell chain (144
   states, walked step by step);
+- ``simulate_slotted`` on seeded graphs of 1-8 cells with non-contiguous
+  ids, some runs crossing a chunk boundary, digesting every ``SlottedRun``
+  field but ``throughput_pkts``, which older checkouts have and this one
+  does not;
 - ``enumerate_independent_sets`` and ``mis_stats`` on seeded graphs of
   1-16 cells with non-contiguous ids and on the 5x5 grid, digesting the
   member tuples (their repr, so the type of each member counts), the
@@ -40,8 +44,12 @@ The corpus:
   unknown MAC/PHY and backoff preset;
 - the outcome (result, or exception type and text) of each bad input
   that the library refuses: a NaN or infinite MAC/PHY field, mean
-  backoff, AP position, radius or carrier-sense range, and a solver
-  setting out of range.
+  backoff, AP position, radius or carrier-sense range, a solver setting
+  out of range, a setting that is not a whole number (of ``SimConfig``,
+  ``FixedPointConfig``, a node count, a sampler seed or step count, a
+  backoff ladder), and a NaN, infinite or out-of-range intensity or
+  attempt probability given to the kernels.  A bad ``SimConfig`` is only
+  constructed: older checkouts accept it and then never finish a run.
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -69,12 +77,13 @@ import yaml
 
 from cellwlan.cli import main
 from cellwlan.dcf import (BackoffParams, backoff_preset, mac_phy_preset,
-                          solve_single_cell)
+                          mean_backoffs, solve_single_cell)
 from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                             simulate_flow_network)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
-                                payload_sweep, solve_fixed_point)
-from cellwlan.simkit import simulate_ctmc
+                                collision_probability, payload_sweep,
+                                solve_fixed_point, stationary_distribution)
+from cellwlan.simkit import simulate_ctmc, simulate_slotted
 from cellwlan.topology import (CellGeom, Deployment, adjacency_text,
                                build_contention_graph, check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
@@ -196,8 +205,10 @@ def _array_sha(value) -> str:
     return _sha(f"{value.dtype}{value.shape}".encode() + value.tobytes())
 
 
-def _result_digests(tag: str, res):
+def _result_digests(tag: str, res, skip=()):
     for field in (f.name for f in dataclasses.fields(res)):
+        if field in skip:
+            continue
         value = getattr(res, field)
         yield f"{tag} {field}", (_sha(b"None") if value is None
                                  else _array_sha(value))
@@ -253,6 +264,24 @@ def library_digests():
         run = simulate_ctmc(enumerate_independent_sets(g), lam, mu,
                             transitions=150_000, seed=n)
         yield from _result_digests(f"ctmc chain {n}", run)
+
+
+def slotted_digests(count: int = 16):
+    rng = np.random.Generator(np.random.Philox(77))
+    for k in range(count):
+        n = k % 8 + 1
+        cells = sorted(rng.choice(100, size=n, replace=False).tolist())
+        edges = [(a, b) for a, b in itertools.combinations(cells, 2)
+                 if rng.random() < 0.4]
+        counts = tuple(int(c) for c in rng.integers(1, 9, size=n))
+        beta = rng.uniform(0.0, 0.4, size=n)
+        t_s, t_c = (int(t) for t in rng.integers(1, 70, size=2))
+        # every fourth run crosses the first chunk boundary (65,536 slots)
+        horizon = 70_000 if k % 4 == 3 else 20_000
+        run = simulate_slotted(graph_from_edges(cells, edges), counts, beta,
+                               t_s, t_c, horizon, seed=k)
+        yield from _result_digests(f"slotted {k} n={n}", run,
+                                   skip=("throughput_pkts",))
 
 
 def _solution_digests(tag: str, res):
@@ -406,12 +435,66 @@ def refusal_digests():
     yield "bad effective-rate damping=0", _sha(_outcome(
         lambda: effective_rate_fixed_point(
             _chain(3), FlowParams((0.1,) * 3, 1.0, 1.0), damping=0.0).x_hat))
+    for label, make in _not_whole_or_out_of_range(mac, backoff):
+        yield f"bad {label}", _sha(_outcome(make))
+
+
+def _not_whole_or_out_of_range(mac, backoff):
+    """(label, call) pairs: one call per setting that is not a whole
+    number, and per kernel input that is NaN, infinite or out of range."""
+    ss = enumerate_independent_sets(_chain(3))
+    uniform = np.full(len(ss), 1.0 / len(ss))
+
+    def chain_x(counts, cfg=None):
+        return solve_fixed_point(MulticellInput(_chain(3), counts, mac,
+                                                backoff), cfg).x
+
+    def ctmc(**kw):
+        return simulate_ctmc(ss, [1.0] * 3, [2.0] * 3, **kw).holding_time
+
+    def slotted(counts=(2, 2, 2), **kw):
+        return simulate_slotted(_chain(3), counts, [0.1] * 3, 10, 5, 1_000,
+                                **kw).successes
+
+    cases = [(f"sim-config {name}={value}",
+              lambda name=name, value=value: SimConfig(**{name: value}))
+             for name, value in (("flows_per_cell", 2.5),
+                                 ("replications", 2.5), ("rng_seed", 1.5),
+                                 ("warmup_flows", 2.5),
+                                 ("runaway_threshold", 2.5))]
+    return cases + [
+        ("solver max_iterations=2.5",
+         lambda: chain_x((10, 10, 10), FixedPointConfig(max_iterations=2.5))),
+        ("solver multistart=1.5",
+         lambda: chain_x((10, 10, 10), FixedPointConfig(multistart=1.5))),
+        ("effective-rate max_iterations=2.5",
+         lambda: effective_rate_fixed_point(
+             _chain(3), FlowParams((0.1,) * 3, 1.0, 1.0),
+             max_iterations=2.5).x_hat),
+        ("node_counts (10, 2.5, 10)", lambda: chain_x((10, 2.5, 10))),
+        ("node_counts (True, 2, 2)", lambda: chain_x((True, 2, 2))),
+        ("single-cell node_count=2.5",
+         lambda: solve_single_cell(2.5, mac, backoff)),
+        ("slotted node_counts (2, 2.5, 2)", lambda: slotted((2, 2.5, 2))),
+        ("slotted seed=1.5", lambda: slotted(seed=1.5)),
+        ("ctmc seed=1.5", lambda: ctmc(transitions=1_000, seed=1.5)),
+        ("ctmc transitions=True", lambda: ctmc(transitions=True)),
+        ("mean_backoffs cw_min=32.5", lambda: mean_backoffs(32.5, 1024, 7)),
+        ("backoff retry_limit=1.5",
+         lambda: BackoffParams(1.5, (15.5, 31.5))),
+        ("rho nan", lambda: stationary_distribution(ss, [np.nan, 1.0, 1.0])),
+        ("rho inf", lambda: stationary_distribution(ss, [np.inf, 1.0, 1.0])),
+        ("beta 1.5", lambda: collision_probability(
+            ss, uniform, [1.5, 0.1, 0.1], (2, 2, 2))),
+        ("beta nan", lambda: collision_probability(
+            ss, uniform, [np.nan, 0.1, 0.1], (2, 2, 2)))]
 
 
 def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in itertools.chain(cli_digests(tmp), sim_digests(),
                                              library_digests(),
+                                             slotted_digests(),
                                              state_space_digests(),
                                              fixed_point_digests(),
                                              geometry_digests(),

@@ -13,12 +13,12 @@ from .dcf import (BackoffParams, ConvergenceError, MacPhyParams,
 from .flows import (DelayResult, FlowParams, SimConfig,
                     effective_rate_fixed_point, mean_delay_analytic,
                     service_rate_table, simulate_flow_network)
-from .multicell import (FixedPointConfig, InfiniteRhoLimit, MulticellInput,
-                        MulticellSolution, SweepPoint, TcpLongResult,
-                        activation_rate, collision_probability,
-                        infinite_rho_x, mean_activity_time, payload_sweep,
-                        solve_fixed_point, stationary_distribution,
-                        tcp_long_throughputs, unblocked_fraction)
+from .multicell import (FixedPointConfig, MulticellInput, MulticellSolution,
+                        SweepPoint, TcpLongResult, activation_rate,
+                        collision_probability, mean_activity_time,
+                        payload_sweep, solve_fixed_point,
+                        stationary_distribution, tcp_long_throughputs,
+                        unblocked_fraction)
 from .simkit import (CtmcRun, SlottedRun, simulate_ctmc, simulate_slotted,
                      slots_for)
 from .topology import (CellGeom, ContentionGraph, Deployment, MisStats,

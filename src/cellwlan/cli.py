@@ -38,12 +38,11 @@ from .dcf import (BACKOFF_PRESETS, MAC_PHY_PRESETS, BackoffParams,
                   solve_single_cell)
 from .flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                     mean_delay_analytic, simulate_flow_network)
-from .multicell import (FixedPointConfig, MulticellInput, infinite_rho_x,
-                        payload_sweep, solve_fixed_point,
-                        tcp_long_throughputs, tcp_pair)
+from .multicell import (FixedPointConfig, MulticellInput, payload_sweep,
+                        solve_fixed_point, tcp_long_throughputs, tcp_pair)
 from .topology import (CellGeom, ContentionGraph, Deployment,
                        StateSpaceCapError, build_contention_graph, check_pbd,
-                       graph_from_edges)
+                       graph_from_edges, mis_stats)
 
 
 class ConfigError(Exception):
@@ -556,15 +555,14 @@ def _run_tcp_short(cfg: AnalysisConfig) -> tuple[dict, tuple]:
 
 
 def _run_infinite_rho(cfg: AnalysisConfig) -> tuple[dict, tuple]:
-    lim = infinite_rho_x(cfg.graph)
-    rows = [[c, lim.mis.per_cell[j], lim.x[j]]
-            for j, c in enumerate(cfg.graph.cells)]
+    mis = mis_stats(cfg.graph)
+    rows = [list(r) for r in zip(cfg.graph.cells, mis.per_cell, mis.share)]
     tables = {"cells": (["cell", "mis_count", "x_limit"], rows),
               "summary": (["key", "value"],
-                          [["independence_number", lim.mis.max_size],
-                           ["mis_total", lim.mis.count],
+                          [["independence_number", mis.max_size],
+                           ["mis_total", mis.count],
                            ["normalized_network_throughput",
-                            lim.normalized_network_throughput]])}
+                            float(mis.max_size)]])}
     return tables, ()
 
 
@@ -595,8 +593,7 @@ def _run_validate(cfg: AnalysisConfig) -> tuple[dict, tuple]:
                           "inline cells), not an adjacency list")
     report = check_pbd(cfg.deployment)
     prow = [[r.cell_a, r.cell_b, r.relation] for r in report.pairs]
-    erow = [[min(e), max(e)] for e in sorted(cfg.graph.edges,
-                                             key=lambda e: tuple(sorted(e)))]
+    erow = [list(e) for e in cfg.graph.edges]
     tables = {"pairs": (["cell_a", "cell_b", "relation"], prow),
               "edges": (["cell_a", "cell_b"], erow),
               "summary": (["key", "value"],
@@ -632,8 +629,7 @@ def _print_presets() -> None:
     print("deployment presets:")
     for name, dep in sorted(DEPLOYMENT_PRESETS.items()):
         g = build_contention_graph(dep)
-        edges = ", ".join(f"{min(e)}-{max(e)}" for e in
-                          sorted(g.edges, key=lambda e: tuple(sorted(e))))
+        edges = ", ".join(f"{a}-{b}" for a, b in g.edges)
         print(f"  {name}: {g.size} cells; edges: {edges or 'none'}")
     print("mac_phy presets:")
     for name in sorted(MAC_PHY_PRESETS):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,18 @@ import numpy as np
 
 class ConvergenceError(Exception):
     """Raised when a damped fixed-point iteration fails to settle."""
+
+
+def _whole(name: str, value, low: int = 1) -> int:
+    """``value`` as an int; it must be a whole number >= ``low``, and a
+    bool is not one.  Otherwise ValueError naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}, not {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,7 @@ class BackoffParams:
     mean_backoffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _whole("retry_limit", self.retry_limit, 0)
         if len(self.mean_backoffs) != self.retry_limit + 1:
             raise ValueError("need retry_limit + 1 mean backoffs")
         if not all(math.isfinite(b) for b in self.mean_backoffs):
@@ -82,8 +96,9 @@ def mean_backoffs(cw_min: int, cw_max: int, retry_limit: int) -> BackoffParams:
     and the drawn backoff is uniform on {0, ..., window - 1}, so its mean
     is (window - 1) / 2.
     """
-    if cw_min < 1 or cw_max < cw_min or retry_limit < 0:
-        raise ValueError("need 1 <= cw_min <= cw_max and retry_limit >= 0")
+    cw_min = _whole("cw_min", cw_min)
+    cw_max = _whole("cw_max", cw_max, cw_min)
+    retry_limit = _whole("retry_limit", retry_limit, 0)
     bs = tuple((min((2**k) * cw_min, cw_max) - 1) / 2
                for k in range(retry_limit + 1))
     return BackoffParams(retry_limit=retry_limit, mean_backoffs=bs)
@@ -175,14 +190,13 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
     a row that never settled keeps its last iterate, ``max_iterations``
     and a residual that is not at most ``tolerance``.
 
-    A setting out of range (NaN included) raises ValueError naming it."""
+    A setting out of range (NaN included), or a ``max_iterations`` that
+    is not a whole number, raises ValueError naming it."""
     if not tolerance >= 0:
         raise ValueError(f"{what}: tolerance must be >= 0, not {tolerance}")
     if not 0 < damping <= 1:
         raise ValueError(f"{what}: damping must be in (0, 1], not {damping}")
-    if not max_iterations >= 1:
-        raise ValueError(f"{what}: max_iterations must be >= 1, "
-                         f"not {max_iterations}")
+    max_iterations = _whole(f"{what}: max_iterations", max_iterations)
     batch = np.ndim(x0) == 2
     x, resid = (np.array(x0, dtype=float) if batch else x0), np.inf
     if batch:
@@ -217,9 +231,7 @@ def solve_single_cell(node_count: int, mac_phy: MacPhyParams,
     Damped iteration of beta <- G(1 - (1 - beta)^(n-1)) from 1 / b_0 to a
     residual of 1e-10; for a single node it stops at beta = G(0) at once.
     """
-    n = int(node_count)
-    if n < 1:
-        raise ValueError("node_count must be >= 1")
+    n = _whole("node_count", node_count)
     t_s, t_c = frame_exchange_times(mac_phy)
     beta, _, it, resid = damped_fixed_point(
         lambda b: (attempt_probability(1.0 - (1.0 - b) ** (n - 1), backoff), None),
@@ -257,11 +269,10 @@ def _preset(presets: dict, kind: str, name: str) -> dict:
                        f"have {sorted(presets)}") from None
 
 
-def mac_phy_preset(name: str, payload_bits: float,
-                   access_mode: str = "basic") -> MacPhyParams:
-    """Named MAC/PHY parameter set with the given payload size."""
+def mac_phy_preset(name: str, payload_bits: float) -> MacPhyParams:
+    """Named MAC/PHY parameter set, basic access, with the given payload
+    size."""
     return MacPhyParams(payload_bits=float(payload_bits),
-                        access_mode=access_mode,
                         **_preset(MAC_PHY_PRESETS, "MAC/PHY", name))
 
 

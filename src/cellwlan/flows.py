@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcf import damped_fixed_point
+from .dcf import _whole, damped_fixed_point
 from .topology import ContentionGraph, mis_share_table
 
 
@@ -101,12 +101,11 @@ class SimConfig:
     runaway_threshold: int = 100_000
 
     def __post_init__(self) -> None:
-        if min(self.replications, self.flows_per_cell,
-               self.runaway_threshold) < 1:
-            raise ValueError("replications, flows_per_cell and "
-                             "runaway_threshold must be >= 1")
-        if min(self.warmup_flows, self.rng_seed) < 0:
-            raise ValueError("warmup_flows and rng_seed must be >= 0")
+        for name, low in (("rng_seed", 0), ("flows_per_cell", 1),
+                          ("warmup_flows", 0), ("replications", 1),
+                          ("runaway_threshold", 1)):
+            object.__setattr__(self, name,
+                               _whole(name, getattr(self, name), low))
 
 
 @dataclass

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcf import (BackoffParams, MacPhyParams, attempt_probability,
+from .dcf import (BackoffParams, MacPhyParams, _whole, attempt_probability,
                   damped_fixed_point, frame_exchange_times, solve_single_cell)
-from .topology import (ContentionGraph, MisStats, StateSpace,
-                       enumerate_independent_sets, mis_stats)
+from .topology import ContentionGraph, StateSpace, enumerate_independent_sets
 
 LOG_ZERO = -np.inf
 # a batch of uniqueness probes holds at most this many (row, state) floats
@@ -65,9 +64,10 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     finite.  A (rows, cells) ``rho`` gives one law per row.
     """
     rho = np.asarray(rho, dtype=float)
-    if (rho.ndim not in (1, 2) or rho.shape[-1] != len(state_space.cells)
-            or np.any(rho < 0)):
-        raise ValueError("need one access intensity >= 0 per cell")
+    if rho.ndim not in (1, 2) or rho.shape[-1] != len(state_space.cells):
+        raise ValueError("need one access intensity per cell")
+    if not ((rho >= 0.0) & (rho < np.inf)).all():
+        raise ValueError(f"rho = {rho} must be finite and >= 0")
     silent = rho == 0.0
     # 0 * -inf is nan, so keep the matmul finite and kill the states that
     # contain a silent cell afterwards; one product per row, since a row of
@@ -96,7 +96,10 @@ def collision_probability(state_space: StateSpace, pi, beta,
     """
     idx = state_space.collision_index
     pi = np.asarray(pi, dtype=float)
-    miss = 1.0 - np.asarray(beta, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if not ((beta >= 0.0) & (beta <= 1.0)).all():
+        raise ValueError(f"beta = {beta} outside [0, 1]")
+    miss = 1.0 - beta
     n = np.asarray(node_counts, dtype=float)
     silent = (miss[..., idx.owner] ** (n[idx.owner] - 1.0)
               * np.where(idx.neighbors, (miss ** n)[..., None, :], 1.0)
@@ -135,18 +138,18 @@ class MulticellInput:
     def __post_init__(self) -> None:
         if len(self.node_counts) != self.graph.size:
             raise ValueError("need one node count per cell")
-        if any(n < 1 for n in self.node_counts):
-            raise ValueError("node counts must be >= 1")
+        for n in self.node_counts:
+            _whole("node_counts", n)
 
 
 @dataclass(frozen=True)
 class FixedPointConfig:
     """Iteration controls for the coupled fixed point.
 
-    ``initial_beta`` of None starts every cell at 1/b_0.  ``multistart``
-    extra random starts (from Philox seed 7) probe uniqueness after the
-    main solve.  They run as the rows of one batched damped iteration,
-    each row stopping on its own; a probe that does not settle within
+    Every solve starts each cell at 1/b_0.  ``multistart`` extra random
+    starts (from Philox seed 7) probe uniqueness after the main solve.
+    They run as the rows of one batched damped iteration, each row
+    stopping on its own; a probe that does not settle within
     ``max_iterations``, or settles more than 100x the tolerance away from
     the solution, is reported as a warning on the solution.
     """
@@ -154,12 +157,11 @@ class FixedPointConfig:
     tolerance: float = 1e-8
     damping: float = 0.5
     max_iterations: int = 5000
-    initial_beta: tuple[float, ...] | None = None
     multistart: int = 3
 
     def __post_init__(self) -> None:
-        if not self.multistart >= 0:
-            raise ValueError(f"multistart must be >= 0, not {self.multistart}")
+        object.__setattr__(self, "multistart",
+                           _whole("multistart", self.multistart, 0))
 
 
 @dataclass
@@ -230,12 +232,7 @@ def _fixed_point(inp: MulticellInput, cfg: FixedPointConfig | None,
     slot = inp.mac_phy.slot_time
     t_s, t_c = frame_exchange_times(inp.mac_phy)
 
-    if cfg.initial_beta is not None:
-        if len(cfg.initial_beta) != inp.graph.size:
-            raise ValueError("initial_beta length must match cell count")
-        beta0 = np.asarray(cfg.initial_beta, dtype=float)
-    else:
-        beta0 = np.full(inp.graph.size, attempt_probability(0.0, inp.backoff))
+    beta0 = np.full(inp.graph.size, attempt_probability(0.0, inp.backoff))
 
     def step(beta):
         lam = activation_rate(beta, n, slot)
@@ -252,7 +249,7 @@ def _fixed_point(inp: MulticellInput, cfg: FixedPointConfig | None,
     beta, (gamma, lam, act, rho, pi), it, resid = solve(beta0)
 
     warnings = []
-    if cfg.multistart > 0 and cfg.initial_beta is None:
+    if cfg.multistart:
         rng = np.random.Generator(np.random.Philox(7))
         starts = rng.uniform(1e-3, 0.999,
                              size=(cfg.multistart, inp.graph.size))
@@ -311,30 +308,6 @@ def tcp_long_throughputs(graph: ContentionGraph, mac_phy: MacPhyParams,
         isolated_ap_throughput_pkts=iso,
         equivalent_payload_bits=mac_eq.payload_bits,
         solution=sol)
-
-
-@dataclass(frozen=True)
-class InfiniteRhoLimit:
-    """Limit of the unblocked fractions as all access intensities grow."""
-
-    x: tuple[float, ...]
-    normalized_network_throughput: float
-    mis: MisStats
-
-
-def infinite_rho_x(graph: ContentionGraph) -> InfiniteRhoLimit:
-    """Unblocked fractions in the infinite-intensity limit.
-
-    Mass concentrates on the maximum independent sets, uniformly, so cell
-    i is unblocked in exactly the fraction of them it belongs to, and the
-    normalized network throughput is the independence number.
-    """
-    stats = mis_stats(graph)
-    # counting identity: every one of the `count` sets has max_size members
-    assert sum(stats.per_cell) == stats.max_size * stats.count
-    x = tuple(c / stats.count for c in stats.per_cell)
-    return InfiniteRhoLimit(x=x, normalized_network_throughput=float(stats.max_size),
-                            mis=stats)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ changing ``_CHUNK`` or the draw order changes every seed's output.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dcf import _whole
 from .multicell import unblocked_fraction
 from .topology import ContentionGraph, StateSpace
 
@@ -48,14 +48,6 @@ class CtmcRun:
     holding_time: np.ndarray      # per state, simulated seconds
     empirical_pi: np.ndarray
     empirical_x: np.ndarray       # per cell: active-or-contending fraction
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int; it must be a whole number >= 1."""
-    if not (isinstance(value, numbers.Real) and value >= 1
-            and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number >= 1")
-    return int(value)
 
 
 def _cut_points(cum: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -165,6 +157,7 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
     if np.any(lam < 0) or np.any(mu <= 0):
         raise ValueError("rates must be lam >= 0, mu > 0")
     transitions = _whole("transitions", transitions)
+    seed = _whole("seed", seed, 0)
 
     # Per-state jump rows, flat: cut points, target state indices, and the
     # inverse total rate for holding times.  Columns are the moves in jump
@@ -257,13 +250,11 @@ class SlottedRun:
     empirical_beta: np.ndarray
     empirical_gamma: np.ndarray
     empirical_x: np.ndarray
-    throughput_pkts: np.ndarray | None  # None when no slot_time was given
 
 
 def simulate_slotted(graph: ContentionGraph, node_counts, beta,
                      t_success_slots: int, t_collision_slots: int,
-                     horizon_slots: int, seed: int = 1,
-                     slot_time: float | None = None) -> SlottedRun:
+                     horizon_slots: int, seed: int = 1) -> SlottedRun:
     """Slot-synchronous simulation of coupled cells.
 
     Per slot, every node of every contending cell attempts independently
@@ -282,15 +273,16 @@ def simulate_slotted(graph: ContentionGraph, node_counts, beta,
     inverse CDF.  A slot with no contending cell uses none of its row.
     """
     n_cells = graph.size
-    n = [int(m) for m in node_counts]
+    n = [_whole("node_counts", m) for m in node_counts]
     b = [float(x) for x in beta]
     if len(n) != n_cells or len(b) != n_cells:
         raise ValueError("need node_count and beta per cell")
-    if min(n) < 1 or not all(0.0 <= x <= 1.0 for x in b):
-        raise ValueError("need node counts >= 1 and beta in [0, 1]")
+    if not all(0.0 <= x <= 1.0 for x in b):
+        raise ValueError("need beta in [0, 1]")
     t_success_slots = _whole("t_success_slots", t_success_slots)
     t_collision_slots = _whole("t_collision_slots", t_collision_slots)
     horizon_slots = _whole("horizon_slots", horizon_slots)
+    seed = _whole("seed", seed, 0)
 
     nbrs = [np.flatnonzero(row).tolist() for row in graph.adjacency]
 
@@ -397,14 +389,10 @@ def simulate_slotted(graph: ContentionGraph, node_counts, beta,
         gamma_hat = np.where(np.asarray(a_tag) > 0,
                              np.asarray(c_tag) / np.maximum(a_tag, 1), np.nan)
     x_hat = 1.0 - np.asarray(blocked, dtype=float) / horizon_slots
-    thpt = None
-    if slot_time is not None:
-        thpt = np.asarray(succ, dtype=float) / (horizon_slots * slot_time)
     return SlottedRun(
         seed=seed, horizon_slots=horizon_slots, cells=graph.cells,
         backoff_slots=np.asarray(backoff), blocked_slots=np.asarray(blocked),
         active_slots=np.asarray(active),
         tagged_attempts=np.asarray(a_tag), tagged_collisions=np.asarray(c_tag),
         successes=np.asarray(succ),
-        empirical_beta=beta_hat, empirical_gamma=gamma_hat, empirical_x=x_hat,
-        throughput_pkts=thpt)
+        empirical_beta=beta_hat, empirical_gamma=gamma_hat, empirical_x=x_hat)

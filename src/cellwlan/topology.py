@@ -17,7 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_STATE_CAP = 2**20
+from .dcf import _whole
+
+# enumeration refuses a graph with more independent sets than this
+STATE_CAP = 2**20
 
 
 class StateSpaceCapError(Exception):
@@ -46,8 +49,7 @@ class CellGeom:
         if not 0 <= self.radius < math.inf:
             raise ValueError(f"cell {self.cell_id}: radius must be finite "
                              f"and >= 0, not {self.radius}")
-        if self.node_count < 1:
-            raise ValueError(f"cell {self.cell_id}: node_count must be >= 1")
+        _whole(f"cell {self.cell_id}: node_count", self.node_count)
 
 
 @dataclass(frozen=True)
@@ -78,21 +80,26 @@ def _cochannel_pairs(deployment: Deployment):
 
 @dataclass(frozen=True)
 class ContentionGraph:
-    """Undirected graph on cell ids; an edge means the two cells contend."""
+    """Undirected graph on cell ids; an edge means the two cells contend.
+
+    ``edges`` holds each edge once, as its (low, high) id pair, and the
+    pairs in sorted order."""
 
     cells: tuple[int, ...]
-    edges: frozenset[frozenset[int]]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if list(self.cells) != sorted(set(self.cells)):
             raise ValueError("cells must be sorted and unique")
         cellset = set(self.cells)
         for e in self.edges:
-            if len(e) != 2 or not e <= cellset:
-                raise ValueError(f"bad edge {set(e)}")
-
-    def neighbors(self, cell_id: int) -> frozenset[int]:
-        return frozenset(next(iter(e - {cell_id})) for e in self.edges if cell_id in e)
+            if not (isinstance(e, tuple) and len(e) == 2 and e[0] < e[1]
+                    and set(e) <= cellset):
+                raise ValueError(f"bad edge {e}; need a (low, high) pair "
+                                 f"of cells")
+        if not (isinstance(self.edges, tuple)
+                and list(self.edges) == sorted(set(self.edges))):
+            raise ValueError("edges must be a sorted tuple of distinct pairs")
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -118,8 +125,8 @@ def graph_from_edges(cells: list[int] | tuple[int, ...],
     for a, b in edges:
         if a == b:
             raise ValueError(f"self-loop on cell {a}")
-        edge_set.add(frozenset((a, b)))
-    return ContentionGraph(cells=cell_tuple, edges=frozenset(edge_set))
+        edge_set.add((min(a, b), max(a, b)))
+    return ContentionGraph(cells=cell_tuple, edges=tuple(sorted(edge_set)))
 
 
 def build_contention_graph(deployment: Deployment) -> ContentionGraph:
@@ -130,9 +137,10 @@ def build_contention_graph(deployment: Deployment) -> ContentionGraph:
     range counts as out of range.
     """
     cells = tuple(sorted(c.cell_id for c in deployment.cells))
-    edges = frozenset(frozenset((a.cell_id, b.cell_id))
-                      for a, b, d in _cochannel_pairs(deployment)
-                      if d < deployment.carrier_sense_range)
+    # the pairs come in cell-id order, lower id first: already sorted
+    edges = tuple((a.cell_id, b.cell_id)
+                  for a, b, d in _cochannel_pairs(deployment)
+                  if d < deployment.carrier_sense_range)
     return ContentionGraph(cells=cells, edges=edges)
 
 
@@ -305,7 +313,7 @@ class StateSpace:
             neighbors=np.array(neighbors, dtype=bool).reshape(len(owner), n_cells))
 
 
-def _independent_sets(graph: ContentionGraph, cap: int) -> np.ndarray:
+def _independent_sets(graph: ContentionGraph) -> np.ndarray:
     """All independent sets as a (state, cell) membership mask, ordered
     lexicographically by sorted member tuple.
 
@@ -313,25 +321,24 @@ def _independent_sets(graph: ContentionGraph, cap: int) -> np.ndarray:
     the empty set, then k joined to each set over cells k+1.. that holds
     no neighbor of k, then the other sets over cells k+1..; each part
     keeps its order, so the whole is in order without a sort.  The count
-    only grows, so it is checked against ``cap`` at every step.
+    only grows, so it is checked against ``STATE_CAP`` at every step.
     """
     n = graph.size
     sets = np.zeros((1, n), dtype=bool)
     for k in range(n - 1, -1, -1):
         free = sets[~sets[:, graph.adjacency[k]].any(axis=1)]
-        if len(free) + len(sets) > cap:
+        if len(free) + len(sets) > STATE_CAP:
             raise StateSpaceCapError(
-                f"graph with {n} cells has more than {cap} "
+                f"graph with {n} cells has more than {STATE_CAP} "
                 f"independent sets; enumeration refused")
         free[:, k] = True
         sets = np.concatenate((sets[:1], free, sets[1:]))
     return sets
 
 
-def enumerate_independent_sets(graph: ContentionGraph,
-                               cap: int = DEFAULT_STATE_CAP) -> StateSpace:
+def enumerate_independent_sets(graph: ContentionGraph) -> StateSpace:
     """Enumerate every feasible transmission state of the graph."""
-    return StateSpace(graph, _independent_sets(graph, cap))
+    return StateSpace(graph, _independent_sets(graph))
 
 
 @dataclass(frozen=True)
@@ -342,6 +349,11 @@ class MisStats:
     independent sets of that size, and ``per_cell[j]`` the number of those
     containing cell ``cells[j]``.  Every maximum independent set has
     exactly ``max_size`` members, so per_cell sums to max_size * count.
+
+    As all access intensities grow, the stationary law concentrates on
+    the maximum independent sets, uniformly: ``share`` is then each cell's
+    unblocked fraction, and ``max_size`` the normalized network
+    throughput.
     """
 
     cells: tuple[int, ...]
@@ -349,14 +361,23 @@ class MisStats:
     count: int
     per_cell: tuple[int, ...]
 
+    @property
+    def share(self) -> tuple[float, ...]:
+        """Per cell, the fraction of the maximum independent sets that
+        contain it."""
+        return tuple(c / self.count for c in self.per_cell)
 
-def mis_stats(graph: ContentionGraph, cap: int = DEFAULT_STATE_CAP) -> MisStats:
+
+def mis_stats(graph: ContentionGraph) -> MisStats:
     """Independence number and maximum-independent-set counts."""
-    sets_ = _independent_sets(graph, cap)
+    sets_ = _independent_sets(graph)
     size = sets_.sum(axis=1)
     top = sets_[size == size.max()]
-    return MisStats(cells=graph.cells, max_size=int(size.max()),
-                    count=len(top), per_cell=tuple(top.sum(axis=0).tolist()))
+    stats = MisStats(cells=graph.cells, max_size=int(size.max()),
+                     count=len(top), per_cell=tuple(top.sum(axis=0).tolist()))
+    # counting identity: every one of the `count` sets has max_size members
+    assert sum(stats.per_cell) == stats.max_size * stats.count
+    return stats
 
 
 def mis_share_table(graph: ContentionGraph) -> np.ndarray:
@@ -398,8 +419,8 @@ def mis_share_table(graph: ContentionGraph) -> np.ndarray:
 def adjacency_text(graph: ContentionGraph) -> str:
     """Plain-text adjacency list, one ``cell: neighbors...`` line per cell."""
     lines = []
-    for c in graph.cells:
-        nb = " ".join(str(n) for n in sorted(graph.neighbors(c)))
+    for c, row in zip(graph.cells, graph.adjacency):
+        nb = " ".join(str(graph.cells[j]) for j in np.flatnonzero(row))
         lines.append(f"{c}: {nb}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -407,6 +428,5 @@ def adjacency_text(graph: ContentionGraph) -> str:
 def dot_edges(graph: ContentionGraph) -> str:
     """DOT-compatible rendering of the contention graph."""
     body = [f"  {c};" for c in graph.cells]
-    body += [f"  {min(e)} -- {max(e)};"
-             for e in sorted(graph.edges, key=lambda e: tuple(sorted(e)))]
+    body += [f"  {a} -- {b};" for a, b in graph.edges]
     return "graph contention {\n" + "\n".join(body) + "\n}\n"

@@ -298,8 +298,7 @@ def slotted_reference(graph, node_counts, beta, t_success_slots,
     n_cells = graph.size
     n = [int(m) for m in node_counts]
     b = [float(x) for x in beta]
-    cols = {c: j for j, c in enumerate(graph.cells)}
-    nbrs = [sorted(cols[x] for x in graph.neighbors(c)) for c in graph.cells]
+    nbrs = [np.flatnonzero(row).tolist() for row in graph.adjacency]
     other_cum = []
     for j in range(n_cells):
         m = n[j] - 1
@@ -447,19 +446,18 @@ def flow_replication_reference(graph, params, cfg, rng, table):
     return mean, np.array(drec), np.array(stable), eff
 
 
-def fixed_point_sequential_probes(inp, cfg):
-    """The coupled fixed point with its uniqueness probes as one damped
-    solve per start, in start order, on the 1-D kernels:
-    ``(beta, probe betas (None where a probe did not converge),
-    warnings)``.  Raises ConvergenceError if the main solve does."""
-    from cellwlan.dcf import (ConvergenceError, attempt_probability,
-                              damped_fixed_point, frame_exchange_times)
+def fixed_point_from(inp, cfg, start, ss=None):
+    """The coupled fixed point's beta, solved by one damped iteration from
+    ``start`` on the 1-D kernels, under ``cfg``'s tolerance, damping and
+    iteration cap.  Raises ConvergenceError if it does not settle."""
+    from cellwlan.dcf import (attempt_probability, damped_fixed_point,
+                              frame_exchange_times)
     from cellwlan.multicell import (activation_rate, collision_probability,
                                     mean_activity_time,
                                     stationary_distribution)
     from cellwlan.topology import enumerate_independent_sets
 
-    ss = enumerate_independent_sets(inp.graph)
+    ss = enumerate_independent_sets(inp.graph) if ss is None else ss
     n = np.asarray(inp.node_counts, dtype=float)
     t_s, t_c = frame_exchange_times(inp.mac_phy)
 
@@ -470,9 +468,22 @@ def fixed_point_sequential_probes(inp, cfg):
             ss, stationary_distribution(ss, rho), beta, n)
         return attempt_probability(gamma, inp.backoff), None
 
+    return damped_fixed_point(step, start, cfg.tolerance, cfg.damping,
+                              cfg.max_iterations, "multi-cell fixed point")[0]
+
+
+def fixed_point_sequential_probes(inp, cfg):
+    """The coupled fixed point with its uniqueness probes as one damped
+    solve per start, in start order, on the 1-D kernels:
+    ``(beta, probe betas (None where a probe did not converge),
+    warnings)``.  Raises ConvergenceError if the main solve does."""
+    from cellwlan.dcf import ConvergenceError, attempt_probability
+    from cellwlan.topology import enumerate_independent_sets
+
+    ss = enumerate_independent_sets(inp.graph)
+
     def solve(start):
-        return damped_fixed_point(step, start, cfg.tolerance, cfg.damping,
-                                  cfg.max_iterations, "multi-cell fixed point")[0]
+        return fixed_point_from(inp, cfg, start, ss)
 
     beta = solve(np.full(inp.graph.size,
                          attempt_probability(0.0, inp.backoff)))

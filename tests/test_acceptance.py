@@ -21,11 +21,11 @@ from cellwlan.flows import (FlowParams, SimConfig,
                             effective_rate_fixed_point, mean_delay_analytic,
                             service_rate_table, simulate_flow_network)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
-                                infinite_rho_x, payload_sweep,
-                                solve_fixed_point, stationary_distribution,
-                                tcp_long_throughputs)
+                                payload_sweep, solve_fixed_point,
+                                stationary_distribution, tcp_long_throughputs)
 from cellwlan.simkit import simulate_ctmc, simulate_slotted, slots_for
-from cellwlan.topology import enumerate_independent_sets, graph_from_edges
+from cellwlan.topology import (enumerate_independent_sets, graph_from_edges,
+                               mis_stats)
 
 import oracles
 
@@ -66,14 +66,14 @@ def test_criterion_02_mis_counting_identity_on_200_random_graphs():
         n = int(rng.integers(4, 13))
         cells, edges = oracles.random_graph(rng, n,
                                             float(rng.uniform(0.1, 0.7)))
-        lim = infinite_rho_x(graph_from_edges(cells, edges))
-        alpha = lim.mis.max_size
-        eta = lim.mis.count
-        per = lim.mis.per_cell
+        mis = mis_stats(graph_from_edges(cells, edges))
+        alpha = mis.max_size
+        eta = mis.count
+        per = mis.per_cell
         # integer and rational arithmetic keep both identities exact
         assert sum(per) == alpha * eta
         assert sum(Fraction(c, eta) for c in per) == alpha
-        assert list(lim.x) == [c / eta for c in per]
+        assert list(mis.share) == [c / eta for c in per]
     elapsed = time.perf_counter() - t0
     print(f"criterion 2: both identities exact on 200 graphs; "
           f"{elapsed:.2f} s")
@@ -157,16 +157,14 @@ def test_criterion_06_fixed_point_start_independence():
     rng = np.random.Generator(np.random.Philox(66))
     t0 = time.perf_counter()
     worst = 0.0
+    cfg = FixedPointConfig(tolerance=1e-10, multistart=0)
     for g in (_chain(), _clique()):
-        betas = []
+        inp = MulticellInput(graph=g, node_counts=(10, 10, 10), mac_phy=mac,
+                             backoff=backoff)
+        betas = [solve_fixed_point(inp, cfg).beta]
         for _ in range(5):
-            cfg = FixedPointConfig(
-                tolerance=1e-10, multistart=0,
-                initial_beta=tuple(rng.uniform(1e-3, 0.999, g.size)))
-            sol = solve_fixed_point(MulticellInput(
-                graph=g, node_counts=(10, 10, 10), mac_phy=mac,
-                backoff=backoff), cfg)
-            betas.append(sol.beta)
+            betas.append(oracles.fixed_point_from(
+                inp, cfg, rng.uniform(1e-3, 0.999, g.size)))
         gap = max(float(np.max(np.abs(a - b)))
                   for a in betas for b in betas)
         worst = max(worst, gap)

@@ -180,6 +180,22 @@ def test_single_cell_validation():
         solve_single_cell(0, MP, BO)
 
 
+@pytest.mark.parametrize("name, make", [
+    ("node_count", lambda: solve_single_cell(2.5, MP, BO)),
+    ("cw_min", lambda: mean_backoffs(32.5, 1024, 7)),
+    ("cw_max", lambda: mean_backoffs(32, 1024.5, 7)),
+    ("retry_limit", lambda: mean_backoffs(32, 1024, 1.5)),
+    ("retry_limit", lambda: BackoffParams(retry_limit=1.5,
+                                          mean_backoffs=(15.5, 31.5))),
+    ("retry_limit", lambda: BackoffParams(retry_limit=True,
+                                          mean_backoffs=(15.5, 31.5)))],
+    ids=["node_count", "cw_min", "cw_max", "mean_backoffs-retry_limit",
+         "retry_limit", "bool-retry_limit"])
+def test_setting_that_is_not_a_whole_number_is_named(name, make):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        make()
+
+
 def test_mac_phy_validation():
     with pytest.raises(ValueError):
         dataclasses.replace(MP, access_mode="polling")

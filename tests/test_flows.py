@@ -242,6 +242,16 @@ def test_sim_config_rejects_degenerate_plans():
               runaway_threshold=1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("flows_per_cell", 2.5), ("replications", 2.5), ("rng_seed", 1.5),
+    ("warmup_flows", 2.5), ("runaway_threshold", 2.5),
+    ("replications", True), ("flows_per_cell", float("nan"))])
+def test_sim_config_refuses_settings_that_are_not_whole(name, value):
+    # refused at construction, before any flow is simulated
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        SimConfig(**{name: value})
+
+
 def test_simulator_single_cell_matches_ps_closed_form():
     g = graph_from_edges([1], [])
     res = simulate_flow_network(

@@ -12,11 +12,11 @@ from cellwlan.dcf import (ConvergenceError, attempt_probability,
 from cellwlan.flows import FlowParams, effective_rate_fixed_point
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 activation_rate, collision_probability,
-                                infinite_rho_x, mean_activity_time,
-                                payload_sweep, solve_fixed_point,
-                                stationary_distribution,
+                                mean_activity_time, payload_sweep,
+                                solve_fixed_point, stationary_distribution,
                                 tcp_long_throughputs, unblocked_fraction)
-from cellwlan.topology import enumerate_independent_sets, graph_from_edges
+from cellwlan.topology import (enumerate_independent_sets, graph_from_edges,
+                               mis_stats)
 
 import oracles
 
@@ -270,9 +270,9 @@ def test_solver_agrees_from_custom_start():
     inp = MulticellInput(graph=chain(), node_counts=(10, 10, 10),
                          mac_phy=MP, backoff=BO)
     base = solve_fixed_point(inp)
-    alt = solve_fixed_point(inp, FixedPointConfig(
-        initial_beta=(0.5, 0.01, 0.9)))
-    np.testing.assert_allclose(alt.beta, base.beta, atol=1e-6)
+    alt = oracles.fixed_point_from(inp, FixedPointConfig(),
+                                   np.array([0.5, 0.01, 0.9]))
+    np.testing.assert_allclose(alt, base.beta, atol=1e-6)
 
 
 def test_isolated_cell_reduces_to_single_cell_model():
@@ -368,15 +368,15 @@ def test_tcp_long_three_chain_frozen():
 
 
 def test_infinite_rho_goldens():
-    lim = infinite_rho_x(chain())
-    assert lim.x == (1.0, 0.0, 1.0)
-    assert lim.normalized_network_throughput == 2.0
-    lim = infinite_rho_x(clique())
-    np.testing.assert_allclose(lim.x, [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
-    assert lim.normalized_network_throughput == 1.0
-    lim = infinite_rho_x(graph_from_edges([1, 2, 3, 4], []))
-    assert lim.x == (1.0, 1.0, 1.0, 1.0)
-    assert lim.normalized_network_throughput == 4.0
+    mis = mis_stats(chain())
+    assert mis.share == (1.0, 0.0, 1.0)
+    assert mis.max_size == 2
+    mis = mis_stats(clique())
+    np.testing.assert_allclose(mis.share, [1 / 3, 1 / 3, 1 / 3], rtol=1e-15)
+    assert mis.max_size == 1
+    mis = mis_stats(graph_from_edges([1, 2, 3, 4], []))
+    assert mis.share == (1.0, 1.0, 1.0, 1.0)
+    assert mis.max_size == 4
 
 
 def test_infinite_rho_random_graphs_sum_to_alpha():
@@ -385,9 +385,9 @@ def test_infinite_rho_random_graphs_sum_to_alpha():
     for _ in range(40):
         n = int(rng.integers(2, 10))
         cells, edges = oracles.random_graph(rng, n, 0.4)
-        lim = infinite_rho_x(graph_from_edges(cells, edges))
-        total = sum(Fraction(c, lim.mis.count) for c in lim.mis.per_cell)
-        assert total == lim.mis.max_size
+        mis = mis_stats(graph_from_edges(cells, edges))
+        total = sum(Fraction(c, mis.count) for c in mis.per_cell)
+        assert total == mis.max_size
 
 
 def test_payload_sweep_monotone_and_consistent():
@@ -438,16 +438,12 @@ def test_input_validation():
     with pytest.raises(ValueError):
         MulticellInput(graph=chain(), node_counts=(10, 0, 10), mac_phy=MP,
                        backoff=BO)
-    inp = MulticellInput(graph=chain(), node_counts=(10, 10, 10),
-                         mac_phy=MP, backoff=BO)
-    with pytest.raises(ValueError):
-        solve_fixed_point(inp, FixedPointConfig(initial_beta=(0.1, 0.1)))
 
 
 @pytest.mark.parametrize("setting, value", [
     ("damping", 0.0), ("damping", 1.5), ("damping", float("nan")),
     ("tolerance", -1.0), ("tolerance", float("nan")),
-    ("max_iterations", 0)])
+    ("max_iterations", 0), ("max_iterations", 2.5)])
 def test_bad_solver_setting_is_named(setting, value):
     # refused before the first iteration, by every solver that iterates
     inp = MulticellInput(graph=chain(), node_counts=(10, 10, 10),
@@ -462,6 +458,35 @@ def test_bad_solver_setting_is_named(setting, value):
 def test_negative_multistart_is_named():
     with pytest.raises(ValueError, match="multistart must be >= 0"):
         FixedPointConfig(multistart=-2)
+
+
+def _chain_input(counts):
+    return MulticellInput(graph=chain(), node_counts=counts, mac_phy=MP,
+                          backoff=BO)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("multistart", lambda: FixedPointConfig(multistart=1.5)),
+    ("node_counts", lambda: _chain_input((10, 2.5, 10))),
+    ("node_counts", lambda: _chain_input((True, 2, 2)))],
+    ids=["multistart", "fractional-node-count", "bool-node-count"])
+def test_setting_that_is_not_a_whole_number_is_named(name, make):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        make()
+
+
+@pytest.mark.parametrize("name, make", [
+    ("rho", lambda ss: stationary_distribution(ss, [np.nan, 1.0, 1.0])),
+    ("rho", lambda ss: stationary_distribution(ss, [np.inf, 1.0, 1.0])),
+    ("beta", lambda ss: collision_probability(
+        ss, np.full(len(ss), 1.0 / len(ss)), [1.5, 0.1, 0.1], (2, 2, 2))),
+    ("beta", lambda ss: collision_probability(
+        ss, np.full(len(ss), 1.0 / len(ss)), [np.nan, 0.1, 0.1],
+        (2, 2, 2)))],
+    ids=["rho-nan", "rho-inf", "beta-above-one", "beta-nan"])
+def test_kernel_input_out_of_range_is_named(name, make):
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        make(space(chain()))
 
 
 def test_nonconvergence_is_a_convergence_error():

@@ -91,8 +91,7 @@ def test_ctmc_validation():
 def test_slotted_counters_are_consistent():
     sol = chain_solution()
     run = simulate_slotted(chain(), (10, 10, 10), sol.beta, 62, 50,
-                           horizon_slots=50_000, seed=4,
-                           slot_time=MP.slot_time)
+                           horizon_slots=50_000, seed=4)
     horizon = run.horizon_slots
     total = run.active_slots + run.blocked_slots + run.backoff_slots
     np.testing.assert_array_equal(total, horizon)
@@ -106,9 +105,6 @@ def test_slotted_counters_are_consistent():
         rtol=1e-12)
     np.testing.assert_allclose(
         run.empirical_x, 1.0 - run.blocked_slots / horizon, rtol=1e-12)
-    np.testing.assert_allclose(
-        run.throughput_pkts,
-        run.successes / (horizon * MP.slot_time), rtol=1e-12)
     # every solitary tagged success is also a cell success
     solo = run.tagged_attempts - run.tagged_collisions
     assert np.all(solo <= run.successes)
@@ -178,11 +174,20 @@ def test_slotted_validation():
         simulate_slotted(chain(), (10, 10, 10), [0.1, 0.1, 0.1], 2.5, 5, 100)
 
 
-def test_slotted_throughput_only_with_slot_time():
-    sol = chain_solution()
-    run = simulate_slotted(chain(), (10, 10, 10), sol.beta, 62, 50, 10_000,
-                           seed=1)
-    assert run.throughput_pkts is None
+@pytest.mark.parametrize("name, make", [
+    ("seed", lambda ss: simulate_ctmc(ss, [1.0] * 3, [1.0] * 3, 100,
+                                      seed=1.5)),
+    ("seed", lambda ss: simulate_slotted(chain(), (2, 2, 2), [0.1] * 3,
+                                         10, 5, 100, seed=1.5)),
+    ("node_counts", lambda ss: simulate_slotted(chain(), (2, 2.5, 2),
+                                                [0.1] * 3, 10, 5, 100)),
+    ("transitions", lambda ss: simulate_ctmc(ss, [1.0] * 3, [1.0] * 3,
+                                             transitions=True))],
+    ids=["ctmc-seed", "slotted-seed", "slotted-node_counts",
+         "bool-transitions"])
+def test_sampler_setting_that_is_not_a_whole_number_is_named(name, make):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        make(enumerate_independent_sets(chain()))
 
 
 def _random_case(rng, n_cells):

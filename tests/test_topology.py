@@ -206,13 +206,17 @@ def test_state_space_masks_follow_sparse_cell_ids():
     assert ss.index_of((42, 10)) == 4
 
 
-def test_enumeration_cap_refuses_large_spaces():
+def test_enumeration_cap_refuses_large_spaces(monkeypatch):
+    from cellwlan import topology
     g = graph_from_edges(list(range(1, 11)), [])  # 2^10 independent sets
+    monkeypatch.setattr(topology, "STATE_CAP", 100)
     with pytest.raises(StateSpaceCapError):
-        _independent_sets(g, cap=100)
+        _independent_sets(g)
+    monkeypatch.setattr(topology, "STATE_CAP", 1023)
     with pytest.raises(StateSpaceCapError):
-        enumerate_independent_sets(g, cap=1023)
-    assert len(enumerate_independent_sets(g, cap=1024)) == 1024
+        enumerate_independent_sets(g)
+    monkeypatch.setattr(topology, "STATE_CAP", 1024)
+    assert len(enumerate_independent_sets(g)) == 1024
 
 
 def test_enumeration_leaves_no_reference_cycles():
@@ -237,15 +241,21 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         graph_from_edges([1, 2], [(1, 1)])
     with pytest.raises(ValueError):
-        ContentionGraph(cells=(2, 1), edges=frozenset())
+        ContentionGraph(cells=(2, 1), edges=())
     with pytest.raises(ValueError):
-        ContentionGraph(cells=(1, 2), edges=frozenset({frozenset((1, 9))}))
+        ContentionGraph(cells=(1, 2), edges=((1, 9),))
+    # each edge once, as its (low, high) pair, the pairs in sorted order
+    for edges in (((2, 1),), ((2, 3), (1, 2)), ((1, 2), (1, 2))):
+        with pytest.raises(ValueError):
+            ContentionGraph(cells=(1, 2, 3), edges=edges)
+    assert ContentionGraph(cells=(1, 2, 3), edges=((1, 2), (2, 3))).edges \
+        == graph_from_edges([3, 2, 1], [(3, 2), (2, 1), (1, 2)]).edges
 
 
 def test_neighbors_and_adjacent():
     g = three_chain()
-    assert g.neighbors(2) == {1, 3}
-    assert g.neighbors(1) == {2}
+    assert g.adjacency.tolist() == [[False, True, False], [True, False, True],
+                                    [False, True, False]]
     col = g.cells.index
     assert g.adjacency[col(1), col(2)] and g.adjacency[col(2), col(1)]
     assert not g.adjacency[col(1), col(3)]
@@ -260,18 +270,18 @@ def test_build_contention_graph_strict_range():
     dep = Deployment(cells=(_cell(1, 0.0), _cell(2, 499.0), _cell(3, 998.0)),
                      carrier_sense_range=500.0)
     g = build_contention_graph(dep)
-    assert g.edges == frozenset({frozenset((1, 2)), frozenset((2, 3))})
+    assert g.edges == ((1, 2), (2, 3))
     # distance exactly equal to the range is out of range
     dep_eq = Deployment(cells=(_cell(1, 0.0), _cell(2, 500.0)),
                         carrier_sense_range=500.0)
-    assert build_contention_graph(dep_eq).edges == frozenset()
+    assert build_contention_graph(dep_eq).edges == ()
 
 
 def test_build_contention_graph_channels():
     dep = Deployment(cells=(_cell(1, 0.0, channel=1),
                             _cell(2, 100.0, channel=6)),
                      carrier_sense_range=500.0)
-    assert build_contention_graph(dep).edges == frozenset()
+    assert build_contention_graph(dep).edges == ()
 
 
 def test_check_pbd_classification():
@@ -317,6 +327,10 @@ def test_geometry_validation():
         CellGeom(cell_id=1, ap_position=(0, 0), radius=-1.0)
     with pytest.raises(ValueError):
         CellGeom(cell_id=1, ap_position=(0, 0), radius=1.0, node_count=0)
+    for count in (2.5, True):
+        with pytest.raises(ValueError, match="node_count must be a whole"):
+            CellGeom(cell_id=1, ap_position=(0, 0), radius=1.0,
+                     node_count=count)
     with pytest.raises(ValueError):
         Deployment(cells=(_cell(1, 0.0), _cell(1, 10.0)),
                    carrier_sense_range=500.0)
