@@ -14,9 +14,16 @@ The corpus:
   field;
 - direct library calls, digesting every field of the result:
   ``solve_single_cell`` for 1-30 nodes, ``effective_rate_fixed_point`` on
-  seeded 3-12-cell chains, and ``simulate_ctmc`` on a 6-cell chain (21
-  states, resolved by composing jump tables) and a 10-cell chain (144
-  states, walked step by step);
+  seeded 3-12-cell chains, ``simulate_ctmc`` on a 6-cell chain (21
+  states, resolved by composing jump tables), a 10-cell chain (144
+  states, walked step by step) and a 6-cell graph without edges (64
+  states, one cell that never activates) whose run ends 5 steps into its
+  second chunk, and ``slots_for`` on durations that do and do not fall
+  on a slot boundary;
+- ``load_config`` on two documents that leave every key with a library
+  default out (an adjacency list without node counts, and inline cells
+  without node counts or channels; neither with ``solver``, ``sim`` or
+  ``traffic``), digesting every field but ``raw``;
 - ``simulate_slotted`` on seeded graphs of 1-8 cells with non-contiguous
   ids, some runs crossing a chunk boundary, digesting every ``SlottedRun``
   field but ``throughput_pkts``, which older checkouts have and this one
@@ -47,9 +54,11 @@ The corpus:
   backoff, AP position, radius or carrier-sense range, a solver setting
   out of range, a setting that is not a whole number (of ``SimConfig``,
   ``FixedPointConfig``, a node count, a sampler seed or step count, a
-  backoff ladder), and a NaN, infinite or out-of-range intensity or
-  attempt probability given to the kernels.  A bad ``SimConfig`` is only
-  constructed: older checkouts accept it and then never finish a run.
+  backoff ladder), a NaN, infinite or out-of-range intensity or attempt
+  probability given to the kernels, and a duration or slot time given to
+  ``slots_for`` that is not finite and > 0 or whose ratio overflows.  A
+  bad ``SimConfig`` is only constructed: older checkouts accept it and
+  then never finish a run.
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -75,7 +84,7 @@ import tempfile
 import numpy as np
 import yaml
 
-from cellwlan.cli import main
+from cellwlan.cli import load_config, main
 from cellwlan.dcf import (BackoffParams, backoff_preset, mac_phy_preset,
                           mean_backoffs, solve_single_cell)
 from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
@@ -83,7 +92,7 @@ from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 collision_probability, payload_sweep,
                                 solve_fixed_point, stationary_distribution)
-from cellwlan.simkit import simulate_ctmc, simulate_slotted
+from cellwlan.simkit import simulate_ctmc, simulate_slotted, slots_for
 from cellwlan.topology import (CellGeom, Deployment, adjacency_text,
                                build_contention_graph, check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
@@ -264,6 +273,40 @@ def library_digests():
         run = simulate_ctmc(enumerate_independent_sets(g), lam, mu,
                             transitions=150_000, seed=n)
         yield from _result_digests(f"ctmc chain {n}", run)
+    lam = rng.uniform(0.2, 3.0, size=6)
+    lam[2] = 0.0
+    run = simulate_ctmc(enumerate_independent_sets(graph_from_edges(
+        list(range(1, 7)), [])), lam, rng.uniform(0.5, 2.0, size=6),
+        transitions=(1 << 16) + 5, seed=12)
+    yield from _result_digests("ctmc edgeless 6", run)
+    for duration, slot_time in ((994e-6, 20e-6), (13540.0 / 11e6, 20e-6),
+                                (20e-6, 20e-6), (60e-6, 20e-6), (1e-9, 20e-6),
+                                (1e300, 1e10), (5e-324, 1e300)):
+        yield (f"slots_for {duration!r} {slot_time!r}",
+               _sha(repr(slots_for(duration, slot_time)).encode()))
+
+
+def config_digests(tmp: str):
+    adjacency = {"adjacency": {"cells": [3, 1, 2], "edges": [[1, 3]]}}
+    cells = {"carrier_sense_range_m": 500, "cells": [
+        {"id": 2, "x_m": 0, "y_m": 0, "radius_m": 25},
+        {"id": 1, "x_m": 400, "y_m": 0, "radius_m": 25}]}
+    for label, deployment in (("adjacency", adjacency), ("cells", cells)):
+        path = os.path.join(tmp, f"defaults-{label}.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({"deployment": deployment,
+                            "mac_phy": {"preset": "dot11b-11mbps"},
+                            "backoff": {"preset": "dot11b-11mbps"}}, fh)
+        cfg = load_config(path)
+        # older checkouts also have a traffic_mode field
+        for field in (f.name for f in dataclasses.fields(cfg)):
+            if field in ("raw", "traffic_mode"):
+                continue
+            value = getattr(cfg, field)
+            if field == "graph":
+                value = (value.cells, sorted(sorted(e) for e in value.edges))
+            yield (f"config defaults-{label} {field}",
+                   _sha(repr(value).encode()))
 
 
 def slotted_digests(count: int = 16):
@@ -437,6 +480,12 @@ def refusal_digests():
             _chain(3), FlowParams((0.1,) * 3, 1.0, 1.0), damping=0.0).x_hat))
     for label, make in _not_whole_or_out_of_range(mac, backoff):
         yield f"bad {label}", _sha(_outcome(make))
+    inf, nan = float("inf"), float("nan")
+    for duration, slot_time in ((0.0, 20e-6), (1.0, 0.0), (inf, 20e-6),
+                                (nan, 20e-6), (1.0, inf), (1.0, nan),
+                                (1e300, 1e-300)):
+        yield f"bad slots_for {duration!r} {slot_time!r}", _sha(_outcome(
+            lambda: slots_for(duration, slot_time)))
 
 
 def _not_whole_or_out_of_range(mac, backoff):
@@ -494,6 +543,7 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in itertools.chain(cli_digests(tmp), sim_digests(),
                                              library_digests(),
+                                             config_digests(tmp),
                                              slotted_digests(),
                                              state_space_digests(),
                                              fixed_point_digests(),

@@ -102,9 +102,10 @@ class Key:
         return f"{self.section}.{self.key}" if self.section else self.key
 
 
-# A key without a default is left out of the parsed section when absent.
-# ack/rts/cts have none so that a mac_phy preset or MacPhyParams supplies
-# them.  retry_limit stops at 255, the range of the 802.11 retry limits.
+# A key without a default is left out of the parsed section when absent,
+# and the preset or library constructor it goes to supplies the value; a
+# default stands here only when the CLI alone decides it.  retry_limit
+# stops at 255, the range of the 802.11 retry limits.
 # The keys that set the amount of work stop far above any useful value, so
 # that one key cannot ask for a run that never ends.
 SCHEMA = (
@@ -125,15 +126,15 @@ SCHEMA = (
     Key("deployment.cells", "y_m", default=REQUIRED),
     Key("deployment.cells", "radius_m", default=REQUIRED, bounds="[0, inf)",
         to="radius"),
-    Key("deployment.cells", "node_count", INT, default=2, bounds="[1, inf)"),
-    Key("deployment.cells", "channel", INT, default=1),
+    Key("deployment.cells", "node_count", INT, bounds="[1, inf)"),
+    Key("deployment.cells", "channel", INT),
     Key("deployment.adjacency", "cells", [INT], default=REQUIRED),
     Key("deployment.adjacency", "edges", [[INT]], default=[]),
     Key("deployment.adjacency", "node_counts", [INT], bounds="[1, inf)"),
     Key("mac_phy", "preset", tuple(MAC_PHY_PRESETS)),
     Key("mac_phy", "payload_bytes", per=BYTE, default=1000,
         bounds="[0, inf)", to="payload_bits"),
-    Key("mac_phy", "access_mode", ("basic", "rts-cts"), default="basic"),
+    Key("mac_phy", "access_mode", ("basic", "rts-cts")),
     Key("mac_phy", "slot_us", per=US, bounds="(0, inf)", to="slot_time"),
     Key("mac_phy", "sifs_us", per=US, bounds="[0, inf)", to="sifs"),
     Key("mac_phy", "difs_us", per=US, bounds="[0, inf)", to="difs"),
@@ -149,7 +150,7 @@ SCHEMA = (
     Key("backoff", "cw_max", INT, bounds="[1, inf)"),
     Key("backoff", "retry_limit", INT, bounds="[0, 255]"),
     Key("traffic", "mode", ("saturated", "tcp-long", "tcp-short"),
-        default="saturated", to="traffic_mode"),
+        default="saturated"),
     Key("traffic", "node_counts", [INT], bounds="[1, inf)"),
     Key("traffic", "tcp_data_bytes", per=BYTE, bounds="[1, inf)",
         to="tcp_data_bits"),
@@ -161,16 +162,16 @@ SCHEMA = (
         to="arrival_rates"),
     Key("traffic", "mean_flow_size_bytes", per=BYTE, bounds="[1, inf)",
         to="mean_flow_size_bits"),
-    Key("traffic", "service_model", ("model1", "model2"), default="model2"),
-    Key("solver", "tolerance", default=1e-8, bounds="[0, inf)"),
-    Key("solver", "damping", default=0.5, bounds="(0, 1]"),
-    Key("solver", "max_iterations", INT, default=5000, bounds="[1, 1e6]"),
-    Key("solver", "multistart", INT, default=3, bounds="[0, 100]"),
+    Key("traffic", "service_model", ("model1", "model2")),
+    Key("solver", "tolerance", bounds="[0, inf)"),
+    Key("solver", "damping", bounds="(0, 1]"),
+    Key("solver", "max_iterations", INT, bounds="[1, 1e6]"),
+    Key("solver", "multistart", INT, bounds="[0, 100]"),
     Key("sim", "enabled", BOOL, default=False),
-    Key("sim", "seed", INT, default=1, bounds="[0, inf)", to="rng_seed"),
-    Key("sim", "flows_per_cell", INT, default=10_000, bounds="[1, 1e6]"),
-    Key("sim", "warmup_flows", INT, default=1_000, bounds="[0, 1e6]"),
-    Key("sim", "replications", INT, default=20, bounds="[1, 1000]"),
+    Key("sim", "seed", INT, bounds="[0, inf)", to="rng_seed"),
+    Key("sim", "flows_per_cell", INT, bounds="[1, 1e6]"),
+    Key("sim", "warmup_flows", INT, bounds="[0, 1e6]"),
+    Key("sim", "replications", INT, bounds="[1, 1000]"),
     Key("sweep", "payload_bytes", [NUM], per=BYTE, bounds="(0, inf)",
         to="sweep_payload_bits"),
 )
@@ -313,7 +314,7 @@ def _deployment(d: dict) -> tuple[Deployment | None, ContentionGraph,
                                   f"names a cell not in cells")
         graph = _build("deployment",
                        lambda: graph_from_edges(cells, adj["edges"]))
-        counts = adj.get("node_counts", (2,) * len(cells))
+        counts = adj.get("node_counts", (CellGeom.node_count,) * len(cells))
         return None, graph, cells, _per_cell(
             "deployment.adjacency.node_counts", counts, cells)
     if "preset" in d:
@@ -346,8 +347,7 @@ class AnalysisConfig:
     solver: FixedPointConfig
     sim: SimConfig
     sim_enabled: bool
-    traffic_mode: str = "saturated"
-    service_model: str = "model2"
+    service_model: str = FlowParams.service_model
     tcp_data_bits: float | None = None
     tcp_ack_bits: float | None = None
     app_data_bits: float | None = None
@@ -376,7 +376,7 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
         if key in traffic:
             traffic[key] = _per_cell(name, traffic[key], listed)
     counts = traffic.pop("node_counts", counts)
-    mode = traffic["traffic_mode"]
+    mode = traffic.pop("mode")
     _require(traffic, _MODE_NEEDS[mode], f" for mode {mode}")
 
     sim = v["sim"]

@@ -169,10 +169,12 @@ class SingleCellSolution:
     residual: float
 
 
-def _slot_fractions(beta: float, n: int) -> tuple[float, float, float]:
-    p_idle = (1.0 - beta) ** n
-    p_succ = n * beta * (1.0 - beta) ** (n - 1)
-    return p_idle, p_succ, 1.0 - p_idle - p_succ
+def _slot_outcomes(beta, n):
+    """(p_idle, p_succ) of a slot in which each of n saturated nodes
+    attempts with probability beta: nobody attempts, or exactly one does.
+    Scalars stay Python floats, whose ``**`` can differ from numpy's."""
+    miss = 1.0 - beta
+    return miss ** n, n * beta * miss ** (n - 1)
 
 
 def damped_fixed_point(step, x0, tolerance: float, damping: float,
@@ -237,7 +239,8 @@ def solve_single_cell(node_count: int, mac_phy: MacPhyParams,
         lambda b: (attempt_probability(1.0 - (1.0 - b) ** (n - 1), backoff), None),
         attempt_probability(0.0, backoff), 1e-10, 0.5, 10000, "single-cell fixed point")
     gamma = 1.0 - (1.0 - beta) ** (n - 1)
-    p_idle, p_succ, p_coll = _slot_fractions(beta, n)
+    p_idle, p_succ = _slot_outcomes(beta, n)
+    p_coll = 1.0 - p_idle - p_succ
     cycle = p_idle * mac_phy.slot_time + p_succ * t_s + p_coll * t_c
     return SingleCellSolution(
         node_count=n, beta=beta, gamma=gamma,
@@ -247,13 +250,13 @@ def solve_single_cell(node_count: int, mac_phy: MacPhyParams,
 
 
 # Preset: 11 Mb/s DSSS PHY with long preamble.  192 us PHY overhead plus a
-# 34-byte MAC header clocked at the data rate; ACK is 14 bytes at the
-# control rate.  Payload is a free knob, so the preset is a factory.
+# 34-byte MAC header clocked at the data rate; ACK, RTS and CTS keep the
+# MacPhyParams sizes, at the control rate.  Payload is a free knob, so the
+# preset is a factory.
 _DOT11B_11MBPS = dict(
     slot_time=20e-6, sifs=10e-6, difs=50e-6,
     overhead_time=192e-6 + 272.0 / 11e6,
-    data_rate=11e6, control_rate=11e6,
-    ack_bits=112.0, rts_bits=160.0, cts_bits=112.0)
+    data_rate=11e6, control_rate=11e6)
 
 MAC_PHY_PRESETS = {"dot11b-11mbps": _DOT11B_11MBPS}
 BACKOFF_PRESETS = {name: dict(cw_min=32, cw_max=1024, retry_limit=7)

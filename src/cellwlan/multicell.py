@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcf import (BackoffParams, MacPhyParams, _whole, attempt_probability,
-                  damped_fixed_point, frame_exchange_times, solve_single_cell)
+from .dcf import (BackoffParams, MacPhyParams, _slot_outcomes, _whole,
+                  attempt_probability, damped_fixed_point,
+                  frame_exchange_times, solve_single_cell)
 from .topology import ContentionGraph, StateSpace, enumerate_independent_sets
 
 LOG_ZERO = -np.inf
@@ -33,9 +34,9 @@ def activation_rate(beta, node_count, slot_time):
     the time to activation is geometric with that success probability.
     Accepts scalars or arrays.
     """
-    beta = np.asarray(beta, dtype=float)
-    n = np.asarray(node_count, dtype=float)
-    return (1.0 - (1.0 - beta) ** n) / slot_time
+    p_idle, _ = _slot_outcomes(np.asarray(beta, dtype=float),
+                               np.asarray(node_count, dtype=float))
+    return (1.0 - p_idle) / slot_time
 
 
 def mean_activity_time(beta, node_count, t_success, t_collision):
@@ -45,14 +46,11 @@ def mean_activity_time(beta, node_count, t_success, t_collision):
     attempted in the activating slot.  beta -> 0 degenerates to a sure
     success.  Accepts scalars or arrays.
     """
-    beta = np.asarray(beta, dtype=float)
-    n = np.asarray(node_count, dtype=float)
-    p_any = 1.0 - (1.0 - beta) ** n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_succ = np.where(p_any > 0.0,
-                          n * beta * (1.0 - beta) ** (n - 1.0)
-                          / np.where(p_any > 0.0, p_any, 1.0),
-                          1.0)
+    p_idle, p_succ = _slot_outcomes(np.asarray(beta, dtype=float),
+                                    np.asarray(node_count, dtype=float))
+    p_any = 1.0 - p_idle
+    p_succ = np.where(p_any > 0.0, p_succ / np.where(p_any > 0.0, p_any, 1.0),
+                      1.0)
     return p_succ * t_success + (1.0 - p_succ) * t_collision
 
 

@@ -35,8 +35,6 @@ _CHUNK = 1 << 16
 # tables; above it, by a plain per-step walk.  Composition does work per
 # step in proportion to the state count, and stops paying at about 36.
 _COMPOSE_MAX_STATES = 32
-# CTMC steps per piece of a chunk: the walk's working arrays hold this many
-_PIECE = 1 << 14
 
 
 @dataclass
@@ -82,8 +80,8 @@ def _jump_table(cuts: np.ndarray, targets: np.ndarray, ends: np.ndarray):
 
 def _compose_walk(edges: np.ndarray, table: np.ndarray, s: int,
                   us: np.ndarray, visited: np.ndarray) -> int:
-    """Write the state before each step of a piece into ``visited``;
-    return the state after the piece.
+    """Write the state before each step of a chunk into ``visited``;
+    return the state after the chunk.
 
     The walk s_{t+1} = table[r_t, s_t] is resolved in three passes over
     blocks of about sqrt(k) / 2 steps: compose each block's jump maps on all
@@ -186,14 +184,6 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
         def walk(s, us, visited):
             return _sequential_walk(cuts, targets, ends, s, us, visited)
 
-    # The walk and the sums run over pieces of a chunk, which bounds the
-    # working arrays.  bincount adds in index order, so with the running
-    # totals put first each state's total is the same sequential sum as
-    # hold[s] += e * (1 / R(s)).
-    size = n_states + min(_PIECE, transitions)
-    index = np.empty(size, dtype=np.intp)
-    index[:n_states] = np.arange(n_states)
-    weight = np.empty(size)
     rng = np.random.Generator(np.random.Philox(seed))
     hold = np.zeros(n_states)
     s = 0  # empty state
@@ -202,15 +192,11 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
         k = min(_CHUNK, transitions - done)
         us = rng.random(k)
         es = rng.standard_exponential(k)
-        for lo in range(0, k, _PIECE):
-            m = min(_PIECE, k - lo)
-            visited = index[n_states:n_states + m]
-            s = walk(s, us[lo:lo + m], visited)
-            weight[:n_states] = hold
-            w = weight[n_states:n_states + m]
-            np.multiply(es[lo:lo + m], inv_rate.take(visited, out=w), out=w)
-            hold = np.bincount(index[:n_states + m], weights=weight[:n_states + m],
-                               minlength=n_states)
+        visited = np.empty(k, dtype=np.intp)
+        s = walk(s, us, visited)
+        # add.at adds one step at a time in step order, so each state's
+        # total is the same sequential sum as hold[s] += e * (1 / R(s))
+        np.add.at(hold, visited, es * inv_rate[visited])
         done += k
         del us, es  # free this chunk's draws before the next are made
 
@@ -221,9 +207,14 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
 
 
 def slots_for(duration: float, slot_time: float) -> int:
-    """Duration as a whole number of slots, rounded up, at least 1."""
-    if duration <= 0 or slot_time <= 0:
-        raise ValueError("duration and slot_time must be > 0")
+    """Duration as a whole number of slots, rounded up, at least 1.
+    ValueError naming both unless both are finite and > 0 (NaN fails
+    too) with a finite ratio."""
+    if not (0 < duration < math.inf and 0 < slot_time < math.inf
+            and duration / slot_time < math.inf):
+        raise ValueError(f"duration and slot_time must be finite and > 0, "
+                         f"with a finite ratio; not {duration} and "
+                         f"{slot_time}")
     return max(1, math.ceil(duration / slot_time - 1e-12))
 
 

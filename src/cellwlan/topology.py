@@ -232,7 +232,6 @@ class StateSpace:
         if mask.dtype != bool or mask.shape[1:] != (graph.size,):
             raise ValueError(f"active_mask must be a bool array of shape "
                              f"(states, {graph.size})")
-        self.graph = graph
         self.cells = graph.cells
         self.adjacency = graph.adjacency
         self.active_mask = mask
@@ -253,13 +252,6 @@ class StateSpace:
         """Member tuples in state order, built on first use."""
         ids = np.array(self.cells, dtype=np.int64)
         return tuple(tuple(ids[row].tolist()) for row in self.active_mask)
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def index_of(self, members) -> int:
-        return self._index[tuple(sorted(members))]
 
     @cached_property
     def toggle_index(self) -> np.ndarray:

@@ -14,6 +14,11 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def index_of(state_space, members) -> int:
+    """Index of the state whose members are ``members``, in any order."""
+    return state_space.states.index(tuple(sorted(members)))
+
+
 def independent_sets_powerset(cells, edges):
     """All independent sets by filtering the power set; sorted tuples."""
     edge_set = {frozenset(e) for e in edges}
@@ -261,11 +266,12 @@ def ctmc_reference(state_space, lam, mu, transitions, seed):
             if state_space.contending_mask[s, j] and lam[j] > 0.0:
                 acc += lam[j]
                 row_c.append(acc)
-                row_t.append(state_space.index_of(members + (c,)))
+                row_t.append(index_of(state_space, members + (c,)))
         for c in members:
             acc += mu[state_space.cells.index(c)]
             row_c.append(acc)
-            row_t.append(state_space.index_of(tuple(m for m in members if m != c)))
+            row_t.append(index_of(state_space,
+                                  tuple(m for m in members if m != c)))
         cums.append(row_c)
         targets.append(row_t)
         inv_rate.append(1.0 / acc)

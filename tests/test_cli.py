@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from cellwlan.cli import (DEPLOYMENT_PRESETS, ConfigError, config_digest,
                           load_config, main)
 from cellwlan.dcf import backoff_preset, mac_phy_preset, mean_backoffs
-from cellwlan.multicell import MulticellInput, solve_fixed_point
-from cellwlan.topology import build_contention_graph
+from cellwlan.flows import FlowParams, SimConfig
+from cellwlan.multicell import (FixedPointConfig, MulticellInput,
+                                solve_fixed_point)
+from cellwlan.topology import CellGeom, build_contention_graph
 
 
 def write_cfg(tmp_path, doc, name="cfg.yaml"):
@@ -443,6 +445,18 @@ def test_traffic_node_counts_override_deployment(tmp_path):
     assert cfg.node_counts == (10, 10, 10)
     assert load_config(write_cfg(tmp_path, chain_doc(),
                                  "d.yaml")).node_counts == (2, 2, 2)
+
+
+def test_absent_keys_take_the_library_defaults(tmp_path):
+    doc = chain_doc(deployment={"adjacency": {"cells": [1, 2, 3],
+                                              "edges": [[1, 2]]}})
+    cfg = load_config(write_cfg(tmp_path, doc))
+    assert cfg.solver == FixedPointConfig()
+    assert cfg.sim == SimConfig()
+    assert cfg.sim_enabled is False
+    assert cfg.node_counts == (CellGeom.node_count,) * 3
+    assert cfg.service_model == FlowParams.service_model
+    assert cfg.mac_phy == mac_phy_preset("dot11b-11mbps", 8000.0)
 
 
 def test_per_cell_lists_follow_the_listed_cell_order(tmp_path):

@@ -113,6 +113,15 @@ def test_single_cell_frozen_regression_n10():
     assert p_idle + p_succ + p_coll == pytest.approx(1.0, abs=1e-14)
 
 
+def test_single_cell_stays_in_python_floats():
+    # numpy's array power can differ from float ** int in the last bit,
+    # so the single-cell results must not pass through numpy arrays
+    for n in range(1, 31):
+        sol = solve_single_cell(n, MP, BO)
+        assert type(sol.throughput_pkts) is float
+        assert [type(p) for p in sol.slot_fractions] == [float] * 3
+
+
 def test_single_node_has_no_collisions():
     sol = solve_single_cell(1, MP, BO)
     assert sol.gamma == 0.0

@@ -1,6 +1,7 @@
 """Monte-Carlo cross-checks: jump-chain and slot-level simulators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,10 +34,13 @@ def test_slots_for():
     assert slots_for(20e-6, 20e-6) == 1
     assert slots_for(60e-6, 20e-6) == 3  # exact multiple, no float creep
     assert slots_for(1e-9, 20e-6) == 1
-    with pytest.raises(ValueError):
-        slots_for(0.0, 20e-6)
-    with pytest.raises(ValueError):
-        slots_for(1.0, 0.0)
+    inf, nan = float("inf"), float("nan")
+    for duration, slot_time in ((0.0, 20e-6), (1.0, 0.0), (inf, 20e-6),
+                                (nan, 20e-6), (1.0, inf), (1.0, nan),
+                                (1e300, 1e-300)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"not {duration} and {slot_time}")):
+            slots_for(duration, slot_time)
 
 
 def test_ctmc_is_deterministic_per_seed():
@@ -198,12 +202,14 @@ def _random_case(rng, n_cells):
 def test_ctmc_equals_sequential_reference_bit_for_bit():
     # seeded graphs of 1-8 cells (4 to 256 states, so both ways of
     # resolving the walk run), one cell with lam = 0 in every other case,
-    # and a run that ends 7 steps into its third chunk
+    # a run that ends 7 steps into its third chunk, and a step-at-a-time
+    # walk (64 states) that crosses a chunk boundary
     rng = np.random.Generator(np.random.Philox(606))
     cases = [(_random_case(rng, n), 3_001) for n in range(1, 9)]
     cases += [(_random_case(rng, 5), 2 * simkit._CHUNK + 7),
               (graph_from_edges(list(range(1, 9)), []), 5_000),
-              (graph_from_edges([1, 2, 3], [(1, 2), (2, 3)]), 1)]
+              (graph_from_edges([1, 2, 3], [(1, 2), (2, 3)]), 1),
+              (graph_from_edges(list(range(1, 7)), []), simkit._CHUNK + 5)]
     for i, (g, transitions) in enumerate(cases):
         ss = enumerate_independent_sets(g)
         lam = rng.uniform(0.1, 3.0, g.size)
