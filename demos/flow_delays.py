@@ -13,8 +13,7 @@ event simulation for both, at a sweep of flow sizes.
 import numpy as np
 
 from cellwlan.flows import (FlowParams, SimConfig,
-                            effective_rate_fixed_point, mean_delay_analytic,
-                            simulate_flow_network)
+                            effective_rate_fixed_point, simulate_flow_network)
 from cellwlan.topology import graph_from_edges
 
 graph = graph_from_edges([1, 2, 3], [(1, 2), (2, 3)])
@@ -30,11 +29,10 @@ for ev in (0.5, 1.0, 2.0, 3.0):
     topo = FlowParams(nu, ev, 1.0, service_model="model2")
     even = FlowParams(nu, ev, 1.0, service_model="model1")
     eff = effective_rate_fixed_point(graph, topo)
-    ana = mean_delay_analytic(eff.x_hat, topo)
     sim_topo = simulate_flow_network(graph, topo, cfg)
     sim_even = simulate_flow_network(graph, even, cfg)
     for j, c in enumerate(graph.cells):
-        print(f"{ev:>5.1f} {c:>5} {ana.mean_delay[j]:>9.3f} "
+        print(f"{ev:>5.1f} {c:>5} {eff.mean_delay[j]:>9.3f} "
               f"{sim_even.mean_delay[j]:>10.3f} "
               f"{sim_topo.mean_delay[j]:>9.3f}")
 

@@ -7,6 +7,10 @@ The corpus:
   running the flow simulation under both service models;
 - one adjacency config that lists its cells out of id order together with
   per-cell lists (label ``unsorted``);
+- ``tcp-short`` with the flow simulation on and no arrivals in any cell
+  (label ``idle``), in both output formats;
+- the outcome of a config that is not UTF-8 and of an ``--out`` that is an
+  existing file or lies under one;
 - seeded direct ``simulate_flow_network`` calls on random graphs of 1-7
   cells, and one call for each way a replication can end early (a
   runaway queue, a model-2 cell starved into one, a cell without
@@ -79,6 +83,7 @@ import hashlib
 import io
 import itertools
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -152,6 +157,21 @@ def _grid(rows: int, cols: int) -> tuple[list[int], list[tuple[int, int]]]:
     return cells, edges
 
 
+def _cli_run(tag: str, argv: list[str], tmp: str):
+    """Exit code and console of one CLI run; a run that raises (as older
+    checkouts do on some inputs) gives the exception's type and text."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            rc = main(argv)
+        except Exception as e:  # noqa: BLE001 - the outcome is the digest
+            rc = type(e).__name__
+            print(e, file=sys.stderr)
+    console = (stdout.getvalue() + stderr.getvalue()).replace(tmp, "<tmp>")
+    return f"{tag} rc={rc} console", _sha(console.encode())
+
+
 def cli_digests(tmp: str):
     cells, edges = _grid(5, 5)
     grid = {"deployment": {"adjacency": {"cells": cells,
@@ -160,24 +180,40 @@ def cli_digests(tmp: str):
     runs.append(("grid5x5", grid, ("infinite-rho",)))
     for label, doc in PROBE_CONFIGS:
         runs.append((f"{label}-probes", doc, ("saturation", "sweep")))
+    runs.append(("idle", _doc({"preset": "three-chain"}, [0.0, 0.0, 0.0],
+                              "model2", 7), ("tcp-short",)))
     for label, doc, verbs in runs:
         cfg = os.path.join(tmp, f"{label}.yaml")
         with open(cfg, "w", encoding="utf-8") as fh:
             yaml.safe_dump(doc, fh)
         for verb, fmt in itertools.product(verbs, ("csv", "doc")):
             out = os.path.join(tmp, label, verb, fmt)
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                rc = main([verb, "--config", cfg, "--out", out,
-                           "--format", fmt])
             tag = f"cli {label} {verb} {fmt}"
-            console = (stdout.getvalue().replace(tmp, "<tmp>")
-                       + stderr.getvalue()).encode()
-            yield f"{tag} rc={rc} console", _sha(console)
+            yield _cli_run(tag, [verb, "--config", cfg, "--out", out,
+                                 "--format", fmt], tmp)
             for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
                 with open(os.path.join(out, name), "rb") as fh:
                     yield f"{tag} {name}", _sha(fh.read())
+
+
+def cli_refusal_digests(tmp: str):
+    """Outcomes of a config that is not UTF-8 and of an output directory
+    that cannot be made."""
+    doc = yaml.safe_dump(_doc({"preset": "three-chain"}, [1.0, 1.0, 1.0],
+                              "model2", 7)).encode()
+    latin1 = os.path.join(tmp, "latin1.yaml")
+    with open(latin1, "wb") as fh:
+        fh.write(b"# caf\xe9\n" + doc)
+    yield _cli_run("cli non-utf8-config", ["saturation", "--config", latin1,
+                                           "--out", os.path.join(tmp, "o")],
+                   tmp)
+    cfg = os.path.join(tmp, "plain.yaml")
+    with open(cfg, "wb") as fh:
+        fh.write(doc)
+    for label, out in (("out-is-a-file", cfg),
+                       ("out-under-a-file", os.path.join(cfg, "out"))):
+        yield _cli_run(f"cli {label}", ["saturation", "--config", cfg,
+                                        "--out", out], tmp)
 
 
 # (label, config) pairs whose solver stops the uniqueness probes before
@@ -541,7 +577,9 @@ def _not_whole_or_out_of_range(mac, backoff):
 
 def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for label, digest in itertools.chain(cli_digests(tmp), sim_digests(),
+        for label, digest in itertools.chain(cli_digests(tmp),
+                                             cli_refusal_digests(tmp),
+                                             sim_digests(),
                                              library_digests(),
                                              config_digests(tmp),
                                              slotted_digests(),

@@ -11,8 +11,8 @@ from .dcf import (BackoffParams, ConvergenceError, MacPhyParams,
                   attempt_probability, backoff_preset, frame_exchange_times,
                   mac_phy_preset, mean_backoffs, solve_single_cell)
 from .flows import (DelayResult, FlowParams, SimConfig,
-                    effective_rate_fixed_point, mean_delay_analytic,
-                    service_rate_table, simulate_flow_network)
+                    effective_rate_fixed_point, service_rate_table,
+                    simulate_flow_network)
 from .multicell import (FixedPointConfig, MulticellInput, MulticellSolution,
                         SweepPoint, TcpLongResult, activation_rate,
                         collision_probability, mean_activity_time,

@@ -14,8 +14,8 @@ form, edges between known cells, one entry per cell, presets as defaults,
 and the keys each traffic mode and verb needs.
 
 Outputs are deterministic: same config and seed give byte-identical
-files.  Exit codes: 0 success, 1 bad configuration or usage, 2 analysis
-failure (non-convergence, state-space cap, degenerate parameters).
+files.  Exit codes: 0 success, 1 bad configuration, usage or --out, 2
+analysis failure (non-convergence, state-space cap, degenerate parameters).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .dcf import (BACKOFF_PRESETS, MAC_PHY_PRESETS, BackoffParams,
                   ConvergenceError, MacPhyParams, mean_backoffs,
                   solve_single_cell)
 from .flows import (FlowParams, SimConfig, effective_rate_fixed_point,
-                    mean_delay_analytic, simulate_flow_network)
+                    simulate_flow_network)
 from .multicell import (FixedPointConfig, MulticellInput, payload_sweep,
                         solve_fixed_point, tcp_long_throughputs, tcp_pair)
 from .topology import (CellGeom, ContentionGraph, Deployment,
@@ -365,6 +365,8 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
                                                yaml.SafeLoader))
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not valid UTF-8: {e}") from None
     except yaml.YAMLError as e:
         raise ConfigError(f"config is not valid YAML: {e}") from None
     v = _walk(raw, "", "")
@@ -526,11 +528,10 @@ def _run_tcp_short(cfg: AnalysisConfig) -> tuple[dict, tuple]:
                                      tolerance=cfg.solver.tolerance,
                                      damping=cfg.solver.damping,
                                      max_iterations=cfg.solver.max_iterations)
-    ana = mean_delay_analytic(eff.x_hat, params)
     header = ["cell", "arrival_rate_per_s", "x_hat", "effective_rate_bps",
               "load", "stable", "mean_delay_s"]
     rows = [[c, cfg.arrival_rates[j], eff.x_hat[j], eff.effective_rates[j],
-             eff.loads[j], bool(ana.stable[j]), ana.mean_delay[j]]
+             eff.loads[j], bool(eff.stable[j]), eff.mean_delay[j]]
             for j, c in enumerate(cfg.graph.cells)]
     tables = {"cells": (header, rows),
               "summary": (["key", "value"],
@@ -696,7 +697,11 @@ def main(argv=None) -> int:
     seed = cfg.sim.rng_seed
     bundle = ResultBundle(args.verb, config_digest(cfg.raw, seed), seed,
                           __version__, tables, tuple(warnings))
-    paths = write_bundle(bundle, args.out, args.format)
+    try:
+        paths = write_bundle(bundle, args.out, args.format)
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
+        return 1
     _print_bundle(bundle, paths)
     return 0
 

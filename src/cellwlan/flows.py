@@ -12,7 +12,7 @@ A replicated event simulation measures per-flow sojourn times under
 either model, and a fixed point over the cells' effective service rates
 turns the same idea into closed-form mean delays.
 
-Replay contract: every field of a simulated ``DelayResult`` is a fixed
+Replay contract: every field of a ``DelayResult`` is a fixed
 function of the inputs and ``SimConfig.rng_seed``.  The seed spawns one
 Philox generator per replication, and a replication reads nothing from
 it but standard exponentials, taken in blocks of ``_DRAWS`` and consumed
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcf import _whole, damped_fixed_point
+from .multicell import FixedPointConfig
 from .topology import ContentionGraph, mis_share_table
 
 
@@ -110,20 +111,20 @@ class SimConfig:
 
 @dataclass
 class DelayResult:
-    """Per-cell mean flow delays with replication confidence intervals.
+    """Per-cell arrays and the replication count of a flow simulation.
 
-    ``mean_delay[i]`` is NaN when cell i recorded no flows.  ``stable``
-    marks cells that completed their quota in every replication without
-    tripping the runaway threshold; for analytic results it marks load
-    strictly below one.
+    ``mean_delay[i]`` is NaN when cell i recorded no flows, and
+    ``effective_rates[i]`` when it was never busy.  ``stable`` marks
+    cells that completed their quota in every replication without
+    tripping the runaway threshold.
     """
 
     mean_delay: np.ndarray
-    confidence_halfwidth: np.ndarray | None
-    effective_rates: np.ndarray | None
+    confidence_halfwidth: np.ndarray
+    effective_rates: np.ndarray
     stable: np.ndarray
-    completed: np.ndarray | None = None
-    replications: int = 0
+    completed: np.ndarray
+    replications: int
 
 
 # bound on a flow simulation's estimated events, run at about 1e6 a second
@@ -265,8 +266,8 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
                                params.single_cell_rate)
     if all(r == 0 for r in params.arrival_rates):
         return DelayResult(mean_delay=np.full(n, np.nan),
-                           confidence_halfwidth=None,
-                           effective_rates=None,
+                           confidence_halfwidth=np.full(n, np.nan),
+                           effective_rates=np.full(n, np.nan),
                            stable=np.ones(n, dtype=bool),
                            completed=np.zeros(n, dtype=int),
                            replications=0)
@@ -305,19 +306,24 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
 
 @dataclass
 class EffectiveRateResult:
-    """Converged effective-rate fractions and the loads they imply."""
+    """Converged effective-rate fractions; as M/M/1-PS queues at those
+    rates, the cells' loads nu E[V] / rate (inf at rate 0), stability
+    (load < 1) and mean delays E[V] / rate / (1 - load) (NaN if unstable)."""
 
     x_hat: np.ndarray
     effective_rates: np.ndarray
     loads: np.ndarray
     stable: np.ndarray
+    mean_delay: np.ndarray
     iterations: int
     residual: float
 
 
 def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
-                               tolerance: float = 1e-8, damping: float = 0.5,
-                               max_iterations: int = 5000) -> EffectiveRateResult:
+                               tolerance: float = FixedPointConfig.tolerance,
+                               damping: float = FixedPointConfig.damping,
+                               max_iterations: int = FixedPointConfig.max_iterations
+                               ) -> EffectiveRateResult:
     """Solve for the long-run fraction of the single-cell rate each cell
     gets, averaging the busy-subgraph split over who is busy.
 
@@ -361,22 +367,10 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
 
     x, _, it, resid = damped_fixed_point(step, np.ones(n), tolerance, damping,
                                          max_iterations, "effective-rate fixed point")
-    with np.errstate(divide="ignore"):
-        loads = np.where(x > 0, work / np.where(x > 0, x, 1.0), np.inf)
-    return EffectiveRateResult(x_hat=x, effective_rates=x * params.single_cell_rate,
-                               loads=loads, stable=loads < 1.0,
-                               iterations=it, residual=resid)
-
-
-def mean_delay_analytic(x_hat, params: FlowParams) -> DelayResult:
-    """Closed-form mean delays treating each cell as an M/M/1-PS queue at
-    its effective rate; NaN and unstable where the load reaches one."""
-    x = np.asarray(x_hat, dtype=float)
-    nu = np.asarray(params.arrival_rates, dtype=float)
+    ev = params.mean_flow_size
     rate = x * params.single_cell_rate
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = params.mean_flow_size / rate
-        load = nu * params.mean_flow_size / rate
-        delay = np.where((load < 1.0) & (rate > 0), base / (1.0 - load), np.nan)
-    return DelayResult(mean_delay=delay, confidence_halfwidth=None,
-                       effective_rates=rate, stable=(load < 1.0) & (rate > 0))
+        loads = np.where(rate > 0, nu * ev / rate, np.inf)
+        stable = loads < 1.0
+        delay = np.where(stable, ev / rate / (1.0 - loads), np.nan)
+    return EffectiveRateResult(x, rate, loads, stable, delay, it, resid)

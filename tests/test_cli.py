@@ -331,6 +331,50 @@ def test_config_rejects_malformed_documents(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"# caf\xe9 \xff\n"
+                     + yaml.safe_dump(chain_doc()).encode())
+    assert main(["saturation", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: config is not valid UTF-8: ")
+
+
+def test_unwritable_out_is_an_output_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, chain_doc())
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    # the output directory is an existing file, or lies under one
+    for out in (blocker, blocker / "out"):
+        assert main(["saturation", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: "), err
+        assert captured.out == ""
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "doc"])
+def test_tcp_short_without_arrivals_writes_the_sim_table(tmp_path, fmt):
+    doc = tcp_short_doc()
+    doc["traffic"]["arrival_rates_per_s"] = [0, 0, 0]
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["tcp-short", "--config", cfg, "--out", str(out),
+                 "--format", fmt]) == 0
+    if fmt == "csv":
+        header, rows = read_csv(out / "tcp-short_sim.csv")
+    else:
+        sim = json.loads((out / "tcp-short.json").read_text(
+            encoding="utf-8"))["tables"]["sim"]
+        header, rows = sim["header"], sim["rows"]
+    assert header == ["cell", "mean_delay_s", "ci_halfwidth_s", "stable",
+                      "completed_flows"]
+    assert rows == [[c, "nan", "nan", "true", "0"] for c in "123"]
+
+
 def test_verbs_reject_configs_missing_their_sections(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"deployment": {"preset": "three-chain"}})
     out = str(tmp_path / "out")

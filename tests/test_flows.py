@@ -11,8 +11,8 @@ import pytest
 from cellwlan import flows
 from cellwlan.dcf import ConvergenceError
 from cellwlan.flows import (FlowParams, MAX_FIXED_POINT_CELLS, SimConfig,
-                            effective_rate_fixed_point, mean_delay_analytic,
-                            service_rate_table, simulate_flow_network)
+                            effective_rate_fixed_point, service_rate_table,
+                            simulate_flow_network)
 from cellwlan.topology import graph_from_edges
 
 import oracles
@@ -119,9 +119,8 @@ def test_effective_rate_single_cell_is_mm1_ps():
     res = effective_rate_fixed_point(g, params)
     assert res.x_hat[0] == pytest.approx(1.0, abs=1e-12)
     assert res.loads[0] == pytest.approx(0.5, rel=1e-12)
-    ana = mean_delay_analytic(res.x_hat, params)
-    assert ana.mean_delay[0] == pytest.approx(2.0, rel=1e-12)
-    assert ana.stable[0]
+    assert res.mean_delay[0] == pytest.approx(2.0, rel=1e-12)
+    assert res.stable[0]
 
 
 def test_effective_rate_chain_frozen():
@@ -187,9 +186,7 @@ def test_effective_rate_flags_overload():
     params = FlowParams((1.5,), 1.0, 1.0)
     res = effective_rate_fixed_point(g, params)
     assert not res.stable[0]
-    ana = mean_delay_analytic(res.x_hat, params)
-    assert not ana.stable[0]
-    assert np.isnan(ana.mean_delay[0])
+    assert np.isnan(res.mean_delay[0])
 
 
 def test_effective_rate_cell_cap():
@@ -331,6 +328,13 @@ def test_simulator_no_arrivals_short_circuits():
     assert res.replications == 0
     assert np.isnan(res.mean_delay).all()
     assert res.stable.all()
+    # every other field holds one entry per cell, as in a run where no
+    # cell is ever busy
+    for field in RESULT_FIELDS[:-1]:
+        assert getattr(res, field) is not None, field
+        assert np.shape(getattr(res, field)) == (3,), field
+    assert np.isnan(res.confidence_halfwidth).all()
+    assert np.isnan(res.effective_rates).all()
 
 
 def test_simulator_effective_rates_are_plausible():
