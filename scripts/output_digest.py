@@ -45,7 +45,10 @@ The corpus:
   ``max_iterations`` between the main solve's count and the probes',
   digesting every field of the solution and of each sweep point
   (warnings included; the graph by its sorted edges, the state space by
-  its membership mask);
+  its membership mask), plus a 5-point ``payload_sweep`` on the 5x5 grid
+  (20 solver rows, more than one batch of them holds at 55,447 states)
+  and the outcome of a 3-cell sweep whose main solve fails only at its
+  second point;
 - seeded geometric deployments of 1-12 cells on mixed channels, listed
   out of id order, with pairs on both sides of the carrier-sense
   boundary and straddling it, plus one with exact ties at the boundary,
@@ -406,6 +409,20 @@ def fixed_point_digests(count: int = 12):
             for p, pt in enumerate(sweep):
                 yield from _solution_digests(
                     f"payload-sweep {label} {name} point {p}", pt)
+    g, counts, payload = nets[-1][1:4]
+    inp = MulticellInput(g, counts, mac_phy_preset("dot11b-11mbps", payload),
+                         backoff)
+    sweep = payload_sweep(inp, [payload * (1 + p / 10.0) for p in range(5)])
+    for p, pt in enumerate(sweep):
+        yield from _solution_digests(f"payload-sweep grid 5x5 five point {p}",
+                                     pt)
+    # the main solve settles in 17 iterations at 800 bits, but not at
+    # 12,000 bits (19) or 2,000 bits (18)
+    inp = MulticellInput(_chain(3), (2, 5, 3),
+                         mac_phy_preset("dot11b-11mbps", 800.0), backoff)
+    yield "payload-sweep chain failing at point 1", _sha(_outcome(
+        lambda: payload_sweep(inp, [800.0, 12000.0, 2000.0],
+                              FixedPointConfig(max_iterations=17))))
 
 
 def state_space_digests(count: int = 32):

@@ -368,7 +368,8 @@ def load_config(path: str, seed_override: int | None = None) -> AnalysisConfig:
     except UnicodeDecodeError as e:
         raise ConfigError(f"config is not valid UTF-8: {e}") from None
     except yaml.YAMLError as e:
-        raise ConfigError(f"config is not valid YAML: {e}") from None
+        text = "; ".join(line.strip() for line in str(e).splitlines())
+        raise ConfigError(f"config is not valid YAML: {text}") from None
     v = _walk(raw, "", "")
 
     deployment, graph, listed, counts = _deployment(v["deployment"])

@@ -178,19 +178,20 @@ def _slot_outcomes(beta, n):
 
 
 def damped_fixed_point(step, x0, tolerance: float, damping: float,
-                       max_iterations: int, what: str):
+                       max_iterations: int, what: str, must_settle=False):
     """Damped iteration x <- (1 - damping) x + damping t of scalars or
     arrays, with ``(t, aux) = step(x)``.  Once the residual max|t - x| is
     at most ``tolerance``, returns (x after that update, that step's aux,
     iterations, residual); raises ConvergenceError naming ``what`` if
     ``max_iterations`` steps do not get there.
 
-    A 2-D ``x0`` is a batch of independent rows.  Each row stops at its
-    own first residual at most ``tolerance``, under the same update, and
-    ``step`` sees only the rows still running.  Nothing is raised: the
-    call returns (rows, None, iterations per row, residual per row), and
-    a row that never settled keeps its last iterate, ``max_iterations``
-    and a residual that is not at most ``tolerance``.
+    A 2-D ``x0`` is a batch of independent rows, each stopping at its own
+    first residual at most ``tolerance``; ``step(x, live)`` sees only the
+    rows still running, ``live`` their indices, and returns one aux each.
+    The call returns (rows, each row's aux from its last step, iterations
+    and residual per row).  A row that never settled keeps its last
+    iterate, ``max_iterations`` and a residual not at most ``tolerance``;
+    the first such row in the mask ``must_settle`` raises ConvergenceError.
 
     A setting out of range (NaN included), or a ``max_iterations`` that
     is not a whole number, raises ValueError naming it."""
@@ -202,10 +203,10 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
     batch = np.ndim(x0) == 2
     x, resid = (np.array(x0, dtype=float) if batch else x0), np.inf
     if batch:
-        rows, live = x.copy(), np.arange(len(x))
+        rows, live, auxes = x.copy(), np.arange(len(x)), [None] * len(x)
         its, resids = np.full(len(x), max_iterations), np.full(len(x), np.inf)
     for it in range(1, max_iterations + 1):
-        target, aux = step(x)
+        target, aux = step(x, live) if batch else step(x)
         diff = np.abs(target - x)
         x = (1.0 - damping) * x + damping * target
         if not batch:
@@ -214,13 +215,18 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
                 return x, aux, it, resid
             continue
         rows[live], resids[live] = x, diff.max(axis=1)
+        for r, a in zip(live, aux):
+            auxes[r] = a
         done = resids[live] <= tolerance
         its[live[done]] = it
         x, live = x[~done], live[~done]
         if not live.size:
             break
     if batch:
-        return rows, None, its, resids
+        stuck = np.flatnonzero(must_settle & ~(resids <= tolerance))
+        if not stuck.size:
+            return rows, auxes, its, resids
+        resid = resids[stuck[0]]
     raise ConvergenceError(
         f"{what}: residual {resid:.3e} > tol {tolerance:.1e} "
         f"after {max_iterations} iterations")

@@ -22,9 +22,9 @@ from .dcf import (BackoffParams, MacPhyParams, _slot_outcomes, _whole,
 from .topology import ContentionGraph, StateSpace, enumerate_independent_sets
 
 LOG_ZERO = -np.inf
-# a batch of uniqueness probes holds at most this many (row, state) floats
+# a batch of fixed-point rows holds at most this many (row, state) floats
 # in each of its arrays: 8 MB
-_PROBE_BATCH_STATES = 1 << 20
+_BATCH_STATES = 1 << 20
 
 
 def activation_rate(beta, node_count, slot_time):
@@ -76,8 +76,9 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     if silent.any():
         logw[silent @ state_space.active_float.T > 0.0] = LOG_ZERO
     logw -= logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.exp(logw, out=logw)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def collision_probability(state_space: StateSpace, pi, beta,
@@ -145,11 +146,11 @@ class FixedPointConfig:
     """Iteration controls for the coupled fixed point.
 
     Every solve starts each cell at 1/b_0.  ``multistart`` extra random
-    starts (from Philox seed 7) probe uniqueness after the main solve.
-    They run as the rows of one batched damped iteration, each row
-    stopping on its own; a probe that does not settle within
-    ``max_iterations``, or settles more than 100x the tolerance away from
-    the solution, is reported as a warning on the solution.
+    starts (from Philox seed 7) probe its uniqueness.  With the main
+    solve, at every point of a sweep, they are the rows of one batched
+    damped iteration, each stopping on its own; a probe that does not
+    settle within ``max_iterations``, or settles more than 100x the
+    tolerance away from the solution, is reported as a warning on it.
     """
 
     tolerance: float = 1e-8
@@ -203,9 +204,8 @@ def solve_fixed_point(inp: MulticellInput,
     count; cellmates share equally.
     """
     ss = enumerate_independent_sets(inp.graph)
-    beta, (gamma, lam, act, rho, pi), it, resid, warnings = _fixed_point(
-        inp, cfg, ss)
-    x = unblocked_fraction(ss, pi)
+    [(beta, (gamma, lam, act, rho, pi), x, it, resid, warnings)] = \
+        _fixed_point(inp, [inp.mac_phy.payload_bits], cfg, ss)
     iso = _isolated_throughputs(inp.node_counts, inp.mac_phy, inp.backoff)
     cell_thpt = x * iso
     return MulticellSolution(
@@ -220,53 +220,61 @@ def solve_fixed_point(inp: MulticellInput,
         warnings=tuple(warnings))
 
 
-def _fixed_point(inp: MulticellInput, cfg: FixedPointConfig | None,
+def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
                  ss: StateSpace):
-    """The damped fixed point over an enumerated state space, then the
-    multistart check: ``(beta, (gamma, lam, act, rho, pi), iterations,
-    residual, warnings)``."""
+    """The damped fixed point over an enumerated state space at each
+    payload size, with its multistart check: yields per point, once its
+    rows have run, ``(beta, (gamma, lam, act, rho, pi), x, iterations,
+    residual, warnings)``.  Each point's main row, then its probe rows,
+    are rows of batched damped iterations within the budget; the first
+    point whose main row does not settle raises ConvergenceError."""
     cfg = cfg or FixedPointConfig()
     n = np.asarray(inp.node_counts, dtype=float)
-    slot = inp.mac_phy.slot_time
-    t_s, t_c = frame_exchange_times(inp.mac_phy)
+    k = 1 + cfg.multistart
+    main = np.arange(k * len(payloads)) % k == 0
+    times = np.repeat([frame_exchange_times(inp.mac_phy.with_payload(pb))
+                       for pb in payloads], k, axis=0)
+    probes = np.random.Generator(np.random.Philox(7)).uniform(
+        1e-3, 0.999, size=(cfg.multistart, inp.graph.size))
+    beta0 = np.full((1, inp.graph.size), attempt_probability(0.0, inp.backoff))
+    x0 = np.tile(np.vstack([beta0, probes]), (len(payloads), 1))
 
-    beta0 = np.full(inp.graph.size, attempt_probability(0.0, inp.backoff))
-
-    def step(beta):
-        lam = activation_rate(beta, n, slot)
-        act = mean_activity_time(beta, n, t_s, t_c)
+    def step(beta, live):
+        rows = first + live     # first: the batch's first row, set below
+        lam = activation_rate(beta, n, inp.mac_phy.slot_time)
+        act = mean_activity_time(beta, n, times[rows, :1], times[rows, 1:])
         rho = lam * act
         pi = stationary_distribution(ss, rho)
         gamma = collision_probability(ss, pi, beta, n)
-        return attempt_probability(gamma, inp.backoff), (gamma, lam, act, rho, pi)
+        # only main rows' aux is read; a per-step copy of pi would pin heap
+        aux = [(gamma[i], lam[i], act[i], rho[i]) if main[r] else None
+               for i, r in enumerate(rows)]
+        return attempt_probability(gamma, inp.backoff), aux
 
-    def solve(start):
-        return damped_fixed_point(step, start, cfg.tolerance, cfg.damping,
-                                  cfg.max_iterations, "multi-cell fixed point")
-
-    beta, (gamma, lam, act, rho, pi), it, resid = solve(beta0)
-
-    warnings = []
-    if cfg.multistart:
-        rng = np.random.Generator(np.random.Philox(7))
-        starts = rng.uniform(1e-3, 0.999,
-                             size=(cfg.multistart, inp.graph.size))
-        # the probes are the rows of one batched iteration, as many per
-        # batch as keep its (rows, states) arrays within the budget
-        per_batch = max(1, _PROBE_BATCH_STATES // len(ss))
-        for first in range(0, cfg.multistart, per_batch):
-            alts, _, _, resids = solve(starts[first:first + per_batch])
-            for k, (alt, r) in enumerate(zip(alts, resids), first):
-                if not r <= cfg.tolerance:
-                    warnings.append(f"uniqueness start {k}: did not converge")
-                    continue
-                gap = float(np.max(np.abs(alt - beta)))
-                if gap > 100.0 * cfg.tolerance:
-                    warnings.append(
-                        f"uniqueness start {k}: solutions differ by "
-                        f"{gap:.3e}; fixed point may not be unique")
-
-    return beta, (gamma, lam, act, rho, pi), it, resid, warnings
+    per_batch = max(1, _BATCH_STATES // len(ss))
+    betas, auxes = np.empty_like(x0), []
+    its, resids = np.empty(len(x0), dtype=int), np.empty(len(x0))
+    for first in range(0, len(x0), per_batch):
+        chunk = slice(first, first + per_batch)
+        betas[chunk], aux, its[chunk], resids[chunk] = damped_fixed_point(
+            step, x0[chunk], cfg.tolerance, cfg.damping, cfg.max_iterations,
+            "multi-cell fixed point", main[chunk])
+        auxes += aux
+        # the points whose last row ran in this batch
+        for m in range(first - first % k, len(auxes) - k + 1, k):
+            warnings = []
+            for j, r in enumerate(range(m + 1, m + k)):
+                gap = float(np.max(np.abs(betas[r] - betas[m])))
+                if not resids[r] <= cfg.tolerance:
+                    warnings.append(f"uniqueness start {j}: did not converge")
+                elif gap > 100.0 * cfg.tolerance:
+                    warnings.append(f"uniqueness start {j}: solutions differ "
+                                    f"by {gap:.3e}; fixed point may not be "
+                                    f"unique")
+            # the main row's law at its last step, bit for bit as batched
+            pi = stationary_distribution(ss, auxes[m][-1])
+            yield (betas[m], (*auxes[m], pi), unblocked_fraction(ss, pi),
+                   int(its[m]), float(resids[m]), warnings)
 
 
 def tcp_pair(mac_phy: MacPhyParams, tcp_data_bits: float,
@@ -331,14 +339,9 @@ def payload_sweep(inp: MulticellInput, payload_bits_values,
     a point keeps no throughput, so no isolated cell is solved.
     """
     ss = enumerate_independent_sets(inp.graph)
-    points = []
-    for pb in payload_bits_values:
-        mp = inp.mac_phy.with_payload(float(pb))
-        beta, (*_, rho, pi), _, _, warnings = _fixed_point(
-            MulticellInput(inp.graph, inp.node_counts, mp, inp.backoff), cfg, ss)
-        x = unblocked_fraction(ss, pi)
-        points.append(SweepPoint(
-            payload_bits=float(pb), beta=tuple(beta), rho=tuple(rho),
-            x=tuple(x), normalized_network_throughput=float(x.sum()),
-            warnings=tuple(warnings)))
-    return tuple(points)
+    payloads = [float(pb) for pb in payload_bits_values]
+    return tuple(SweepPoint(
+        payload_bits=pb, beta=tuple(beta), rho=tuple(rho), x=tuple(x),
+        normalized_network_throughput=float(x.sum()), warnings=tuple(warnings))
+        for pb, (beta, (*_, rho, _), x, _, _, warnings)
+        in zip(payloads, _fixed_point(inp, payloads, cfg, ss)))

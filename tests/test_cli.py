@@ -342,6 +342,23 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     assert err[0].startswith("config error: config is not valid UTF-8: ")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("\0\0", "position 0"),
+    ("deployment: [1, 2\n", "line 1, column 13")],
+    ids=["nul-bytes", "unclosed-flow-sequence"])
+def test_yaml_syntax_error_is_one_config_error_line(tmp_path, capsys, text,
+                                                    where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["saturation", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: config is not valid YAML: ")
+    # the one line still names the file and the place in it
+    assert f'in "{path}", {where}' in err[0]
+
+
 def test_unwritable_out_is_an_output_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, chain_doc())
     blocker = tmp_path / "a-file"

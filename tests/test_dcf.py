@@ -163,16 +163,18 @@ def test_damped_fixed_point_runs_a_2d_iterate_as_independent_rows():
     x0 = np.array([[0.5, 0.1], [2.0, 0.5], [0.9, 0.3], [0.0, 1.0]])
     seen = []
 
-    def step(x):
-        seen.append(len(x))
-        return x * x, None
+    def step(x, live):
+        seen.append(live.copy())
+        # each live row's aux: its index and the number of this step
+        return x * x, [(r, len(seen)) for r in live]
 
     rows, aux, its, resids = damped_fixed_point(step, x0, 1e-9, 1.0, 9, "toy")
-    assert aux is None
     for r, start in enumerate(x0):
+        # each row's aux is from the step at which it stopped
+        assert aux[r] == (r, its[r])
         try:
             want, _, it, resid = damped_fixed_point(
-                step, start, 1e-9, 1.0, 9, "toy")
+                lambda x: (x * x, None), start, 1e-9, 1.0, 9, "toy")
         except ConvergenceError:
             assert r == 1 and its[r] == 9 and not resids[r] <= 1e-9
             np.testing.assert_array_equal(rows[r], [2.0 ** 512, 0.5 ** 512])
@@ -180,8 +182,19 @@ def test_damped_fixed_point_runs_a_2d_iterate_as_independent_rows():
         assert rows[r].tobytes() == want.tobytes()
         assert (its[r], resids[r]) == (it, resid)
     assert list(its) == [6, 9, 9, 1]
-    # each iteration steps only the rows still running
-    assert seen[:9] == [sum(its >= k) for k in range(1, 10)]
+    # each iteration steps only the rows still running, and names them
+    assert [list(live) for live in seen] == [
+        list(np.flatnonzero(its >= k)) for k in range(1, 10)]
+    # a row that must settle and does not raises as its 1-D solve does;
+    # rows that settle pass the same check
+    with pytest.raises(ConvergenceError) as one_d:
+        damped_fixed_point(lambda x: (x * x, None), x0[1], 1e-9, 1.0, 9, "toy")
+    with pytest.raises(ConvergenceError) as batched:
+        damped_fixed_point(step, x0, 1e-9, 1.0, 9, "toy",
+                           np.array([True, True, False, False]))
+    assert str(batched.value) == str(one_d.value)
+    damped_fixed_point(step, x0, 1e-9, 1.0, 9, "toy",
+                       np.array([True, False, True, True]))
 
 
 def test_single_cell_validation():

@@ -497,30 +497,41 @@ def test_nonconvergence_is_a_convergence_error():
         solve_fixed_point(inp, FixedPointConfig(max_iterations=1))
 
 
-def _probe_runs(monkeypatch, inp, cfg):
-    """solve_fixed_point, with the results of its batched damped calls:
-    (solution, probe rows, rows per batch)."""
+def _batched_rows(monkeypatch, run, per_point):
+    """run(), with the rows of the batched damped calls it makes, split
+    into one block of ``per_point`` rows per point, main row first:
+    (result, blocks, rows per batch)."""
     import cellwlan.multicell as multicell
     batches = []
 
     def recorded(step, x0, *args):
         out = damped_fixed_point(step, x0, *args)
-        if np.ndim(x0) == 2:
-            batches.append(out)
+        batches.append(out[0])
         return out
 
-    monkeypatch.setattr(multicell, "damped_fixed_point", recorded)
-    sol = solve_fixed_point(inp, cfg)
-    monkeypatch.undo()
-    rows = [row for alts, *_ in batches for row in alts]
-    return sol, rows, [len(alts) for alts, *_ in batches]
+    with monkeypatch.context() as m:
+        m.setattr(multicell, "damped_fixed_point", recorded)
+        result = run()
+    rows = [row for batch in batches for row in batch]
+    blocks = [rows[k:k + per_point] for k in range(0, len(rows), per_point)]
+    return result, blocks, [len(batch) for batch in batches]
 
 
-def _assert_probes_match(got_rows, want_rows):
-    assert len(got_rows) == len(want_rows)
-    for got, want in zip(got_rows, want_rows):
+def _assert_point_matches(block, beta, probes):
+    """A point's block of rows against the sequential solves: the main
+    row bit for bit, each settled probe to 1e-12."""
+    assert block[0].tobytes() == beta.tobytes()
+    assert len(block) == 1 + len(probes)
+    for got, want in zip(block[1:], probes):
         if want is not None:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _random_input(rng, n):
+    cells, edges = oracles.random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
+    counts = tuple(int(c) for c in rng.integers(1, 11, size=n))
+    mp = mac_phy_preset("dot11b-11mbps", float(rng.uniform(400, 12000)))
+    return MulticellInput(graph_from_edges(cells, edges), counts, mp, BO)
 
 
 def test_batched_probes_match_one_solve_per_start(monkeypatch):
@@ -529,11 +540,7 @@ def test_batched_probes_match_one_solve_per_start(monkeypatch):
     rng = np.random.Generator(np.random.Philox(12))
     outcomes = collections.Counter()
     for k in range(30):
-        n = k % 10 + 1
-        cells, edges = oracles.random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
-        counts = tuple(int(c) for c in rng.integers(1, 11, size=n))
-        mp = mac_phy_preset("dot11b-11mbps", float(rng.uniform(400, 12000)))
-        inp = MulticellInput(graph_from_edges(cells, edges), counts, mp, BO)
+        inp = _random_input(rng, k % 10 + 1)
         damping = (0.5, 1.0, 0.8, 0.3, 1.0)[k % 5]
         tolerance = (1e-8, 1e-13, 1e-8)[k % 3]
         try:
@@ -554,14 +561,86 @@ def test_batched_probes_match_one_solve_per_start(monkeypatch):
                 solve_fixed_point(inp, cfg)
             outcomes["main failed"] += 1
             continue
-        sol, got_rows, _ = _probe_runs(monkeypatch, inp, cfg)
+        sol, [block], _ = _batched_rows(
+            monkeypatch, lambda: solve_fixed_point(inp, cfg),
+            1 + cfg.multistart)
         assert sol.beta.tobytes() == beta.tobytes()
         assert list(sol.warnings) == want_warnings
-        _assert_probes_match(got_rows, want_rows)
+        _assert_point_matches(block, beta, want_rows)
         outcomes["settled"] += sum(r is not None for r in want_rows)
         outcomes["unsettled"] += sum(r is None for r in want_rows)
     assert min(outcomes["settled"], outcomes["unsettled"]) >= 10
     assert outcomes["main failed"] >= 1
+
+
+def test_sweep_points_match_one_solve_per_payload(monkeypatch):
+    # every point's rows share the batched iterations, and a budget of a
+    # few rows cuts the batches through the points' blocks
+    import cellwlan.multicell as multicell
+    rng = np.random.Generator(np.random.Philox(13))
+    outcomes = collections.Counter()
+    for k in range(30):
+        inp = _random_input(rng, k % 10 + 1)
+        payloads = [float(p) for p in
+                    rng.uniform(400, 12000, size=int(rng.integers(1, 5)))]
+        # max_iterations a few steps past the quickest main solve's count,
+        # so that probes, and main solves at other payloads, may not settle
+        main_it = min(solve_fixed_point(
+            MulticellInput(inp.graph, inp.node_counts,
+                           inp.mac_phy.with_payload(pb), BO),
+            FixedPointConfig(multistart=0)).iterations for pb in payloads)
+        cfg = FixedPointConfig(
+            max_iterations=main_it + int(rng.integers(0, 16 if k % 3 else 3)),
+            multistart=(0, 1, 3, 7)[k % 4])
+        states = len(space(inp.graph))
+        monkeypatch.setattr(multicell, "_BATCH_STATES",
+                            int(rng.integers(1, 10)) * states)
+        want = []
+        for pb in payloads:
+            point = MulticellInput(inp.graph, inp.node_counts,
+                                   inp.mac_phy.with_payload(pb), BO)
+            try:
+                want.append(oracles.fixed_point_sequential_probes(point, cfg))
+            except ConvergenceError as e:
+                with pytest.raises(ConvergenceError) as got:
+                    payload_sweep(inp, payloads, cfg)
+                assert str(got.value) == str(e)
+                outcomes["main failed"] += 1
+                break
+        else:
+            points, blocks, sizes = _batched_rows(
+                monkeypatch, lambda: payload_sweep(inp, payloads, cfg),
+                1 + cfg.multistart)
+            assert max(sizes) * states <= multicell._BATCH_STATES
+            assert len(points) == len(blocks) == len(payloads)
+            for pt, block, (beta, probes, warnings) in zip(points, blocks,
+                                                          want):
+                assert np.array(pt.beta).tobytes() == beta.tobytes()
+                assert list(pt.warnings) == warnings
+                _assert_point_matches(block, beta, probes)
+                outcomes["settled"] += sum(r is not None for r in probes)
+                outcomes["unsettled"] += sum(r is None for r in probes)
+    assert min(outcomes["settled"], outcomes["unsettled"]) >= 10
+    assert outcomes["main failed"] >= 1
+
+
+def test_sweep_failing_at_its_second_point_names_that_point():
+    # the main solve takes 17 iterations at 800 bits, 19 at 12,000 and 18
+    # at 2,000: the error is the 12,000-bit point's
+    inp = MulticellInput(chain(), (2, 5, 3), MP, BO)
+    cfg = FixedPointConfig(max_iterations=17)
+    # the first point settles on its own
+    payload_sweep(inp, [800.0], cfg)
+    errors = []
+    for pb in (12000.0, 2000.0):
+        with pytest.raises(ConvergenceError) as e:
+            solve_fixed_point(MulticellInput(
+                chain(), (2, 5, 3), MP.with_payload(pb), BO), cfg)
+        errors.append(str(e.value))
+    assert errors[0] != errors[1]
+    with pytest.raises(ConvergenceError) as got:
+        payload_sweep(inp, [800.0, 12000.0, 2000.0], cfg)
+    assert str(got.value) == errors[0]
 
 
 def test_probe_batches_bound_their_arrays(monkeypatch):
@@ -575,16 +654,40 @@ def test_probe_batches_bound_their_arrays(monkeypatch):
     states = len(space(inp.graph))
     # the main solve takes 19 iterations, the probes 25-30
     cfg = FixedPointConfig(multistart=100, max_iterations=28)
-    _, want_rows, want_warnings = oracles.fixed_point_sequential_probes(inp, cfg)
-    sol, got_rows, sizes = _probe_runs(monkeypatch, inp, cfg)
-    assert max(sizes) * states <= multicell._PROBE_BATCH_STATES
+    beta, want_rows, want_warnings = oracles.fixed_point_sequential_probes(
+        inp, cfg)
+
+    def run():
+        return solve_fixed_point(inp, cfg)
+
+    sol, [block], sizes = _batched_rows(monkeypatch, run, 101)
+    assert max(sizes) * states <= multicell._BATCH_STATES
     assert list(sol.warnings) == want_warnings
     assert 0 < sum(r is None for r in want_rows) < 100
-    _assert_probes_match(got_rows, want_rows)
-    # a budget of a few rows splits the probes into batches, and the
-    # starts keep their numbers across them
-    monkeypatch.setattr(multicell, "_PROBE_BATCH_STATES", 7 * states)
-    sol7, rows7, sizes7 = _probe_runs(monkeypatch, inp, cfg)
-    assert sizes7 == [7] * 14 + [2]
+    _assert_point_matches(block, beta, want_rows)
+    # a budget of a few rows splits the main row and the probes into
+    # batches, all counted against it, and the starts keep their numbers
+    # across them
+    monkeypatch.setattr(multicell, "_BATCH_STATES", 7 * states)
+    sol7, [block7], sizes7 = _batched_rows(monkeypatch, run, 101)
+    assert sizes7 == [7] * 14 + [3]
     assert sol7.warnings == sol.warnings
-    _assert_probes_match(rows7, want_rows)
+    _assert_point_matches(block7, beta, want_rows)
+
+
+def test_sweep_leaves_each_finished_point_law_to_the_caller(monkeypatch):
+    # a sweep holds no law per payload: once a point is handed over, and
+    # the caller has dropped its pi, nothing keeps that pi alive
+    import weakref
+
+    import cellwlan.multicell as multicell
+    inp = MulticellInput(chain(), (2, 5, 3), MP, BO)
+    ss = space(inp.graph)
+    monkeypatch.setattr(multicell, "_BATCH_STATES", 6 * len(ss))
+    refs = []
+    for _, (*_, pi), *_ in multicell._fixed_point(
+            inp, [800.0 * p for p in range(1, 9)], FixedPointConfig(), ss):
+        refs.append(weakref.ref(pi))
+        del pi
+        assert [r() is None for r in refs[:-1]] == [True] * (len(refs) - 1)
+    assert len(refs) == 8
