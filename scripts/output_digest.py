@@ -48,7 +48,11 @@ The corpus:
   its membership mask), plus a 5-point ``payload_sweep`` on the 5x5 grid
   (20 solver rows, more than one batch of them holds at 55,447 states)
   and the outcome of a 3-cell sweep whose main solve fails only at its
-  second point;
+  second point; ``solve_fixed_point`` on a 66-cell clique (degree 65),
+  an 18-payload ``payload_sweep`` on a seeded 6-cell graph (72 solver
+  rows, more than one row-offset ``bincount`` of the collision average
+  takes) and the outcome of a 3-cell solve whose law underflows at a
+  payload of 1e307 bytes;
 - seeded geometric deployments of 1-12 cells on mixed channels, listed
   out of id order, with pairs on both sides of the carrier-sense
   boundary and straddling it, plus one with exact ties at the boundary,
@@ -423,6 +427,28 @@ def fixed_point_digests(count: int = 12):
     yield "payload-sweep chain failing at point 1", _sha(_outcome(
         lambda: payload_sweep(inp, [800.0, 12000.0, 2000.0],
                               FixedPointConfig(max_iterations=17))))
+    # degree 65: the collision index ranks the neighbor bits between runs
+    clique = range(1, 67)
+    inp = MulticellInput(
+        graph_from_edges(clique, list(itertools.combinations(clique, 2))),
+        (2,) * 66, mac_phy_preset("dot11b-11mbps", 8000.0), backoff)
+    yield from _solution_digests("fixed-point clique 66",
+                                 solve_fixed_point(inp))
+    # 72 solver rows, more than one row-offset bincount takes
+    g, counts = nets[5][1:3]
+    inp = MulticellInput(g, counts, mac_phy_preset("dot11b-11mbps", 1000.0),
+                         backoff)
+    sweep = payload_sweep(inp, [1000.0 + 500.0 * p for p in range(18)])
+    for p, pt in enumerate(sweep):
+        yield from _solution_digests(f"payload-sweep {nets[5][0]} eighteen "
+                                     f"point {p}", pt)
+    # the middle cell contends only in the empty state, whose probability
+    # underflows at this payload
+    inp = MulticellInput(_chain(3), (2, 2, 2),
+                         mac_phy_preset("dot11b-11mbps", 8e307), backoff)
+    with np.errstate(all="ignore"):
+        yield "fixed-point chain huge payload", _sha(_outcome(
+            lambda: solve_fixed_point(inp).x))
 
 
 def state_space_digests(count: int = 32):

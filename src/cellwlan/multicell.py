@@ -25,6 +25,8 @@ LOG_ZERO = -np.inf
 # a batch of fixed-point rows holds at most this many (row, state) floats
 # in each of its arrays: 8 MB
 _BATCH_STATES = 1 << 20
+# stationary_distribution runs blocks of this many states for every row
+_GEMV_STATES = 4096
 
 
 def activation_rate(beta, node_count, slot_time):
@@ -59,7 +61,9 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
 
     pi(A) is proportional to the product of the access intensities of the
     members of A.  Computed in log space so extreme intensities stay
-    finite.  A (rows, cells) ``rho`` gives one law per row.
+    finite.  A (rows, cells) ``rho`` gives one law per row: one gemv per
+    row (a matrix product's rows are not bit-equal to it), each block of
+    ``_GEMV_STATES`` states run for every row while it is in cache.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim not in (1, 2) or rho.shape[-1] != len(state_space.cells):
@@ -67,12 +71,15 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     if not ((rho >= 0.0) & (rho < np.inf)).all():
         raise ValueError(f"rho = {rho} must be finite and >= 0")
     silent = rho == 0.0
-    # 0 * -inf is nan, so keep the matmul finite and kill the states that
-    # contain a silent cell afterwards; one product per row, since a row of
-    # a matrix product is not bit-equal to it
-    log_rho = np.log(np.where(silent, 1.0, rho))
-    logw = (state_space.active_float @ log_rho if rho.ndim == 1 else
-            np.stack([state_space.active_float @ row for row in log_rho]))
+    # 0 * -inf is nan, so keep the products finite and kill the states
+    # that contain a silent cell afterwards
+    log_rho = np.log(np.where(silent, 1.0, rho)).reshape(-1, rho.shape[-1])
+    logw = np.empty((len(log_rho), len(state_space)))
+    for s in range(0, len(state_space), _GEMV_STATES):
+        block = state_space.active_float[s:s + _GEMV_STATES]
+        for row, out in zip(log_rho, logw[:, s:s + _GEMV_STATES]):
+            np.matmul(block, row, out=out)
+    logw = logw.reshape(rho.shape[:-1] + (-1,))
     if silent.any():
         logw[silent @ state_space.active_float.T > 0.0] = LOG_ZERO
     logw -= logw.max(axis=-1, keepdims=True)
@@ -91,7 +98,9 @@ def collision_probability(state_space: StateSpace, pi, beta,
     collision probability is a product of silence probabilities
     (1-beta_j)^n_j, finite for beta_j = 1, and each cell averages over its
     few patterns.  (rows, states) ``pi`` with (rows, cells) ``beta`` give
-    one average per row.
+    one average per row; each sum is one row-offset ``np.bincount`` over
+    as many rows as ``column`` stacks, adding every bin in state order as
+    a call per row would.
     """
     idx = state_space.collision_index
     pi = np.asarray(pi, dtype=float)
@@ -103,20 +112,24 @@ def collision_probability(state_space: StateSpace, pi, beta,
     silent = (miss[..., idx.owner] ** (n[idx.owner] - 1.0)
               * np.where(idx.neighbors, (miss ** n)[..., None, :], 1.0)
               .prod(axis=-1))
+    rows = pi.reshape(-1, len(state_space))
+    stack, patterns = len(idx.column), len(idx.owner)
     cells = len(state_space.cells)
-
-    def average(p, s):
-        mass = np.bincount(idx.column, weights=np.repeat(p, idx.counts),
-                           minlength=len(idx.owner))
-        num = np.bincount(idx.owner, weights=mass * (1.0 - s),
-                          minlength=cells)
-        den = np.bincount(idx.owner, weights=mass, minlength=cells)
-        # den >= pi(empty state) > 0: every cell contends in the empty state.
-        return num / den
-
-    if pi.ndim == 1:
-        return average(pi, silent)
-    return np.stack([average(p, s) for p, s in zip(pi, silent)])
+    mass = np.concatenate([np.bincount(
+        idx.column[:len(part)].ravel(),
+        weights=np.repeat(part, idx.counts, axis=1).ravel(),
+        minlength=len(part) * patterns)
+        for part in (rows[r:r + stack] for r in range(0, len(rows), stack))])
+    owner = (idx.owner + cells * np.arange(len(rows))[:, None]).ravel()
+    num = np.bincount(owner, weights=mass * (1.0 - silent).ravel(),
+                      minlength=len(rows) * cells)
+    den = np.bincount(owner, weights=mass, minlength=len(rows) * cells)
+    # every cell contends in the empty state, so den >= pi(empty) > 0
+    # unless the law underflows there
+    if not (den > 0.0).all():
+        raise ValueError("access intensities too large: the stationary law "
+                         "underflows to 0 where a cell contends")
+    return (num / den).reshape(pi.shape[:-1] + (cells,))
 
 
 def unblocked_fraction(state_space: StateSpace, pi) -> np.ndarray:

@@ -201,12 +201,15 @@ class CollisionIndex:
     A cell's collision probability in a state depends only on which of its
     neighbors contend there, so the states in which a cell contends fall
     into a few patterns: at most 2^degree, and only the observed ones are
-    kept.  Pattern k belongs to cell column ``owner[k]``, and
-    ``neighbors[k]`` marks the cell columns that contend beside it.
-    ``column`` holds the pattern of every contending (state, cell) entry in
-    state order, then cell order; ``counts`` holds the number of contending
-    cells per state, so ``np.repeat(pi, counts)`` lines a law over the
-    states up with ``column``.
+    kept, numbered per cell in the order of their neighbor bits (first
+    neighbor most significant).  Pattern k belongs to cell column
+    ``owner[k]``, and ``neighbors[k]`` marks the cell columns that contend
+    beside it.  ``column[0]`` holds the pattern of every contending
+    (state, cell) entry in state order, then cell order; ``counts`` holds
+    the number of contending cells per state, so ``np.repeat(pi, counts)``
+    lines a law over the states up with it.  ``column[r]`` is
+    ``column[0] + r * len(owner)``, for as many rows as one row-offset
+    ``np.bincount`` takes: 2^16 entries, at most 64 rows.
     """
 
     counts: np.ndarray
@@ -285,22 +288,31 @@ class StateSpace:
     def collision_index(self) -> CollisionIndex:
         """Built on first use, then kept with the state space."""
         cont, n_cells = self.contending_mask, len(self.cells)
-        column = np.zeros(cont.shape, dtype=np.intp)
+        counts = cont.sum(axis=1)
+        # where each state's next entry goes, in state order, then cell order
+        place = np.cumsum(counts) - counts
+        stack = min(64, max(1, (1 << 16) // max(1, counts.sum())))
+        column = np.empty((stack, counts.sum()), dtype=np.intp)
         owner, neighbors = [], []
         for j in range(n_cells):
             rows = np.flatnonzero(cont[:, j])
-            # number the observed patterns one neighbor at a time, so the
-            # codes stay below the row count whatever the degree
-            code = np.zeros(len(rows), dtype=np.intp)
-            for k in np.flatnonzero(self.adjacency[j]):
-                code = np.unique(2 * code + cont[rows, k], return_inverse=True)[1]
+            # the neighbors' contending bits as one integer, first
+            # neighbor most significant, ranked after every 40 bits so it
+            # fits in 63 (ranks < 2^20): per cell, one sort of its states
+            code = np.zeros(len(rows), dtype=np.int64)
+            for i, k in enumerate(np.flatnonzero(self.adjacency[j])):
+                if i and not i % 40:
+                    code = np.unique(code, return_inverse=True)[1]
+                code = code << 1 | cont[rows, k]
             _, first, code = np.unique(code, return_index=True,
                                        return_inverse=True)
-            column[rows, j] = len(owner) + code
+            column[0, place[rows]] = len(owner) + code
+            place[rows] += 1
             owner += [j] * len(first)
             neighbors += list(cont[rows[first]] & self.adjacency[j])
+        column[1:] = column[0] + len(owner) * np.arange(1, stack)[:, None]
         return CollisionIndex(
-            counts=cont.sum(axis=1), column=column[cont],
+            counts=counts, column=column,
             owner=np.array(owner, dtype=np.intp),
             neighbors=np.array(neighbors, dtype=bool).reshape(len(owner), n_cells))
 

@@ -510,3 +510,42 @@ def fixed_point_sequential_probes(inp, cfg):
                 f"uniqueness start {k}: solutions differ by {gap:.3e}; "
                 f"fixed point may not be unique")
     return beta, probes, warnings
+
+
+def collision_index_per_neighbor(state_space):
+    """The collision index numbered one neighbor at a time: per cell, the
+    contending states' codes are ranked after each neighbor's bit joins
+    (first neighbor most significant), so they stay below the row count
+    whatever the degree.  Returns ``(pattern, owner, neighbors)``, with
+    ``pattern[s, j]`` the pattern of contending entry (s, j) and -1
+    elsewhere."""
+    cont, adj = state_space.contending_mask, state_space.adjacency
+    pattern = np.full(cont.shape, -1, dtype=np.intp)
+    owner, neighbors = [], []
+    for j in range(len(state_space.cells)):
+        rows = np.flatnonzero(cont[:, j])
+        code = np.zeros(len(rows), dtype=np.intp)
+        for k in np.flatnonzero(adj[j]):
+            code = np.unique(2 * code + cont[rows, k], return_inverse=True)[1]
+        _, first, code = np.unique(code, return_index=True,
+                                   return_inverse=True)
+        pattern[rows, j] = len(owner) + code
+        owner += [j] * len(first)
+        neighbors += list(cont[rows[first]] & adj[j])
+    return (pattern, np.array(owner, dtype=np.intp),
+            np.array(neighbors, dtype=bool).reshape(len(owner), len(adj)))
+
+
+def collision_average_per_state(state_space, pi, beta, node_counts):
+    """Per cell, the collision probability of each state in which it
+    contends, from its contending neighbors' silence probabilities,
+    averaged under ``pi`` state by state: no patterns."""
+    cont, adj = state_space.contending_mask, state_space.adjacency
+    miss, n = 1.0 - np.asarray(beta), np.asarray(node_counts, dtype=float)
+    gamma = np.empty(len(adj))
+    for j in range(len(adj)):
+        silent = miss[j] ** (n[j] - 1.0) * np.where(
+            cont[:, adj[j]], miss[adj[j]] ** n[adj[j]], 1.0).prod(axis=1)
+        w = np.where(cont[:, j], pi, 0.0)
+        gamma[j] = (w * (1.0 - silent)).sum() / w.sum()
+    return gamma

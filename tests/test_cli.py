@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,23 @@ def test_analysis_failures_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o5")]) == 2
     assert "analysis error: flow simulation would take" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["saturation", "sweep"])
+def test_underflowing_law_is_one_analysis_error_line(tmp_path, capsys, verb):
+    # the middle cell of the chain contends only in the empty state, whose
+    # probability underflows to 0 at this payload
+    doc = chain_doc(sweep={"payload_bytes": [1000, 1.0e307]})
+    doc["mac_phy"]["payload_bytes"] = 1.0e307
+    cfg = write_cfg(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([verb, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert [w for w in caught if w.category is RuntimeWarning] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "analysis error: access intensities too large: the stationary law "
+        "underflows to 0 where a cell contends"]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -2,6 +2,8 @@
 
 import collections
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +91,80 @@ def test_stationary_distribution_handles_zero_and_extreme_rho():
     assert pi[oracles.index_of(ss, (1, 3))] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         stationary_distribution(ss, (1.0, -0.5, 1.0))
+
+
+def _grid(rows, cols):
+    cells = list(range(1, rows * cols + 1))
+    edges = [(c, c + 1) for c in cells if c % cols] + \
+        [(c, c + cols) for c in cells[:-cols]]
+    return graph_from_edges(cells, edges)
+
+
+def test_stationary_rows_match_one_whole_matrix_gemv_each():
+    import cellwlan.multicell as multicell
+    ss = space(_grid(5, 5))
+    block = multicell._GEMV_STATES
+    assert len(ss) > 2 * block and len(ss) % block
+    rng = np.random.Generator(np.random.Philox(8))
+    rho = rng.uniform(0.5, 40.0, size=(5, 25))
+    rho[2, [3, 17]] = 0.0
+    got = stationary_distribution(ss, rho)
+    for r, row in zip(rho, got):
+        logw = ss.active_float @ np.log(np.where(r == 0.0, 1.0, r))
+        logw[(r == 0.0) @ ss.active_float.T > 0.0] = -np.inf
+        w = np.exp(logw - logw.max())
+        np.testing.assert_array_equal(row, w / w.sum())
+        np.testing.assert_array_equal(row, stationary_distribution(ss, r))
+
+
+@pytest.mark.parametrize("graph, rows", [(_grid(5, 5), 4), (chain(), 150)],
+                         ids=["grid5x5", "chain-150-rows"])
+def test_collision_rows_match_one_call_per_row(graph, rows):
+    ss = space(graph)
+    n = graph.size
+    # the grid takes one row per bincount, the chain 64
+    assert len(ss.collision_index.column) == (1 if n == 25 else 64)
+    rng = np.random.Generator(np.random.Philox(9))
+    pi = stationary_distribution(ss, rng.uniform(0.5, 40.0, size=(rows, n)))
+    beta = rng.uniform(0.0, 0.3, size=(rows, n))
+    beta[rows // 2, 0] = 1.0
+    counts = rng.integers(1, 6, size=n)
+    got = collision_probability(ss, pi, beta, counts)
+    assert got.shape == (rows, n)
+    for p, b, g in zip(pi, beta, got):
+        np.testing.assert_array_equal(g, collision_probability(ss, p, b,
+                                                               counts))
+        np.testing.assert_allclose(
+            g, oracles.collision_average_per_state(ss, p, b, counts),
+            rtol=1e-12, atol=0.0)
+
+
+def test_huge_intensities_are_refused_by_name():
+    # the middle cell contends only in the empty state, whose mass
+    # underflows at these intensities
+    ss = space(chain())
+    pi = stationary_distribution(ss, [1e200, 1e300, 1e200])
+    assert pi[0] == 0.0
+    for p in (pi, np.vstack([stationary_distribution(ss, [1.0] * 3), pi])):
+        with pytest.raises(ValueError, match="access intensities too large"):
+            collision_probability(ss, p, np.full(p.shape[:-1] + (3,), 0.1),
+                                  (2, 2, 2))
+
+
+def test_solve_leaves_scipy_sparse_unloaded():
+    code = ("import sys\n"
+            "from cellwlan.dcf import backoff_preset, mac_phy_preset\n"
+            "from cellwlan.multicell import MulticellInput, "
+            "solve_fixed_point\n"
+            "from cellwlan.topology import graph_from_edges\n"
+            "g = graph_from_edges([1, 2, 3], [(1, 2), (2, 3)])\n"
+            "solve_fixed_point(MulticellInput(g, (2, 2, 2), mac_phy_preset("
+            "'dot11b-11mbps', 8000.0), backoff_preset('dot11b-11mbps')))\n"
+            "print('scipy.sparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_per_state_collision_goldens():
@@ -645,12 +721,7 @@ def test_sweep_failing_at_its_second_point_names_that_point():
 
 def test_probe_batches_bound_their_arrays(monkeypatch):
     import cellwlan.multicell as multicell
-    rows, cols = 4, 5
-    cells = list(range(1, rows * cols + 1))
-    edges = [(c, c + 1) for c in cells if c % cols] + \
-        [(c, c + cols) for c in cells[:-cols]]
-    inp = MulticellInput(graph_from_edges(cells, edges), (2,) * len(cells),
-                         MP, BO)
+    inp = MulticellInput(_grid(4, 5), (2,) * 20, MP, BO)
     states = len(space(inp.graph))
     # the main solve takes 19 iterations, the probes 25-30
     cfg = FixedPointConfig(multistart=100, max_iterations=28)

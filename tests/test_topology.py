@@ -97,6 +97,47 @@ def test_state_space_masks_partition_every_state():
                 assert ss.contending_mask[s, j] == (c in contending)
 
 
+def _assert_collision_index_numbering(g):
+    ss = enumerate_independent_sets(g)
+    idx = ss.collision_index
+    pattern, owner, neighbors = oracles.collision_index_per_neighbor(ss)
+    np.testing.assert_array_equal(idx.owner, owner)
+    np.testing.assert_array_equal(idx.neighbors, neighbors)
+    cont = ss.contending_mask
+    np.testing.assert_array_equal(idx.column[0], pattern[cont])
+    np.testing.assert_array_equal(idx.counts, cont.sum(axis=1))
+    # the stacked rows are offset by one row of patterns each, as many as
+    # 2^16 entries allow, 1-64 of them
+    assert len(idx.column) == min(64, max(1, (1 << 16) // cont.sum()))
+    np.testing.assert_array_equal(
+        idx.column, idx.column[0] + len(owner) * np.arange(
+            len(idx.column))[:, None])
+
+
+def test_collision_index_keeps_the_per_neighbor_numbering():
+    rng = np.random.Generator(np.random.Philox(17))
+    for k in range(48):
+        n = k % 16 + 1
+        cells, edges = oracles.random_graph(rng, n, float(rng.uniform(0.1,
+                                                                      0.7)))
+        _assert_collision_index_numbering(graph_from_edges(cells, edges))
+    # isolated cells (degree 0) beside a chain and a triangle
+    _assert_collision_index_numbering(graph_from_edges(
+        range(1, 9), [(1, 2), (2, 3), (5, 6), (6, 7), (5, 7)]))
+    _assert_collision_index_numbering(graph_from_edges(range(1, 5), []))
+    # degree 65: the neighbor bits are ranked between runs of them
+    clique = range(1, 67)
+    _assert_collision_index_numbering(graph_from_edges(
+        clique, list(itertools.combinations(clique, 2))))
+    # cell 1 sees 45 neighbors (a clique) in four patterns that straddle
+    # the ranking: cell 50 blocks neighbors 2-41, cell 51 blocks 42-46
+    ks = range(2, 47)
+    _assert_collision_index_numbering(graph_from_edges(
+        [1, *ks, 50, 51], [(1, k) for k in ks]
+        + list(itertools.combinations(ks, 2))
+        + [(k, 50 if k < 42 else 51) for k in ks]))
+
+
 def test_partition_three_chain():
     ss = enumerate_independent_sets(three_chain())
     masks = (ss.active_mask, ss.blocked_mask, ss.contending_mask)
