@@ -44,11 +44,12 @@ The corpus:
   cells and on the 5x5 grid, at the default solver settings and at a
   ``max_iterations`` between the main solve's count and the probes',
   digesting every field of the solution and of each sweep point
-  (warnings included; the graph by its sorted edges, the state space by
-  its membership mask), plus a 5-point ``payload_sweep`` on the 5x5 grid
-  (20 solver rows, more than one batch of them holds at 55,447 states)
+  (warnings included; the graph by its sorted edges), plus a 5-point
+  ``payload_sweep`` on the 5x5 grid (20 solver rows of the frontier DP)
   and the outcome of a 3-cell sweep whose main solve fails only at its
-  second point; ``solve_fixed_point`` on a 66-cell clique (degree 65),
+  second point; ``solve_fixed_point`` on the 6x6 grid at ``multistart``
+  0 (5,598,861 states, beyond enumeration's cap; an older checkout gives
+  its refusal), on a 66-cell clique (degree 65),
   an 18-payload ``payload_sweep`` on a seeded 6-cell graph (72 solver
   rows, more than one row-offset ``bincount`` of the collision average
   takes) and the outcome of a 3-cell solve whose law underflows at a
@@ -78,18 +79,30 @@ leaves every output byte-identical:
     PYTHONPATH=../parent/src python scripts/output_digest.py > before.txt
     diff before.txt after.txt
 
+Where outputs may move in the last bits, save each run's lines with the
+arrays behind them and compare: every changed line is listed, with the
+largest |difference| of each changed array, then the lines one side
+lacks.
+
+    PYTHONPATH=src python scripts/output_digest.py --arrays after.pkl
+    PYTHONPATH=../parent/src python scripts/output_digest.py \
+        --arrays before.pkl
+    python scripts/output_digest.py --compare before.pkl after.pkl
+
 Only long-standing public names are used, so older checkouts run it too.
 The whole corpus takes a few seconds.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import io
 import itertools
 import os
+import pickle
 import sys
 import tempfile
 
@@ -105,8 +118,9 @@ from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 collision_probability, payload_sweep,
                                 solve_fixed_point, stationary_distribution)
 from cellwlan.simkit import simulate_ctmc, simulate_slotted, slots_for
-from cellwlan.topology import (CellGeom, Deployment, adjacency_text,
-                               build_contention_graph, check_pbd, dot_edges,
+from cellwlan.topology import (CellGeom, Deployment, StateSpaceCapError,
+                               adjacency_text, build_contention_graph,
+                               check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
                                mis_stats)
 
@@ -252,9 +266,18 @@ SIM_EXITS = (
 )
 
 
+# digest -> array, for every numeric array digested: what --arrays saves
+ARRAYS: dict[str, np.ndarray] = {}
+
+
 def _array_sha(value) -> str:
     value = np.asarray(value)
-    return _sha(f"{value.dtype}{value.shape}".encode() + value.tobytes())
+    if value.dtype == object:
+        # not numbers (an older checkout's state space): its type alone
+        return _sha(type(value.item()).__name__.encode())
+    digest = _sha(f"{value.dtype}{value.shape}".encode() + value.tobytes())
+    ARRAYS[digest] = value
+    return digest
 
 
 def _result_digests(tag: str, res, skip=()):
@@ -376,8 +399,6 @@ def _solution_digests(tag: str, res):
         if field == "graph":
             edges = sorted(sorted(e) for e in value.edges)
             yield f"{tag} {field}", _sha(repr((value.cells, edges)).encode())
-        elif field == "state_space":
-            yield f"{tag} {field}", _array_sha(value.active_mask)
         elif field == "warnings":
             yield f"{tag} {field}", _sha(repr(value).encode())
         else:
@@ -434,6 +455,16 @@ def fixed_point_digests(count: int = 12):
         (2,) * 66, mac_phy_preset("dot11b-11mbps", 8000.0), backoff)
     yield from _solution_digests("fixed-point clique 66",
                                  solve_fixed_point(inp))
+    # 5,598,861 states: the frontier DP, beyond enumeration's cap
+    inp = MulticellInput(graph_from_edges(*_grid(6, 6)), (2,) * 36,
+                         mac_phy_preset("dot11b-11mbps", 8000.0), backoff)
+    try:
+        sol = solve_fixed_point(inp, FixedPointConfig(multistart=0))
+    except StateSpaceCapError as e:
+        yield "fixed-point grid 6x6 multistart 0", _sha(
+            f"{type(e).__name__}: {e}".encode())
+    else:
+        yield from _solution_digests("fixed-point grid 6x6 multistart 0", sol)
     # 72 solver rows, more than one row-offset bincount takes
     g, counts = nets[5][1:3]
     inp = MulticellInput(g, counts, mac_phy_preset("dot11b-11mbps", 1000.0),
@@ -618,7 +649,10 @@ def _not_whole_or_out_of_range(mac, backoff):
             ss, uniform, [np.nan, 0.1, 0.1], (2, 2, 2)))]
 
 
-def run() -> None:
+def run(arrays: str | None) -> None:
+    """Print the digest lines; with ``arrays``, also pickle them with
+    every numeric array they digest, for ``compare``."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in itertools.chain(cli_digests(tmp),
                                              cli_refusal_digests(tmp),
@@ -631,7 +665,49 @@ def run() -> None:
                                              geometry_digests(),
                                              refusal_digests()):
             print(f"{digest}  {label}")
+            lines.append((label, digest))
+    if arrays:
+        with open(arrays, "wb") as fh:
+            pickle.dump({"lines": lines, "arrays": ARRAYS}, fh)
+
+
+def compare(before: str, after: str) -> None:
+    """Each line whose digest differs between two ``--arrays`` files,
+    with the largest |difference| where both sides are numeric arrays of
+    one shape, then each line found on one side only."""
+    runs = []
+    for path in (before, after):
+        with open(path, "rb") as fh:
+            runs.append(pickle.load(fh))
+    (old, old_arrays), (new, new_arrays) = (
+        (dict(r["lines"]), r["arrays"]) for r in runs)
+    changed = [label for label in old if label in new
+               and old[label] != new[label]]
+    for label in changed:
+        a, b = old_arrays.get(old[label]), new_arrays.get(new[label])
+        if a is None or b is None or a.shape != b.shape:
+            print(f"changed  {label}")
+            continue
+        with np.errstate(invalid="ignore"):
+            delta = np.abs(a.astype(float) - b.astype(float))
+        print(f"changed  {label}  max |diff| "
+              f"{np.nanmax(delta, initial=0.0):.3g}")
+    for side, lines, other in (("before", old, new), ("after", new, old)):
+        for label in lines:
+            if label not in other:
+                print(f"{side} only  {label}")
+    print(f"{len(changed)} of {len(old.keys() & new.keys())} shared lines "
+          f"changed")
 
 
 if __name__ == "__main__":
-    run()
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--arrays", metavar="FILE",
+                    help="also save the lines and their arrays to FILE")
+    ap.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="compare two --arrays files instead of running")
+    args = ap.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        run(args.arrays)

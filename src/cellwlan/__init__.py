@@ -15,16 +15,18 @@ from .flows import (DelayResult, FlowParams, SimConfig,
                     simulate_flow_network)
 from .multicell import (FixedPointConfig, MulticellInput, MulticellSolution,
                         SweepPoint, TcpLongResult, activation_rate,
-                        collision_probability, mean_activity_time,
+                        collision_probability, frontier_law,
+                        mean_activity_time, partition_function,
                         payload_sweep, solve_fixed_point,
                         stationary_distribution, tcp_long_throughputs,
                         unblocked_fraction)
 from .simkit import (CtmcRun, SlottedRun, simulate_ctmc, simulate_slotted,
                      slots_for)
-from .topology import (CellGeom, ContentionGraph, Deployment, MisStats,
-                       PbdReport, StateSpace, StateSpaceCapError,
+from .topology import (CellGeom, ContentionGraph, Deployment, FrontierPlan,
+                       MisStats, PbdReport, StateSpace, StateSpaceCapError,
                        adjacency_text, build_contention_graph, check_pbd,
-                       dot_edges, enumerate_independent_sets,
-                       graph_from_edges, mis_share_table, mis_stats)
+                       dot_edges, enumerate_independent_sets, frontier_plan,
+                       frontier_steps, frontier_width, graph_from_edges,
+                       mis_share_table, mis_stats)
 
 __version__ = "0.1.0"

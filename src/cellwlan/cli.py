@@ -39,10 +39,12 @@ from .dcf import (BACKOFF_PRESETS, MAC_PHY_PRESETS, BackoffParams,
 from .flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                     simulate_flow_network)
 from .multicell import (FixedPointConfig, MulticellInput, payload_sweep,
-                        solve_fixed_point, tcp_long_throughputs, tcp_pair)
+                        solve_fixed_point, stationary_distribution,
+                        tcp_long_throughputs, tcp_pair)
 from .topology import (CellGeom, ContentionGraph, Deployment,
                        StateSpaceCapError, build_contention_graph, check_pbd,
-                       graph_from_edges, mis_stats)
+                       enumerate_independent_sets, graph_from_edges,
+                       mis_stats)
 
 
 class ConfigError(Exception):
@@ -483,12 +485,13 @@ def _run_saturation(cfg: AnalysisConfig) -> tuple[dict, tuple]:
                       sol.normalized_network_throughput],
                      ["residual", sol.residual],
                      ["iterations", sol.iterations],
-                     ["states", len(sol.state_space)]]),
+                     ["states", sol.state_count]]),
     }
-    if len(sol.state_space) <= 512:
-        srows = [["+".join(str(c) for c in members) if members else "-",
-                  sol.pi[s]]
-                 for s, members in enumerate(sol.state_space.states)]
+    if sol.state_count <= 512:
+        ss = enumerate_independent_sets(cfg.graph)
+        srows = [["+".join(str(c) for c in members) if members else "-", p]
+                 for members, p in zip(ss.states,
+                                       stationary_distribution(ss, sol.rho))]
         tables["states"] = (["state", "pi"], srows)
     return tables, sol.warnings
 

@@ -19,12 +19,24 @@ import numpy as np
 from .dcf import (BackoffParams, MacPhyParams, _slot_outcomes, _whole,
                   attempt_probability, damped_fixed_point,
                   frame_exchange_times, solve_single_cell)
-from .topology import ContentionGraph, StateSpace, enumerate_independent_sets
+from .topology import (STATE_CAP, ContentionGraph, FrontierPlan, StateSpace,
+                       StateSpaceCapError, enumerate_independent_sets,
+                       frontier_plan, frontier_steps, frontier_width)
 
 LOG_ZERO = -np.inf
-# a batch of fixed-point rows holds at most this many (row, state) floats
-# in each of its arrays: 8 MB
+# a batch of fixed-point rows holds at most this many floats in each of its
+# arrays, 8 MB: (row, state) floats of an enumerated law, (row, zero-set,
+# column) floats of a frontier DP
 _BATCH_STATES = 1 << 20
+# _law's choice, measured on solves at multistart 3, one BLAS thread: grids
+# break even at about 1.3 states per unit of DP work (4x5 at 0.99: the DP
+# 1.75x slower; 4x6 at 2.2: 1.75x faster; 5x5 at 6.1: 3.7x), and sparse
+# random graphs gain more, their work count being a loose bound.  Below
+# about 2^10 states both cost mostly per-call overhead (8-15-cell chains
+# and edgeless graphs within 25 % either way); enumeration keeps such
+# networks' outputs as they were.
+_DP_FACTOR = 2
+_DP_MIN_STATES = 1 << 10
 # stationary_distribution runs blocks of this many states for every row
 _GEMV_STATES = 4096
 
@@ -138,6 +150,53 @@ def unblocked_fraction(state_space: StateSpace, pi) -> np.ndarray:
     return pi @ (~state_space.blocked_mask)
 
 
+def partition_function(steps, weights) -> np.ndarray:
+    """Z = sum over the independent sets A of prod_{i in A} w_i per row
+    of a (rows, cells) ``weights``, by a frontier DP over ``steps``
+    (``topology.frontier_steps``) on a (columns, rows) table.  No state is
+    listed and no matrix product taken, so no BLAS thread count changes a
+    result; an overflow gives a Z that is not finite."""
+    w = np.ascontiguousarray(np.asarray(weights, dtype=float).T)
+    table = np.ones((1, w.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cell, compatible, drops in steps:
+            grown = np.zeros((len(table), 2, w.shape[1]))
+            grown[:, 0] = table
+            grown[compatible, 1] = table[compatible] * w[cell]
+            table = grown.reshape(-1, w.shape[1])
+            for hi in drops:
+                part = table.reshape(hi, 2, -1)
+                table = (part[:, 0] + part[:, 1]).reshape(-1, w.shape[1])
+    return table[0]
+
+
+def frontier_law(plan: FrontierPlan, rho, beta, node_counts):
+    """``unblocked_fraction`` and ``collision_probability`` at ``rho``, per
+    row, by a frontier DP: x_i = Z(rho, N(i) zeroed) / Z(rho).  With
+    s_k = (1-beta_k)^n_k, every contending neighbor of cell j stays
+    silent with chance sum over T in N(j) of prod_{k in T} (s_k - 1)
+    Z(rho, N[j] + N[T] zeroed) / Z(rho, N[j] zeroed)."""
+    rho, beta = (np.asarray(v, dtype=float) for v in (rho, beta))
+    if not ((rho >= 0.0) & (rho < np.inf)).all():
+        raise ValueError(f"rho = {rho} must be finite and >= 0")
+    if not ((beta >= 0.0) & (beta <= 1.0)).all():
+        raise ValueError(f"beta = {beta} outside [0, 1]")
+    rows, miss = rho.reshape(-1, 1, plan.keep.shape[1]), 1.0 - beta
+    z = partition_function(plan.steps, (rows * plan.keep).reshape(
+        -1, rows.shape[-1])).reshape(len(rows), -1)
+    # zeroing cells only lowers Z, and the empty set keeps every Z >= 1
+    if not np.isfinite(z[:, 0]).all():
+        raise ValueError("access intensities too large: the partition "
+                         "function overflows")
+    n = np.asarray(node_counts, dtype=float)
+    coef = np.where(plan.term_members,
+                    (miss ** n - 1.0).reshape(len(z), 1, -1), 1.0).prod(-1)
+    silent = np.add.reduceat(coef * z[:, plan.term_set], plan.term_start,
+                             axis=1) / z[:, plan.term_set[plan.term_start]]
+    return ((z[:, plan.x_set] / z[:, :1]).reshape(beta.shape),
+            1.0 - miss ** (n - 1.0) * silent.reshape(beta.shape))
+
+
 @dataclass(frozen=True)
 class MulticellInput:
     """A contention graph with per-cell node counts and shared MAC/PHY."""
@@ -178,7 +237,8 @@ class FixedPointConfig:
 
 @dataclass
 class MulticellSolution:
-    """Converged network operating point plus its stationary law."""
+    """Converged network operating point, with the number of states of
+    the product-form law it was read from."""
 
     graph: ContentionGraph
     node_counts: tuple[int, ...]
@@ -187,7 +247,6 @@ class MulticellSolution:
     activation_rates: np.ndarray
     mean_activities: np.ndarray
     rho: np.ndarray
-    pi: np.ndarray
     x: np.ndarray
     cell_throughput_pkts: np.ndarray
     per_node_throughput_pkts: np.ndarray
@@ -195,7 +254,7 @@ class MulticellSolution:
     normalized_network_throughput: float
     residual: float
     iterations: int
-    state_space: StateSpace
+    state_count: int
     warnings: tuple[str, ...] = ()
 
 
@@ -216,32 +275,67 @@ def solve_fixed_point(inp: MulticellInput,
     the saturation throughput of an isolated cell with the same node
     count; cellmates share equally.
     """
-    ss = enumerate_independent_sets(inp.graph)
-    [(beta, (gamma, lam, act, rho, pi), x, it, resid, warnings)] = \
-        _fixed_point(inp, [inp.mac_phy.payload_bits], cfg, ss)
+    law = _law(inp.graph, inp.node_counts)
+    [(beta, (gamma, lam, act, rho), x, it, resid, warnings)] = \
+        _fixed_point(inp, [inp.mac_phy.payload_bits], cfg, law)
     iso = _isolated_throughputs(inp.node_counts, inp.mac_phy, inp.backoff)
     cell_thpt = x * iso
     return MulticellSolution(
         graph=inp.graph, node_counts=inp.node_counts,
         beta=beta, gamma=gamma, activation_rates=lam, mean_activities=act,
-        rho=rho, pi=pi, x=x,
+        rho=rho, x=x,
         cell_throughput_pkts=cell_thpt,
         per_node_throughput_pkts=cell_thpt / np.asarray(inp.node_counts),
         isolated_throughput_pkts=iso,
         normalized_network_throughput=float(x.sum()),
-        residual=resid, iterations=it, state_space=ss,
+        residual=resid, iterations=it, state_count=law[0],
         warnings=tuple(warnings))
 
 
+def _law(graph: ContentionGraph, node_counts):
+    """``(state count, floats per fixed-point row, gamma of (rows, cells)
+    rho and beta, x of one rho)`` of ``graph``'s law.  A frontier DP where
+    the state count exceeds ``STATE_CAP``, or ``_DP_MIN_STATES`` and
+    ``_DP_FACTOR`` times the DP's work per row: at most 1 + cells + sum of
+    2^degree zero-sets, times 2^width columns.  That work and the bound
+    2^cells can settle it before anything is built; else a one-row DP
+    counts the states.  Enumeration elsewhere."""
+    n, width = np.asarray(node_counts, dtype=float), frontier_width(graph)
+    work = (1 + graph.size + sum(1 << int(d) for d in graph.adjacency.sum(
+        axis=1))) << width
+    bound = min(max(_DP_FACTOR * work, _DP_MIN_STATES), STATE_CAP)
+    if 2 * work <= _BATCH_STATES and 1 << graph.size > bound:
+        steps = frontier_steps(graph)
+        states = partition_function(steps, np.ones((1, graph.size)))[0]
+        if not states < np.inf:
+            raise StateSpaceCapError(f"graph with {graph.size} cells has "
+                                     f"too many independent sets to count")
+        if states > bound:
+            plan = frontier_plan(graph, steps)
+            return (int(states), len(plan.keep) << width + 1,  # x: no beta
+                    lambda rho, beta: frontier_law(plan, rho, beta, n)[1],
+                    lambda rho: frontier_law(plan, rho, 0.0 * rho, n)[0])
+    try:
+        ss = enumerate_independent_sets(graph)
+    except StateSpaceCapError as e:
+        raise StateSpaceCapError(f"{e}; a frontier DP would hold up to "
+                                 f"{2 * work} floats per row, above "
+                                 f"{_BATCH_STATES}") from None
+    return (len(ss), len(ss), lambda rho, beta: collision_probability(
+        ss, stationary_distribution(ss, rho), beta, n),
+        lambda rho: unblocked_fraction(ss, stationary_distribution(ss, rho)))
+
+
 def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
-                 ss: StateSpace):
-    """The damped fixed point over an enumerated state space at each
-    payload size, with its multistart check: yields per point, once its
-    rows have run, ``(beta, (gamma, lam, act, rho, pi), x, iterations,
-    residual, warnings)``.  Each point's main row, then its probe rows,
-    are rows of batched damped iterations within the budget; the first
-    point whose main row does not settle raises ConvergenceError."""
+                 law):
+    """The damped fixed point on ``_law``'s ``law`` at each payload size,
+    with its multistart check: yields per point, once its rows have run,
+    ``(beta, (gamma, lam, act, rho), x, iterations, residual, warnings)``.
+    Each point's main row, then its probe rows, are rows of batched damped
+    iterations within the budget; the first point whose main row does not
+    settle raises ConvergenceError."""
     cfg = cfg or FixedPointConfig()
+    _, row_floats, collision, unblocked = law
     n = np.asarray(inp.node_counts, dtype=float)
     k = 1 + cfg.multistart
     main = np.arange(k * len(payloads)) % k == 0
@@ -257,14 +351,12 @@ def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
         lam = activation_rate(beta, n, inp.mac_phy.slot_time)
         act = mean_activity_time(beta, n, times[rows, :1], times[rows, 1:])
         rho = lam * act
-        pi = stationary_distribution(ss, rho)
-        gamma = collision_probability(ss, pi, beta, n)
-        # only main rows' aux is read; a per-step copy of pi would pin heap
+        gamma = collision(rho, beta)
         aux = [(gamma[i], lam[i], act[i], rho[i]) if main[r] else None
                for i, r in enumerate(rows)]
         return attempt_probability(gamma, inp.backoff), aux
 
-    per_batch = max(1, _BATCH_STATES // len(ss))
+    per_batch = max(1, _BATCH_STATES // row_floats)
     betas, auxes = np.empty_like(x0), []
     its, resids = np.empty(len(x0), dtype=int), np.empty(len(x0))
     for first in range(0, len(x0), per_batch):
@@ -284,9 +376,8 @@ def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
                     warnings.append(f"uniqueness start {j}: solutions differ "
                                     f"by {gap:.3e}; fixed point may not be "
                                     f"unique")
-            # the main row's law at its last step, bit for bit as batched
-            pi = stationary_distribution(ss, auxes[m][-1])
-            yield (betas[m], (*auxes[m], pi), unblocked_fraction(ss, pi),
+            # x from the main row's law at its last step
+            yield (betas[m], auxes[m], unblocked(auxes[m][-1]),
                    int(its[m]), float(resids[m]), warnings)
 
 
@@ -348,13 +439,14 @@ def payload_sweep(inp: MulticellInput, payload_bits_values,
 
     Larger payloads stretch the activity times, raising every access
     intensity, so the network slides toward its infinite-intensity limit.
-    The state space depends on the graph alone, so it is enumerated once;
-    a point keeps no throughput, so no isolated cell is solved.
+    The law's method depends on the graph alone, so it is chosen (and the
+    states enumerated, or the DP planned) once; a point keeps no
+    throughput, so no isolated cell is solved.
     """
-    ss = enumerate_independent_sets(inp.graph)
     payloads = [float(pb) for pb in payload_bits_values]
     return tuple(SweepPoint(
         payload_bits=pb, beta=tuple(beta), rho=tuple(rho), x=tuple(x),
         normalized_network_throughput=float(x.sum()), warnings=tuple(warnings))
-        for pb, (beta, (*_, rho, _), x, _, _, warnings)
-        in zip(payloads, _fixed_point(inp, payloads, cfg, ss)))
+        for pb, (beta, (*_, rho), x, _, _, warnings)
+        in zip(payloads, _fixed_point(inp, payloads, cfg,
+                                      _law(inp.graph, inp.node_counts))))

@@ -6,7 +6,8 @@ carrier-sense range of each other; the resulting contention graph drives all
 cell-level analysis.  This module builds that graph, checks that the geometry
 puts every cell pair clearly on one side of the carrier-sense boundary, and
 enumerates the independent sets of the graph, which are exactly the feasible
-sets of simultaneously transmitting cells.
+sets of simultaneously transmitting cells, or plans the frontier DP that
+reads the product-form law over them without listing them.
 """
 
 from __future__ import annotations
@@ -343,6 +344,83 @@ def _independent_sets(graph: ContentionGraph) -> np.ndarray:
 def enumerate_independent_sets(graph: ContentionGraph) -> StateSpace:
     """Enumerate every feasible transmission state of the graph."""
     return StateSpace(graph, _independent_sets(graph))
+
+
+def _last_neighbors(graph: ContentionGraph) -> np.ndarray:
+    """Per cell column, its highest neighbor column, or -1."""
+    return np.where(graph.adjacency, np.arange(graph.size), -1).max(
+        axis=1, initial=-1)
+
+
+def frontier_width(graph: ContentionGraph) -> int:
+    """The largest frontier of a walk over the cells in id order: the
+    cells taken so far that have a neighbor still to come."""
+    c = np.arange(graph.size)
+    return int(((c[:, None] < c) & (_last_neighbors(graph)[:, None] >= c))
+               .sum(axis=0).max(initial=0))
+
+
+def frontier_steps(graph: ContentionGraph) -> tuple:
+    """A frontier DP's walk: per cell in id order, ``(cell, compatible,
+    drops)``.  The cell joins a (2^f, ...) table as its lowest bit, with
+    its weight in the ``compatible`` columns (no frontier neighbor
+    active); each frontier cell done then sums out as the middle axis of
+    a (hi, 2, ...) view, for each ``hi`` of ``drops`` in turn."""
+    last, frontier, steps = _last_neighbors(graph), [], []
+    for c in range(graph.size):
+        nbits = sum(1 << i for i, k in enumerate(reversed(frontier))
+                    if graph.adjacency[c, k])
+        columns = np.arange(1 << len(frontier))
+        compatible = np.flatnonzero(columns & nbits == 0)
+        frontier, drops = frontier + [c], []
+        for k in [k for k in frontier if last[k] <= c]:
+            drops.append(1 << frontier.index(k))
+            frontier.remove(k)
+        steps.append((c, compatible, drops))
+    return tuple(steps)
+
+
+@dataclass(frozen=True)
+class FrontierPlan:
+    """A frontier DP's ``steps`` and what x and gamma read from it: Z
+    with sets of cells zeroed.  ``keep[e]`` is 0.0 on the cells that set
+    e zeroes, else 1.0; set 0 zeroes none, and ``x_set[j]`` is N(j).  Cell
+    j owns the terms from ``term_start[j]`` on, one per subset T of N(j)
+    (``term_members``; T empty first), with the set N[j] + N[T]
+    (``term_set``)."""
+
+    steps: tuple
+    keep: np.ndarray
+    x_set: np.ndarray
+    term_set: np.ndarray
+    term_members: np.ndarray
+    term_start: np.ndarray
+
+
+def frontier_plan(graph: ContentionGraph, steps: tuple) -> FrontierPlan:
+    """The distinct zero-sets and the terms of a frontier DP."""
+    n, adj = graph.size, graph.adjacency
+    bits = [sum(1 << int(k) for k in np.flatnonzero(row)) for row in adj]
+    closed = [b | 1 << j for j, b in enumerate(bits)]
+    sets = {0: 0}
+    x_set = [sets.setdefault(b, len(sets)) for b in bits]
+    term_set, members, start = [], [], []
+    for j, nbrs in enumerate(np.flatnonzero(row) for row in adj):
+        start.append(len(term_set))
+        # T's zero-set: that of T less its lowest member k, plus N[k]
+        zeroed = [closed[j]]
+        for sub in range(1, 1 << len(nbrs)):
+            low = nbrs[(sub & -sub).bit_length() - 1]
+            zeroed.append(zeroed[sub & sub - 1] | closed[low])
+        term_set += [sets.setdefault(z, len(sets)) for z in zeroed]
+        members.append(np.zeros((len(zeroed), n), dtype=bool))
+        members[-1][:, nbrs] = np.arange(len(zeroed))[:, None] >> np.arange(
+            len(nbrs)) & 1
+    keep = [[not z >> c & 1 for c in range(n)] for z in sets]
+    x_set, term_set, start = (np.array(v, dtype=np.intp)
+                              for v in (x_set, term_set, start))
+    return FrontierPlan(steps, np.array(keep, dtype=float), x_set, term_set,
+                        np.concatenate(members), start)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,47 @@ def stationary_direct(states, cells, rho):
     return w / w.sum()
 
 
+def grid_graph(rows, cols):
+    """``(cells, edges)`` of a rows x cols grid: cells 1.. in row-major
+    order, an edge between 4-neighbors."""
+    cells = list(range(1, rows * cols + 1))
+    edges = [(c, c + 1) for c in cells if c % cols] + \
+        [(c, c + cols) for c in cells[:-cols]]
+    return cells, edges
+
+
+def grid_unblocked_by_rows(rows, cols, rho):
+    """Unblocked fractions of a rows x cols grid (cells row-major, 4-
+    neighbor edges) under the product-form law at ``rho``, by a transfer
+    matrix over the independent sets of whole rows: x_i is the partition
+    function with i's neighbors silenced over the full one.  Row by row,
+    not cell by cell, and no state of the grid is listed."""
+    rho = np.asarray(rho, dtype=float).reshape(rows, cols)
+    patterns = [m for m in range(1 << cols) if not m & m >> 1]
+    members = np.array([[m >> c & 1 for c in range(cols)]
+                        for m in patterns], dtype=bool)
+    fits = np.array([[not a & b for b in patterns] for a in patterns],
+                    dtype=float)
+
+    def partition(r):
+        weight = np.where(members, r[:, None, :], 1.0).prod(axis=-1)
+        carry = weight[0]
+        for k in range(1, rows):
+            carry = weight[k] * (fits @ carry)
+        return carry.sum()
+
+    z = partition(rho)
+    x = np.empty(rows * cols)
+    for i in range(rows * cols):
+        r, c = divmod(i, cols)
+        muted = rho.copy()
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= rr < rows and 0 <= cc < cols:
+                muted[rr, cc] = 0.0
+        x[i] = partition(muted) / z
+    return x
+
+
 def neighbors_direct(cells, edges):
     """{cell: set of adjacent cells}."""
     nbrs = {c: set() for c in cells}

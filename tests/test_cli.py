@@ -27,6 +27,8 @@ from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 solve_fixed_point)
 from cellwlan.topology import CellGeom, build_contention_graph
 
+import oracles
+
 
 def write_cfg(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
@@ -469,6 +471,68 @@ def test_underflowing_law_is_one_analysis_error_line(tmp_path, capsys, verb):
     assert capsys.readouterr().err.splitlines() == [
         "analysis error: access intensities too large: the stationary law "
         "underflows to 0 where a cell contends"]
+
+
+def grid_doc(rows, cols, payload_bytes=1000):
+    cells, edges = oracles.grid_graph(rows, cols)
+    doc = chain_doc()
+    doc["deployment"] = {"adjacency": {"cells": cells,
+                                       "edges": [list(e) for e in edges]}}
+    doc["mac_phy"]["payload_bytes"] = payload_bytes
+    return doc
+
+
+def test_overflowing_frontier_dp_is_one_analysis_error_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, grid_doc(5, 5, 1.0e307))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["saturation", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert [w for w in caught if w.category is RuntimeWarning] == []
+    assert capsys.readouterr().err.splitlines() == [
+        "analysis error: access intensities too large: the partition "
+        "function overflows"]
+
+
+def test_grid_6x6_saturation_reports_its_state_count(tmp_path):
+    # 5,598,861 independent sets: five times the enumeration cap
+    cfg = write_cfg(tmp_path, grid_doc(6, 6))
+    out = tmp_path / "out"
+    assert main(["saturation", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "saturation_summary.csv")
+    assert dict(rows)["states"] == "5598861"
+    assert not (out / "saturation_states.csv").exists()
+
+
+def test_grid_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the CSV files, and the solution's arrays to the last bit, which the
+    # files' 12 digits would hide
+    cfg = write_cfg(tmp_path, grid_doc(5, 5))
+    code = ("import sys\n"
+            "from cellwlan.cli import load_config, main\n"
+            "from cellwlan.multicell import MulticellInput, "
+            "solve_fixed_point\n"
+            "cfg, out = sys.argv[1:]\n"
+            "main(['saturation', '--config', cfg, '--out', out])\n"
+            "c = load_config(cfg)\n"
+            "sol = solve_fixed_point(MulticellInput(c.graph, c.node_counts, "
+            "c.mac_phy, c.backoff), c.solver)\n"
+            "print(sol.x.tobytes().hex(), sol.gamma.tobytes().hex(), "
+            "sol.beta.tobytes().hex())\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code, cfg, str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs.append((files, proc.stdout.splitlines()[-1]))
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0][0]) == ["saturation_cells.csv",
+                                     "saturation_meta.csv",
+                                     "saturation_summary.csv"]
 
 
 def test_usage_errors_exit_one(capsys):

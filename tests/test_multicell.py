@@ -14,11 +14,14 @@ from cellwlan.dcf import (ConvergenceError, attempt_probability,
 from cellwlan.flows import FlowParams, effective_rate_fixed_point
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 activation_rate, collision_probability,
-                                mean_activity_time, payload_sweep,
-                                solve_fixed_point, stationary_distribution,
+                                frontier_law, mean_activity_time,
+                                partition_function,
+                                payload_sweep, solve_fixed_point,
+                                stationary_distribution,
                                 tcp_long_throughputs, unblocked_fraction)
-from cellwlan.topology import (enumerate_independent_sets, graph_from_edges,
-                               mis_stats)
+from cellwlan.topology import (StateSpaceCapError,
+                               enumerate_independent_sets, frontier_plan,
+                               frontier_steps, graph_from_edges, mis_stats)
 
 import oracles
 
@@ -94,10 +97,7 @@ def test_stationary_distribution_handles_zero_and_extreme_rho():
 
 
 def _grid(rows, cols):
-    cells = list(range(1, rows * cols + 1))
-    edges = [(c, c + 1) for c in cells if c % cols] + \
-        [(c, c + cols) for c in cells[:-cols]]
-    return graph_from_edges(cells, edges)
+    return graph_from_edges(*oracles.grid_graph(rows, cols))
 
 
 def test_stationary_rows_match_one_whole_matrix_gemv_each():
@@ -149,6 +149,149 @@ def test_huge_intensities_are_refused_by_name():
         with pytest.raises(ValueError, match="access intensities too large"):
             collision_probability(ss, p, np.full(p.shape[:-1] + (3,), 0.1),
                                   (2, 2, 2))
+
+
+def test_huge_intensities_are_refused_by_name_on_the_frontier_dp():
+    # rho^13 overflows on the 5x5 grid, whose independence number is 13
+    g = _grid(5, 5)
+    plan = frontier_plan(g, frontier_steps(g))
+    huge = np.full(25, 1e30)
+    for rho in (huge, np.vstack([np.ones(25), huge])):
+        with pytest.raises(ValueError, match="access intensities too large"):
+            frontier_law(plan, rho, np.full(rho.shape, 0.1), [2] * 25)
+    inp = MulticellInput(g, (2,) * 25, MP.with_payload(8e307), BO)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="access intensities too large"):
+            solve_fixed_point(inp)
+
+
+def _frontier_cases():
+    """(graph, rows of rho, rows of beta, node counts): seeded random
+    graphs of 1-16 cells, some with isolated cells, and grids up to 5x5;
+    silent cells, intensities over 0.1-1e4, and beta 0 and 1 among the
+    rows."""
+    rng = np.random.Generator(np.random.Philox(21))
+    graphs = [graph_from_edges(*oracles.random_graph(
+        rng, n, float(rng.uniform(0.1, 0.6)))) for n in range(1, 17)]
+    graphs += [graph_from_edges(*oracles.random_graph(rng, 12, 0.3))
+               for _ in range(4)]
+    graphs += [_grid(r, c) for r, c in ((2, 2), (2, 5), (3, 3), (3, 4),
+                                        (4, 4), (4, 5), (5, 5))]
+    for g in graphs:
+        n = g.size
+        rho = 10.0 ** rng.uniform(-1.0, 4.0, size=(4, n))
+        rho[1, rng.random(n) < 0.3] = 0.0
+        beta = rng.uniform(0.0, 1.0, size=(4, n))
+        beta[2, rng.random(n) < 0.5] = 0.0
+        beta[3, rng.random(n) < 0.5] = 1.0
+        yield g, rho, beta, rng.integers(1, 8, size=n)
+
+
+def test_frontier_dp_matches_enumeration():
+    isolated = 0
+    for g, rho, beta, counts in _frontier_cases():
+        ss = space(g)
+        steps = frontier_steps(g)
+        plan = frontier_plan(g, steps)
+        assert partition_function(steps, np.ones((1, g.size)))[0] == len(ss)
+        pi = stationary_distribution(ss, rho)
+        x, gamma = frontier_law(plan, rho, beta, counts)
+        np.testing.assert_allclose(x, unblocked_fraction(ss, pi),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(gamma, collision_probability(
+            ss, pi, beta, counts), rtol=0.0, atol=1e-12)
+        # one row at a time gives the same rows
+        for got, want in zip(frontier_law(plan, rho[1], beta[1], counts),
+                             (x[1], gamma[1])):
+            np.testing.assert_array_equal(got, want)
+        isolated += int((~g.adjacency.any(axis=1)).sum())
+    assert isolated >= 5
+
+
+def test_frontier_dp_refuses_bad_kernel_inputs_by_name():
+    g = _grid(2, 2)
+    plan = frontier_plan(g, frontier_steps(g))
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="^rho = "):
+            frontier_law(plan, [bad, 1.0, 1.0, 1.0], [0.1] * 4, [2] * 4)
+    for bad in (np.nan, 1.5):
+        with pytest.raises(ValueError, match="^beta = "):
+            frontier_law(plan, [1.0] * 4, [bad, 0.1, 0.1, 0.1], [2] * 4)
+
+
+def _methods(monkeypatch, graph):
+    """Which way ``_law`` reads the law of ``graph``: the numbers of
+    frontier walks, frontier plans and enumerations it builds."""
+    import cellwlan.multicell as multicell
+    built = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            built[name] += 1
+            return fn(*args)
+        return call
+
+    with monkeypatch.context() as m:
+        for name in ("frontier_steps", "frontier_plan",
+                     "enumerate_independent_sets"):
+            m.setattr(multicell, name, counted(name, getattr(multicell, name)))
+        law = multicell._law(graph, (2,) * graph.size)
+    return law, built
+
+
+def test_large_graphs_take_the_frontier_dp_and_small_ones_enumeration(
+        monkeypatch):
+    law, built = _methods(monkeypatch, _grid(5, 5))
+    assert built == {"frontier_steps": 1, "frontier_plan": 1}
+    assert law[0] == 55447
+    # the 4x5 grid counts its states (6,743, against a DP work count of
+    # 6,816), then enumerates them; no plan is built
+    law, built = _methods(monkeypatch, _grid(4, 5))
+    assert built == {"frontier_steps": 1, "enumerate_independent_sets": 1}
+    assert law[0] == 6743
+    rng = np.random.Generator(np.random.Philox(22))
+    smalls = [chain(), clique(), graph_from_edges([1, 2], [(1, 2)]),
+              _grid(3, 3), graph_from_edges(range(1, 9), [])]
+    smalls += [graph_from_edges(*oracles.random_graph(
+        rng, n, float(rng.uniform(0.0, 0.7)))) for n in range(4, 9)
+        for _ in range(4)]
+    cells = range(1, 67)
+    smalls.append(graph_from_edges(cells,
+                                   list(itertools.combinations(cells, 2))))
+    for g in smalls:
+        law, built = _methods(monkeypatch, g)
+        assert built == {"enumerate_independent_sets": 1}
+        assert law[0] == len(space(g))
+
+
+def test_graph_too_wide_for_the_dp_and_over_the_cap_names_both(monkeypatch):
+    import cellwlan.multicell as multicell
+    import cellwlan.topology as topology
+    monkeypatch.setattr(topology, "STATE_CAP", 1000)
+    monkeypatch.setattr(multicell, "_BATCH_STATES", 1000)
+    inp = MulticellInput(_grid(5, 5), (2,) * 25, MP, BO)
+    with pytest.raises(StateSpaceCapError, match=(
+            r"more than 1000 independent sets; enumeration refused; a "
+            r"frontier DP would hold up to 18048 floats per row, above "
+            r"1000$")):
+        solve_fixed_point(inp)
+
+
+def test_grid_6x6_solves_and_matches_the_row_transfer_oracle():
+    inp = MulticellInput(_grid(6, 6), (2,) * 36, MP, BO)
+    sol = solve_fixed_point(inp, FixedPointConfig(multistart=0))
+    assert sol.state_count == 5598861
+    np.testing.assert_allclose(
+        sol.x, oracles.grid_unblocked_by_rows(6, 6, sol.rho),
+        rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        attempt_probability(sol.gamma, BO), sol.beta, atol=1e-8)
+    g = _grid(3, 4)
+    rho = np.random.Generator(np.random.Philox(23)).uniform(0.1, 1e3, 12)
+    np.testing.assert_allclose(
+        oracles.grid_unblocked_by_rows(3, 4, rho),
+        unblocked_fraction(space(g), stationary_distribution(space(g), rho)),
+        rtol=0.0, atol=1e-12)
 
 
 def test_solve_leaves_scipy_sparse_unloaded():
@@ -322,8 +465,10 @@ def test_three_chain_frozen_regression():
     assert sol.normalized_network_throughput == pytest.approx(
         1.9842110017245733, rel=1e-9)
     assert sol.warnings == ()
+    assert sol.state_count == 5
+    ss = space(chain())
     assert oracles.detailed_balance_residual(
-        sol.state_space, sol.pi, sol.activation_rates,
+        ss, stationary_distribution(ss, sol.rho), sol.activation_rates,
         1.0 / sol.mean_activities) <= 1e-9
 
 
@@ -333,9 +478,9 @@ def test_solution_is_a_true_fixed_point():
     inp = MulticellInput(graph=clique(), node_counts=(5, 5, 5),
                          mac_phy=MP, backoff=BO)
     sol = solve_fixed_point(inp, FixedPointConfig(tolerance=1e-12))
-    ss = sol.state_space
+    ss = space(clique())
     pi = stationary_distribution(ss, sol.rho)
-    np.testing.assert_allclose(pi, sol.pi, rtol=1e-9)
+    np.testing.assert_allclose(unblocked_fraction(ss, pi), sol.x, rtol=1e-9)
     gam = collision_probability(ss, pi, sol.beta, (5, 5, 5))
     np.testing.assert_allclose(gam, sol.gamma, rtol=1e-9)
     np.testing.assert_allclose(attempt_probability(gam, BO), sol.beta,
@@ -747,18 +892,17 @@ def test_probe_batches_bound_their_arrays(monkeypatch):
 
 
 def test_sweep_leaves_each_finished_point_law_to_the_caller(monkeypatch):
-    # a sweep holds no law per payload: once a point is handed over, and
-    # the caller has dropped its pi, nothing keeps that pi alive
-    import weakref
-
+    # a sweep holds no law per payload: each point carries per-cell
+    # vectors only, and a caller that wants the law builds it from rho
     import cellwlan.multicell as multicell
     inp = MulticellInput(chain(), (2, 5, 3), MP, BO)
     ss = space(inp.graph)
     monkeypatch.setattr(multicell, "_BATCH_STATES", 6 * len(ss))
-    refs = []
-    for _, (*_, pi), *_ in multicell._fixed_point(
-            inp, [800.0 * p for p in range(1, 9)], FixedPointConfig(), ss):
-        refs.append(weakref.ref(pi))
-        del pi
-        assert [r() is None for r in refs[:-1]] == [True] * (len(refs) - 1)
-    assert len(refs) == 8
+    points = list(multicell._fixed_point(
+        inp, [800.0 * p for p in range(1, 9)], FixedPointConfig(),
+        multicell._law(inp.graph, inp.node_counts)))
+    assert len(points) == 8
+    for beta, aux, x, *_ in points:
+        assert [np.shape(v) for v in (beta, *aux, x)] == [(3,)] * 6
+        np.testing.assert_array_equal(x, unblocked_fraction(
+            ss, stationary_distribution(ss, aux[-1])))

@@ -10,8 +10,9 @@ from cellwlan.topology import (CellGeom, ContentionGraph, Deployment,
                                MisStats, StateSpace, StateSpaceCapError,
                                adjacency_text, build_contention_graph,
                                check_pbd, dot_edges,
-                               enumerate_independent_sets, graph_from_edges,
-                               mis_share_table, mis_stats)
+                               enumerate_independent_sets, frontier_plan,
+                               frontier_steps, frontier_width,
+                               graph_from_edges, mis_share_table, mis_stats)
 from cellwlan.topology import _independent_sets
 
 import oracles
@@ -404,3 +405,49 @@ def test_text_renderings():
     assert adjacency_text(g) == "1: 2\n2: 1 3\n3: 2\n"
     dot = dot_edges(g)
     assert "1 -- 2;" in dot and "2 -- 3;" in dot and dot.startswith("graph")
+
+
+def test_frontier_widths_and_plan_sizes():
+    cells = range(1, 67)
+    clique = graph_from_edges(cells, list(itertools.combinations(cells, 2)))
+    assert frontier_width(clique) == 65
+    assert frontier_width(graph_from_edges([1, 2, 3], [])) == 0
+    assert frontier_width(three_chain()) == 1
+    for (rows, cols), zero_sets, terms in (((5, 5), 202, 256),
+                                           ((4, 5), 146, 192)):
+        g = graph_from_edges(*oracles.grid_graph(rows, cols))
+        assert frontier_width(g) == 5
+        plan = frontier_plan(g, frontier_steps(g))
+        assert plan.keep.shape == (zero_sets, rows * cols)
+        assert plan.term_members.shape == (terms, rows * cols)
+
+
+def test_frontier_plan_against_neighborhoods():
+    rng = np.random.Generator(np.random.Philox(24))
+    for n in range(1, 13):
+        cells, edges = oracles.random_graph(rng, n, 0.4)
+        g = graph_from_edges(cells, edges)
+        adj = g.adjacency
+        steps = frontier_steps(g)
+        plan = frontier_plan(g, steps)
+        # every cell joins once, in id order, and leaves the table at
+        # one column once the last one is in
+        assert [c for c, _, _ in steps] == list(range(n))
+        assert len({tuple(k) for k in plan.keep}) == len(plan.keep)
+        assert plan.keep[0].all()
+        zeroed = ~plan.keep.astype(bool)
+        np.testing.assert_array_equal(zeroed[plan.x_set], adj)
+        closed = adj | np.eye(n, dtype=bool)
+        # each cell's first term, T empty, reads N[j]
+        np.testing.assert_array_equal(
+            zeroed[plan.term_set[plan.term_start]], closed)
+        owner = np.repeat(np.arange(n), np.diff(
+            np.append(plan.term_start, len(plan.term_set))))
+        for t, j in enumerate(owner):
+            members = plan.term_members[t]
+            assert not (members & ~adj[j]).any()
+            np.testing.assert_array_equal(
+                zeroed[plan.term_set[t]],
+                closed[j] | closed[members].any(axis=0))
+        assert np.bincount(owner, minlength=n).tolist() == \
+            (1 << adj.sum(axis=1)).tolist()
