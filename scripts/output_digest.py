@@ -14,7 +14,9 @@ The corpus:
 - seeded direct ``simulate_flow_network`` calls on random graphs of 1-7
   cells, and one call for each way a replication can end early (a
   runaway queue, a model-2 cell starved into one, a cell without
-  arrivals, no event left to happen), digesting every ``DelayResult``
+  arrivals, no event left to happen), and the 4-cell case of perfbench's
+  ``short-flows`` workload (10 x 2,000 flows, long enough that its
+  replications run in forked workers), digesting every ``DelayResult``
   field;
 - direct library calls, digesting every field of the result:
   ``solve_single_cell`` for 1-30 nodes, ``effective_rate_fixed_point`` on
@@ -116,7 +118,8 @@ from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                             simulate_flow_network)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 collision_probability, payload_sweep,
-                                solve_fixed_point, stationary_distribution)
+                                solve_fixed_point, stationary_distribution,
+                                tcp_pair)
 from cellwlan.simkit import simulate_ctmc, simulate_slotted, slots_for
 from cellwlan.topology import (CellGeom, Deployment, StateSpaceCapError,
                                adjacency_text, build_contention_graph,
@@ -314,6 +317,18 @@ def sim_digests(count: int = 30):
         res = simulate_flow_network(graph_from_edges(cells, edges),
                                     FlowParams(nu, 1.0, 1.0, model), cfg)
         yield from _result_digests(f"sim {label} {model}", res)
+    # the 4-cell case of perfbench's short-flows workload: estimated above
+    # flows._POOL_EVENTS, so its replications run in forked workers
+    pair, share = tcp_pair(mac_phy_preset("dot11b-11mbps", 8000.0),
+                           12000.0, 320.0)
+    rate = solve_single_cell(2, pair, backoff_preset("dot11b-11mbps")) \
+        .throughput_pkts * share * 100000.0
+    res = simulate_flow_network(
+        graph_from_edges([1, 2, 3, 4], [(1, 2), (2, 3)]),
+        FlowParams((6.0, 6.1, 5.9, 6.05), 800000.0, rate),
+        SimConfig(rng_seed=1, flows_per_cell=2000, warmup_flows=200,
+                  replications=10))
+    yield from _result_digests("sim short-flows 4-cell", res)
 
 
 def _chain(n: int):

@@ -19,12 +19,16 @@ it but standard exponentials, taken in blocks of ``_DRAWS`` and consumed
 in a fixed order (see ``_simulate_once``).  A block holds the same values
 as that many scalar draws, so the block size does not change the output;
 changing the draw order, the scaling or the order of the sums does.
+Long runs spread their replications over forked workers, one per core;
+each replication reads only its own stream, and the outputs come back in
+seed order, so where they ran does not change the output either.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -127,8 +131,13 @@ class DelayResult:
     replications: int
 
 
-# bound on a flow simulation's estimated events, run at about 1e6 a second
+# bound on a flow simulation's estimated events, run at 5e5-7.5e5 a second
+# by each pool worker, as in-process (2-core machine)
 MAX_SIM_EVENTS = 1e9
+# Replications of a simulation estimated above this many events run in a
+# pool: its start and stop cost about 20 ms, the loop 1.3-2 us an event, and
+# two workers beat one process from 2e4-3.5e4 events (2-core machine).
+_POOL_EVENTS = 3e4
 # standard exponentials per block of a replication's random stream
 _DRAWS = 1 << 12
 
@@ -247,6 +256,41 @@ def _simulate_once(graph: ContentionGraph, params: FlowParams,
     return mean, np.array(drec), np.array(stable), eff
 
 
+_job: list = []     # in a pool worker only: its (graph, params, cfg, table)
+
+
+def _replicate(seed: np.random.SeedSequence, job: tuple = ()):
+    """One replication, on the Philox stream of ``seed``."""
+    graph, params, cfg, table = job or _job[0]
+    return _simulate_once(graph, params, cfg,
+                          np.random.Generator(np.random.Philox(seed)), table)
+
+
+def _replications(job: tuple, seeds: list, events: float) -> list:
+    """Every replication's output, in seed order.  Above ``_POOL_EVENTS``
+    they run in forked workers, one per core, which get ``job`` through
+    the fork: a rate table of 20 cells would pickle to 168 MB."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(len(seeds), cores)
+    if workers > 1 and events > _POOL_EVENTS:
+        import multiprocessing      # about 28 ms to import: only when used
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            try:
+                pool = multiprocessing.get_context("fork").Pool(
+                    workers, _job.append, (job,))
+            except OSError:         # out of processes or pipes: run here
+                pass
+            else:
+                try:
+                    return pool.map(_replicate, seeds, chunksize=1)
+                finally:
+                    pool.terminate()
+                    pool.join()
+    return [_replicate(seed, job) for seed in seeds]
+
+
 def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
                           cfg: SimConfig | None = None) -> DelayResult:
     """Replicated flow-level simulation under the chosen service model.
@@ -281,9 +325,7 @@ def simulate_flow_network(graph: ContentionGraph, params: FlowParams,
                          f"events, over the bound of {MAX_SIM_EVENTS:.0e}; "
                          f"the slowest cell sets every replication's length")
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
-    runs = [_simulate_once(graph, params, cfg,
-                           np.random.Generator(np.random.Philox(ss)), table)
-            for ss in seeds]
+    runs = _replications((graph, params, cfg, table), seeds, events)
     means_a, compl, stab, effs = (np.vstack(r) for r in zip(*runs))
     # cells with no arrivals stay all-NaN; keep the reductions silent
     with np.errstate(invalid="ignore"), warnings.catch_warnings():

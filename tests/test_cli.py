@@ -6,6 +6,7 @@ import csv
 import functools
 import io
 import json
+import multiprocessing
 import operator
 import os
 import subprocess
@@ -19,6 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellwlan import flows
 from cellwlan.cli import (DEPLOYMENT_PRESETS, ConfigError, config_digest,
                           load_config, main)
 from cellwlan.dcf import backoff_preset, mac_phy_preset, mean_backoffs
@@ -454,6 +456,28 @@ def test_analysis_failures_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o5")]) == 2
     assert "analysis error: flow simulation would take" in \
         capsys.readouterr().err
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one core: replications never fan out")
+def test_a_replication_failing_in_a_worker_is_an_analysis_error(
+        tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    real = flows._simulate_once
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ValueError("replication failed in a worker")
+        return real(*args)
+
+    monkeypatch.setattr(flows, "_POOL_EVENTS", 0.0)
+    monkeypatch.setattr(flows, "_simulate_once", failing)
+    cfg = write_cfg(tmp_path, tcp_short_doc())
+    assert main(["tcp-short", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "analysis error: replication failed in a worker"]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("verb", ["saturation", "sweep"])

@@ -1,9 +1,14 @@
 """Flow-level queues: service models, delay fixed point, simulator."""
 
+import errno
 import itertools
+import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,7 +202,7 @@ def test_effective_rate_cell_cap():
             g, FlowParams((0.01,) * len(cells), 1.0, 1.0))
 
 
-def test_simulator_is_deterministic():
+def test_simulator_is_deterministic(monkeypatch):
     params = FlowParams((0.1, 0.1, 0.1), 1.0, 1.0)
     cfg = SimConfig(rng_seed=3, flows_per_cell=300, warmup_flows=50,
                     replications=3)
@@ -209,6 +214,147 @@ def test_simulator_is_deterministic():
                               SimConfig(rng_seed=4, flows_per_cell=300,
                                         warmup_flows=50, replications=3))
     assert not np.array_equal(a.mean_delay, c.mean_delay)
+    # the same run with its replications in forked workers, which are
+    # gone once it returns
+    monkeypatch.setattr(flows, "_POOL_EVENTS", 0.0)
+    assert_same_result(simulate_flow_network(chain(), params, cfg), a)
+    assert multiprocessing.active_children() == []
+
+
+RESULT_FIELDS = ("mean_delay", "confidence_halfwidth", "effective_rates",
+                 "stable", "completed", "replications")
+
+
+def assert_same_result(got, want, label=""):
+    for field in RESULT_FIELDS:
+        a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), \
+            (label, field, a, b)
+
+
+CORES = len(os.sched_getaffinity(0))
+# (params, plan) of a run whose replications fan out once _POOL_EVENTS is 0
+FANNED = (FlowParams((0.2, 0.2, 0.2), 1.0, 1.0),
+          SimConfig(rng_seed=11, flows_per_cell=100, warmup_flows=10,
+                    replications=3))
+needs_two_cores = pytest.mark.skipif(CORES < 2, reason="one core: "
+                                     "replications never fan out")
+
+
+@needs_two_cores
+def test_a_replication_raising_in_a_worker_reaches_the_caller(monkeypatch):
+    parent = os.getpid()
+    real = flows._simulate_once
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ValueError("replication failed in a worker")
+        return real(*args)
+
+    monkeypatch.setattr(flows, "_POOL_EVENTS", 0.0)
+    monkeypatch.setattr(flows, "_simulate_once", failing)
+    with pytest.raises(ValueError, match="in a worker"):
+        simulate_flow_network(chain(), *FANNED)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failed_fork_runs_the_replications_in_process(monkeypatch):
+    params, cfg = FANNED
+    want = simulate_flow_network(chain(), params, cfg)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(flows, "_POOL_EVENTS", 0.0)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert_same_result(simulate_flow_network(chain(), params, cfg), want)
+    assert forks == ([1] if CORES > 1 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_daemonic_caller_runs_the_replications_in_process(monkeypatch):
+    # a daemonic process may not have children, so it cannot start a pool
+    params, cfg = FANNED
+    want = simulate_flow_network(chain(), params, cfg)
+    monkeypatch.setattr(flows, "_POOL_EVENTS", 0.0)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def run():
+        res = simulate_flow_network(chain(), params, cfg)
+        send.send((res, multiprocessing.active_children()))
+
+    proc = ctx.Process(target=run, daemon=True)
+    proc.start()
+    assert recv.poll(60), "the daemonic caller sent no result"
+    got, children = recv.recv()
+    proc.join(60)
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert children == []
+    assert_same_result(got, want)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores,replications,workers",
+                         [(8, 3, 3), (2, 10, 2), (1, 10, 0), (4, 1, 0)])
+def test_one_worker_per_core_up_to_the_replications(monkeypatch, cores,
+                                                    replications, workers):
+    # a stand-in pool records its size and runs the replications here
+    sizes = []
+
+    class StandInPool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            self.job, = initargs
+
+        def map(self, func, seeds, chunksize):
+            return [func(seed, self.job) for seed in seeds]
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    params = FANNED[0]
+    cfg = SimConfig(rng_seed=11, flows_per_cell=100, warmup_flows=10,
+                    replications=replications)
+    want = simulate_flow_network(chain(), params, cfg)
+    monkeypatch.setattr(flows, "_POOL_EVENTS", 0.0)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=StandInPool))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert_same_result(simulate_flow_network(chain(), params, cfg), want)
+    # without sched_getaffinity the count falls back to os.cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert_same_result(simulate_flow_network(chain(), params, cfg), want)
+    assert sizes == ([workers] * 2 if workers else [])
+    # nor is one started where the platform cannot fork
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert_same_result(simulate_flow_network(chain(), params, cfg), want)
+    assert sizes == ([workers] * 2 if workers else [])
+
+
+def test_small_runs_and_import_leave_multiprocessing_unloaded():
+    # importing multiprocessing.pool costs about 28 ms; only a run long
+    # enough to fan out pays it
+    code = ("import sys, cellwlan, cellwlan.cli\n"
+            "from cellwlan.flows import FlowParams, SimConfig, "
+            "simulate_flow_network\n"
+            "from cellwlan.topology import graph_from_edges\n"
+            "print('multiprocessing' in sys.modules)\n"
+            "g = graph_from_edges([1, 2, 3], [(1, 2), (2, 3)])\n"
+            "simulate_flow_network(g, FlowParams((0.2, 0.2, 0.2), 1.0, 1.0), "
+            "SimConfig(flows_per_cell=100, warmup_flows=10, replications=3))\n"
+            "print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_simulator_builds_one_rate_table_per_call(monkeypatch):
@@ -410,16 +556,19 @@ REPLAY_CASES = [
      SimConfig(rng_seed=10, flows_per_cell=2500, warmup_flows=0,
                replications=1)),
 ]
-RESULT_FIELDS = ("mean_delay", "confidence_halfwidth", "effective_rates",
-                 "stable", "completed", "replications")
-
-
-@pytest.mark.parametrize("draws", [flows._DRAWS, 5])
-def test_simulator_replays_the_scalar_draw_loop(monkeypatch, draws):
+@pytest.mark.parametrize("draws,pool_events", [
+    pytest.param(flows._DRAWS, math.inf, id=str(flows._DRAWS)),
+    pytest.param(5, math.inf, id="5"),
+    pytest.param(flows._DRAWS, 0.0, id=f"{flows._DRAWS}-forked"),
+    pytest.param(5, 0.0, id="5-forked")])
+def test_simulator_replays_the_scalar_draw_loop(monkeypatch, draws,
+                                                pool_events):
     # drawing the exponentials in blocks, of any size, and the tighter
     # event loop leave every output field as the one-draw-at-a-time loop
-    # gave it, under both service models
+    # gave it, under both service models, in this process and with the
+    # replications in forked workers
     monkeypatch.setattr(flows, "_DRAWS", draws)
+    monkeypatch.setattr(flows, "_POOL_EVENTS", pool_events)
     for label, cells, edges, nu, ev, model, cfg in REPLAY_CASES:
         g = graph_from_edges(cells, edges)
         params = FlowParams(nu, ev, 1.0, service_model=model)
@@ -429,11 +578,29 @@ def test_simulator_replays_the_scalar_draw_loop(monkeypatch, draws):
             m.setattr(flows, "_simulate_once",
                       oracles.flow_replication_reference)
             want = simulate_flow_network(g, params, cfg)
-        for field in RESULT_FIELDS:
-            a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
-            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), \
-                (label, field, a, b)
+        assert_same_result(got, want, label)
         if label == "many-draws":
             assert 2 * want.completed[0] > flows._DRAWS
         if label in ("starved-middle", "runaway", "no-events"):
             assert not want.stable.all(), label
+
+
+@needs_two_cores
+def test_forked_workers_run_the_patched_replication(monkeypatch):
+    # negative control for the forked replay: a patched _simulate_once
+    # reaches the workers, so the forked comparison above compares the
+    # reference loop run there, not the library's loop twice
+    parent = os.getpid()
+    real = flows._simulate_once
+
+    def shifted(*args):
+        mean, done, stable, eff = real(*args)
+        return mean + (1.0 if os.getpid() != parent else 0.5), done, stable, eff
+
+    params, cfg = FANNED
+    want = simulate_flow_network(chain(), params, cfg)
+    monkeypatch.setattr(flows, "_POOL_EVENTS", 0.0)
+    monkeypatch.setattr(flows, "_simulate_once", shifted)
+    got = simulate_flow_network(chain(), params, cfg)
+    np.testing.assert_allclose(got.mean_delay, want.mean_delay + 1.0,
+                               rtol=1e-12)
