@@ -19,7 +19,8 @@ The corpus:
   replications run in forked workers), digesting every ``DelayResult``
   field;
 - direct library calls, digesting every field of the result:
-  ``solve_single_cell`` for 1-30 nodes, ``effective_rate_fixed_point`` on
+  ``solve_single_cell`` for 1-30 nodes, and for 1-8 nodes on a
+  ``cw_min = 3`` ladder, ``effective_rate_fixed_point`` on
   seeded 3-12-cell chains, ``simulate_ctmc`` on a 6-cell chain (21
   states, resolved by composing jump tables), a 10-cell chain (144
   states, walked step by step) and a 6-cell graph without edges (64
@@ -41,7 +42,9 @@ The corpus:
 - the ``infinite-rho`` verb on the 5x5 grid (25 cells, 55,447 states);
 - ``saturation`` and ``sweep`` on the 3-cell chain and on a seeded
   6-cell config with a ``max_iterations`` low enough that uniqueness
-  probes fail and their warnings reach the output;
+  probes fail and their warnings reach the output, and on two 5-cell
+  configs with cells of one node, one of them on a ``cw_min = 3`` ladder
+  (G(0) = 1);
 - ``solve_fixed_point`` and ``payload_sweep`` on seeded graphs of 1-8
   cells and on the 5x5 grid, at the default solver settings and at a
   ``max_iterations`` between the main solve's count and the probes',
@@ -51,7 +54,12 @@ The corpus:
   and the outcome of a 3-cell sweep whose main solve fails only at its
   second point; ``solve_fixed_point`` on the 6x6 grid at ``multistart``
   0 (5,598,861 states, beyond enumeration's cap; an older checkout gives
-  its refusal), on a 66-cell clique (degree 65),
+  its refusal), on a 2x16 ladder (1,607,521 states) numbered column by
+  column and row by row at ``multistart`` 0 (an older checkout, walking
+  the row-numbered one in id order, gives its refusal), on a 66-cell
+  clique (degree 65), ``solve_fixed_point`` and a 3-payload
+  ``payload_sweep`` on a 5-cell graph with cells of one node on a
+  ``cw_min = 3`` ladder,
   an 18-payload ``payload_sweep`` on a seeded 6-cell graph (72 solver
   rows, more than one row-offset ``bincount`` of the collision average
   takes) and the outcome of a 3-cell solve whose law underflows at a
@@ -204,6 +212,8 @@ def cli_digests(tmp: str):
     runs.append(("grid5x5", grid, ("infinite-rho",)))
     for label, doc in PROBE_CONFIGS:
         runs.append((f"{label}-probes", doc, ("saturation", "sweep")))
+    for label, doc in ONE_NODE_CONFIGS:
+        runs.append((label, doc, ("saturation", "sweep")))
     runs.append(("idle", _doc({"preset": "three-chain"}, [0.0, 0.0, 0.0],
                               "model2", 7), ("tcp-short",)))
     for label, doc, verbs in runs:
@@ -251,6 +261,19 @@ PROBE_CONFIGS = (
         "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6], [2, 5]],
         "node_counts": [3, 1, 4, 1, 5, 2]}}, [1.0] * 6, "model1", 2),
         "solver": {"max_iterations": 30, "multistart": 5}}),
+)
+
+
+# (label, config) pairs with cells of one node, one on a ladder whose
+# first mean backoff is one slot: G(0) = 1, so beta = 1 and 0^0 appear
+_ONE_NODE = {"adjacency": {
+    "cells": [1, 2, 3, 4, 5],
+    "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5], [2, 4]],
+    "node_counts": [1, 2, 1, 3, 1]}}
+ONE_NODE_CONFIGS = (
+    ("one-node", _doc(_ONE_NODE, [1.0] * 5, "model1", 4)),
+    ("one-node-cw3", {**_doc(_ONE_NODE, [1.0] * 5, "model2", 5),
+                      "backoff": {"preset": "dot11b-11mbps", "cw_min": 3}}),
 )
 
 
@@ -342,6 +365,9 @@ def library_digests():
     for n in range(1, 31):
         yield from _result_digests(f"single-cell n={n}",
                                    solve_single_cell(n, mac, backoff))
+    for n in range(1, 9):
+        yield from _result_digests(f"single-cell cw_min=3 n={n}",
+                                   solve_single_cell(n, mac, CW3))
     rng = np.random.Generator(np.random.Philox(5))
     for n in range(3, 13):
         nu = tuple(rng.uniform(0.0, 0.6, size=n).tolist())
@@ -420,6 +446,29 @@ def _solution_digests(tag: str, res):
             yield f"{tag} {field}", _array_sha(value)
 
 
+# a ladder whose first mean backoff is one slot: G(0) = 1
+CW3 = mean_backoffs(3, 1024, 7)
+
+
+def _ladder(n: int, by_rows: bool):
+    """A 2 x n ladder, its cells numbered row by row or column by column."""
+    cells = list(range(1, 2 * n + 1))
+    if by_rows:
+        return cells, [(c, c + 1) for c in cells if c % n] + \
+            [(c, c + n) for c in range(1, n + 1)]
+    return cells, [(c, c + 1) for c in cells if c % 2] + \
+        [(c, c + 2) for c in range(1, 2 * n - 1)]
+
+
+def _solution_or_refusal(tag: str, make):
+    try:
+        sol = make()
+    except StateSpaceCapError as e:
+        yield tag, _sha(f"{type(e).__name__}: {e}".encode())
+    else:
+        yield from _solution_digests(tag, sol)
+
+
 def fixed_point_digests(count: int = 12):
     backoff = backoff_preset("dot11b-11mbps")
     rng = np.random.Generator(np.random.Philox(31))
@@ -470,16 +519,29 @@ def fixed_point_digests(count: int = 12):
         (2,) * 66, mac_phy_preset("dot11b-11mbps", 8000.0), backoff)
     yield from _solution_digests("fixed-point clique 66",
                                  solve_fixed_point(inp))
-    # 5,598,861 states: the frontier DP, beyond enumeration's cap
-    inp = MulticellInput(graph_from_edges(*_grid(6, 6)), (2,) * 36,
-                         mac_phy_preset("dot11b-11mbps", 8000.0), backoff)
-    try:
-        sol = solve_fixed_point(inp, FixedPointConfig(multistart=0))
-    except StateSpaceCapError as e:
-        yield "fixed-point grid 6x6 multistart 0", _sha(
-            f"{type(e).__name__}: {e}".encode())
-    else:
-        yield from _solution_digests("fixed-point grid 6x6 multistart 0", sol)
+    # 5,598,861 states: the frontier DP, beyond enumeration's cap; and
+    # 1,607,521 on a 2x16 ladder, whose row-numbered walk in id order is
+    # too wide for the DP
+    mac = mac_phy_preset("dot11b-11mbps", 8000.0)
+    for label, (cells, edges) in (("grid 6x6", _grid(6, 6)),
+                                  ("ladder 2x16 by columns",
+                                   _ladder(16, False)),
+                                  ("ladder 2x16 by rows", _ladder(16, True))):
+        inp = MulticellInput(graph_from_edges(cells, edges),
+                             (2,) * len(cells), mac, backoff)
+        yield from _solution_or_refusal(
+            f"fixed-point {label} multistart 0",
+            lambda: solve_fixed_point(inp, FixedPointConfig(multistart=0)))
+    # cells of one node on a ladder with G(0) = 1
+    one = _ONE_NODE["adjacency"]
+    inp = MulticellInput(graph_from_edges(one["cells"], map(tuple,
+                                                            one["edges"])),
+                         tuple(one["node_counts"]), mac, CW3)
+    yield from _solution_digests("fixed-point one-node cw_min=3",
+                                 solve_fixed_point(inp))
+    for p, pt in enumerate(payload_sweep(inp, [4000.0, 8000.0, 12000.0])):
+        yield from _solution_digests(
+            f"payload-sweep one-node cw_min=3 point {p}", pt)
     # 72 solver rows, more than one row-offset bincount takes
     g, counts = nets[5][1:3]
     inp = MulticellInput(g, counts, mac_phy_preset("dot11b-11mbps", 1000.0),

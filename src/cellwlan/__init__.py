@@ -24,9 +24,9 @@ from .simkit import (CtmcRun, SlottedRun, simulate_ctmc, simulate_slotted,
                      slots_for)
 from .topology import (CellGeom, ContentionGraph, Deployment, FrontierPlan,
                        MisStats, PbdReport, StateSpace, StateSpaceCapError,
-                       adjacency_text, build_contention_graph, check_pbd,
-                       dot_edges, enumerate_independent_sets, frontier_plan,
-                       frontier_steps, frontier_width, graph_from_edges,
-                       mis_share_table, mis_stats)
+                       adjacency_text, bfs_order, build_contention_graph,
+                       check_pbd, dot_edges, enumerate_independent_sets,
+                       frontier_plan, frontier_steps, frontier_width,
+                       graph_from_edges, mis_share_table, mis_stats)
 
 __version__ = "0.1.0"

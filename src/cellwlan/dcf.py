@@ -89,6 +89,12 @@ class BackoffParams:
             raise ValueError("mean backoffs must be >= 0")
 
 
+def _within(v: np.ndarray, low: float, high: float) -> bool:
+    """Whether every entry of ``v`` lies in [low, high]: none is NaN."""
+    return (low <= np.minimum.reduce(v, axis=None, initial=low)
+            and np.maximum.reduce(v, axis=None, initial=low) <= high)
+
+
 def mean_backoffs(cw_min: int, cw_max: int, retry_limit: int) -> BackoffParams:
     """Mean backoffs for binary exponential backoff with a window ceiling.
 
@@ -113,23 +119,35 @@ def attempt_probability(gamma, backoff: BackoffParams):
     exactly when the reachable mean backoffs average below one slot, which
     is an error; rounding above 1 when they average one slot is clipped.
     """
-    g = np.asarray(gamma, dtype=float)
-    if not ((g >= 0.0) & (g <= 1.0)).all():
-        raise ValueError(f"gamma = {gamma} outside [0, 1]")
-    w = g[..., None] ** np.arange(backoff.retry_limit + 1)
-    b = np.asarray(backoff.mean_backoffs)
-    den = w @ b
+    return _attempt(backoff)(gamma)
+
+
+def _attempt(backoff: BackoffParams):
+    """``attempt_probability`` on one ladder, as a function of gamma whose
+    arrays are built once; a Python float gamma skips the array checks."""
+    exps, b = np.arange(backoff.retry_limit + 1), np.asarray(
+        backoff.mean_backoffs)
     # with every mean backoff at least one slot, den >= 1 and G <= 1
-    if min(backoff.mean_backoffs) < 1.0:
-        if not (den > 0.0).all():
-            raise ValueError("all reachable mean backoffs are zero; "
-                             "attempt probability undefined")
-        if (w @ (1.0 - b) > 0.0).any():
-            raise ValueError("reachable mean backoffs average below one "
-                             "slot (cw_min <= 2); attempt probability "
-                             "would exceed 1")
-    out = np.minimum(w.sum(axis=-1) / den, 1.0)
-    return float(out) if out.ndim == 0 else out
+    short = min(backoff.mean_backoffs) < 1.0
+
+    def attempt(gamma):
+        one = isinstance(gamma, float)
+        g = gamma if one else np.asarray(gamma, dtype=float)
+        if not (0.0 <= g <= 1.0 if one else _within(g, 0.0, 1.0)):
+            raise ValueError(f"gamma = {gamma} outside [0, 1]")
+        w = g ** exps if one else g[..., None] ** exps
+        den = w @ b
+        if short:
+            if not (den > 0.0).all():
+                raise ValueError("all reachable mean backoffs are zero; "
+                                 "attempt probability undefined")
+            if (w @ (1.0 - b) > 0.0).any():
+                raise ValueError("reachable mean backoffs average below one "
+                                 "slot (cw_min <= 2); attempt probability "
+                                 "would exceed 1")
+        out = np.minimum(np.add.reduce(w, axis=-1) / den, 1.0)
+        return float(out) if out.ndim == 0 else out
+    return attempt
 
 
 def frame_exchange_times(p: MacPhyParams) -> tuple[float, float]:
@@ -187,11 +205,12 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
 
     A 2-D ``x0`` is a batch of independent rows, each stopping at its own
     first residual at most ``tolerance``; ``step(x, live)`` sees only the
-    rows still running, ``live`` their indices, and returns one aux each.
-    The call returns (rows, each row's aux from its last step, iterations
-    and residual per row).  A row that never settled keeps its last
-    iterate, ``max_iterations`` and a residual not at most ``tolerance``;
-    the first such row in the mask ``must_settle`` raises ConvergenceError.
+    rows still running, ``live`` their indices, and returns an array of
+    one aux per row.  The call returns (rows, one array of each row's aux
+    from its last step, iterations and residual per row).  A row that
+    never settled keeps its last iterate, ``max_iterations`` and a
+    residual not at most ``tolerance``; the first such row in the mask
+    ``must_settle`` raises ConvergenceError.
 
     A setting out of range (NaN included), or a ``max_iterations`` that
     is not a whole number, raises ValueError naming it."""
@@ -203,25 +222,30 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
     batch = np.ndim(x0) == 2
     x, resid = (np.array(x0, dtype=float) if batch else x0), np.inf
     if batch:
-        rows, live, auxes = x.copy(), np.arange(len(x)), [None] * len(x)
+        rows, live = np.empty_like(x), np.arange(len(x))
         its, resids = np.full(len(x), max_iterations), np.full(len(x), np.inf)
     for it in range(1, max_iterations + 1):
         target, aux = step(x, live) if batch else step(x)
-        diff = np.abs(target - x)
+        diff = abs(target - x)
         x = (1.0 - damping) * x + damping * target
         if not batch:
-            resid = float(diff.max())
+            resid = diff if isinstance(diff, float) else float(diff.max())
             if resid <= tolerance:
                 return x, aux, it, resid
             continue
-        rows[live], resids[live] = x, diff.max(axis=1)
-        for r, a in zip(live, aux):
-            auxes[r] = a
-        done = resids[live] <= tolerance
-        its[live[done]] = it
-        x, live = x[~done], live[~done]
-        if not live.size:
-            break
+        if it == 1:
+            auxes = np.empty((len(x),) + aux.shape[1:], aux.dtype)
+        # each row is kept once, when it stops
+        resid = np.maximum.reduce(diff, axis=1)
+        done = (resid <= tolerance) | (it == max_iterations)
+        if done.any():
+            stop = live[done]
+            rows[stop], auxes[stop], resids[stop] = x[done], aux[done], \
+                resid[done]
+            its[stop] = it
+            x, live = x[~done], live[~done]
+            if not live.size:
+                break
     if batch:
         stuck = np.flatnonzero(must_settle & ~(resids <= tolerance))
         if not stuck.size:
@@ -241,9 +265,11 @@ def solve_single_cell(node_count: int, mac_phy: MacPhyParams,
     """
     n = _whole("node_count", node_count)
     t_s, t_c = frame_exchange_times(mac_phy)
+    attempt = _attempt(backoff)
+    # b stays a Python float: its ``**`` can differ from numpy's last bit
     beta, _, it, resid = damped_fixed_point(
-        lambda b: (attempt_probability(1.0 - (1.0 - b) ** (n - 1), backoff), None),
-        attempt_probability(0.0, backoff), 1e-10, 0.5, 10000, "single-cell fixed point")
+        lambda b: (attempt(1.0 - (1.0 - b) ** (n - 1)), None), attempt(0.0),
+        1e-10, 0.5, 10000, "single-cell fixed point")
     gamma = 1.0 - (1.0 - beta) ** (n - 1)
     p_idle, p_succ = _slot_outcomes(beta, n)
     p_coll = 1.0 - p_idle - p_succ

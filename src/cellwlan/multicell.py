@@ -12,16 +12,18 @@ an N-dimensional fixed point.  This module computes all of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dcf import (BackoffParams, MacPhyParams, _slot_outcomes, _whole,
-                  attempt_probability, damped_fixed_point,
-                  frame_exchange_times, solve_single_cell)
+from .dcf import (BackoffParams, MacPhyParams, _attempt, _slot_outcomes,
+                  _whole, _within, damped_fixed_point, frame_exchange_times,
+                  solve_single_cell)
 from .topology import (STATE_CAP, ContentionGraph, FrontierPlan, StateSpace,
-                       StateSpaceCapError, enumerate_independent_sets,
-                       frontier_plan, frontier_steps, frontier_width)
+                       StateSpaceCapError, bfs_order,
+                       enumerate_independent_sets, frontier_plan,
+                       frontier_steps, frontier_width)
 
 LOG_ZERO = -np.inf
 # a batch of fixed-point rows holds at most this many floats in each of its
@@ -62,10 +64,25 @@ def mean_activity_time(beta, node_count, t_success, t_collision):
     """
     p_idle, p_succ = _slot_outcomes(np.asarray(beta, dtype=float),
                                     np.asarray(node_count, dtype=float))
-    p_any = 1.0 - p_idle
-    p_succ = np.where(p_any > 0.0, p_succ / np.where(p_any > 0.0, p_any, 1.0),
-                      1.0)
+    return _activity_time(1.0 - p_idle, p_succ, t_success, t_collision)
+
+
+def _activity_time(p_any, p_succ, t_success, t_collision):
+    """``mean_activity_time`` from the chances that any one, and exactly
+    one, of the cell's nodes attempts in a slot."""
+    busy = p_any > 0.0
+    p_succ = np.where(busy, p_succ / np.where(busy, p_any, 1.0), 1.0)
     return p_succ * t_success + (1.0 - p_succ) * t_collision
+
+
+def _rho_ok(rho) -> None:
+    if not _within(rho, 0.0, np.finfo(float).max):
+        raise ValueError(f"rho = {rho} must be finite and >= 0")
+
+
+def _beta_ok(beta) -> None:
+    if not _within(beta, 0.0, 1.0):
+        raise ValueError(f"beta = {beta} outside [0, 1]")
 
 
 def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
@@ -80,8 +97,7 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim not in (1, 2) or rho.shape[-1] != len(state_space.cells):
         raise ValueError("need one access intensity per cell")
-    if not ((rho >= 0.0) & (rho < np.inf)).all():
-        raise ValueError(f"rho = {rho} must be finite and >= 0")
+    _rho_ok(rho)
     silent = rho == 0.0
     # 0 * -inf is nan, so keep the products finite and kill the states
     # that contain a silent cell afterwards
@@ -90,13 +106,13 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     for s in range(0, len(state_space), _GEMV_STATES):
         block = state_space.active_float[s:s + _GEMV_STATES]
         for row, out in zip(log_rho, logw[:, s:s + _GEMV_STATES]):
-            np.matmul(block, row, out=out)
+            np.dot(block, row, out=out)
     logw = logw.reshape(rho.shape[:-1] + (-1,))
     if silent.any():
         logw[silent @ state_space.active_float.T > 0.0] = LOG_ZERO
-    logw -= logw.max(axis=-1, keepdims=True)
+    logw -= np.maximum.reduce(logw, axis=-1, keepdims=True)
     w = np.exp(logw, out=logw)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w
 
 
@@ -115,30 +131,41 @@ def collision_probability(state_space: StateSpace, pi, beta,
     a call per row would.
     """
     idx = state_space.collision_index
-    pi = np.asarray(pi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if not ((beta >= 0.0) & (beta <= 1.0)).all():
-        raise ValueError(f"beta = {beta} outside [0, 1]")
-    miss = 1.0 - beta
-    n = np.asarray(node_counts, dtype=float)
-    silent = (miss[..., idx.owner] ** (n[idx.owner] - 1.0)
-              * np.where(idx.neighbors, (miss ** n)[..., None, :], 1.0)
-              .prod(axis=-1))
-    rows = pi.reshape(-1, len(state_space))
+    pi, beta = (np.asarray(v, dtype=float) for v in (pi, beta))
+    miss, n = 1.0 - beta, np.asarray(node_counts, dtype=float)
+    return _collision_average(idx, pi, beta, miss ** n, miss ** (n - 1.0),
+                              _owner_columns(idx, pi.size // len(idx.counts)))
+
+
+def _owner_columns(idx, rows: int) -> np.ndarray:
+    """Each pattern's owner cell, offset by one row of cells per row."""
+    cells = idx.neighbors.shape[1]
+    return (idx.owner + cells * np.arange(rows)[:, None]).ravel()
+
+
+def _collision_average(idx, pi, beta, idle, lone, owner):
+    """``collision_probability`` given each cell's (1-beta)^n (``idle``)
+    and (1-beta)^(n-1) (``lone``), and ``_owner_columns`` for pi's rows."""
+    _beta_ok(beta)
+    # each pattern's neighbors' idle chances, multiplied in column order as
+    # a product over all cells would; the padding column reads 1
+    padded = np.concatenate((idle, np.ones(idle.shape[:-1] + (1,))), axis=-1)
+    silent = lone[..., idx.owner] * np.multiply.reduce(
+        padded[..., idx.beside], axis=-1)
+    rows = pi.reshape(-1, len(idx.counts))
     stack, patterns = len(idx.column), len(idx.owner)
-    cells = len(state_space.cells)
+    cells = idx.neighbors.shape[1]
     mass = np.concatenate([np.bincount(
         idx.column[:len(part)].ravel(),
         weights=np.repeat(part, idx.counts, axis=1).ravel(),
         minlength=len(part) * patterns)
         for part in (rows[r:r + stack] for r in range(0, len(rows), stack))])
-    owner = (idx.owner + cells * np.arange(len(rows))[:, None]).ravel()
     num = np.bincount(owner, weights=mass * (1.0 - silent).ravel(),
                       minlength=len(rows) * cells)
     den = np.bincount(owner, weights=mass, minlength=len(rows) * cells)
     # every cell contends in the empty state, so den >= pi(empty) > 0
     # unless the law underflows there
-    if not (den > 0.0).all():
+    if not 0.0 < np.minimum.reduce(den, initial=np.inf):
         raise ValueError("access intensities too large: the stationary law "
                          "underflows to 0 where a cell contends")
     return (num / den).reshape(pi.shape[:-1] + (cells,))
@@ -177,24 +204,28 @@ def frontier_law(plan: FrontierPlan, rho, beta, node_counts):
     silent with chance sum over T in N(j) of prod_{k in T} (s_k - 1)
     Z(rho, N[j] + N[T] zeroed) / Z(rho, N[j] zeroed)."""
     rho, beta = (np.asarray(v, dtype=float) for v in (rho, beta))
-    if not ((rho >= 0.0) & (rho < np.inf)).all():
-        raise ValueError(f"rho = {rho} must be finite and >= 0")
-    if not ((beta >= 0.0) & (beta <= 1.0)).all():
-        raise ValueError(f"beta = {beta} outside [0, 1]")
-    rows, miss = rho.reshape(-1, 1, plan.keep.shape[1]), 1.0 - beta
+    miss, n = 1.0 - beta, np.asarray(node_counts, dtype=float)
+    return _frontier(plan, rho, beta, miss ** n, miss ** (n - 1.0))
+
+
+def _frontier(plan: FrontierPlan, rho, beta, idle, lone):
+    """``frontier_law`` given each cell's (1-beta)^n (``idle``) and
+    (1-beta)^(n-1) (``lone``)."""
+    _rho_ok(rho)
+    _beta_ok(beta)
+    rows = rho.reshape(-1, 1, plan.keep.shape[1])
     z = partition_function(plan.steps, (rows * plan.keep).reshape(
         -1, rows.shape[-1])).reshape(len(rows), -1)
     # zeroing cells only lowers Z, and the empty set keeps every Z >= 1
     if not np.isfinite(z[:, 0]).all():
         raise ValueError("access intensities too large: the partition "
                          "function overflows")
-    n = np.asarray(node_counts, dtype=float)
     coef = np.where(plan.term_members,
-                    (miss ** n - 1.0).reshape(len(z), 1, -1), 1.0).prod(-1)
+                    (idle - 1.0).reshape(len(z), 1, -1), 1.0).prod(-1)
     silent = np.add.reduceat(coef * z[:, plan.term_set], plan.term_start,
                              axis=1) / z[:, plan.term_set[plan.term_start]]
     return ((z[:, plan.x_set] / z[:, :1]).reshape(beta.shape),
-            1.0 - miss ** (n - 1.0) * silent.reshape(beta.shape))
+            1.0 - lone * silent.reshape(beta.shape))
 
 
 @dataclass(frozen=True)
@@ -294,79 +325,105 @@ def solve_fixed_point(inp: MulticellInput,
 
 def _law(graph: ContentionGraph, node_counts):
     """``(state count, floats per fixed-point row, gamma of (rows, cells)
-    rho and beta, x of one rho)`` of ``graph``'s law.  A frontier DP where
-    the state count exceeds ``STATE_CAP``, or ``_DP_MIN_STATES`` and
-    ``_DP_FACTOR`` times the DP's work per row: at most 1 + cells + sum of
-    2^degree zero-sets, times 2^width columns.  That work and the bound
-    2^cells can settle it before anything is built; else a one-row DP
-    counts the states.  Enumeration elsewhere."""
-    n, width = np.asarray(node_counts, dtype=float), frontier_width(graph)
-    work = (1 + graph.size + sum(1 << int(d) for d in graph.adjacency.sum(
-        axis=1))) << width
-    bound = min(max(_DP_FACTOR * work, _DP_MIN_STATES), STATE_CAP)
-    if 2 * work <= _BATCH_STATES and 1 << graph.size > bound:
-        steps = frontier_steps(graph)
-        states = partition_function(steps, np.ones((1, graph.size)))[0]
-        if not states < np.inf:
-            raise StateSpaceCapError(f"graph with {graph.size} cells has "
-                                     f"too many independent sets to count")
-        if states > bound:
-            plan = frontier_plan(graph, steps)
-            return (int(states), len(plan.keep) << width + 1,  # x: no beta
-                    lambda rho, beta: frontier_law(plan, rho, beta, n)[1],
-                    lambda rho: frontier_law(plan, rho, 0.0 * rho, n)[0])
+    rho, beta, (1-beta)^n and (1-beta)^(n-1), x of one rho)`` of
+    ``graph``'s law.  A frontier DP where the state count exceeds
+    ``STATE_CAP``, or ``_DP_MIN_STATES`` and ``_DP_FACTOR`` times the DP's
+    work per row: at most 1 + cells + sum of 2^degree zero-sets, times
+    2^width columns.  The walk takes the cells in id order, or in
+    ``bfs_order`` where that is strictly narrower.  That work and the
+    bound 2^cells can settle it before anything is built; else a one-row
+    DP counts the states.  Enumeration elsewhere, without a walk where
+    2^cells is at most ``_DP_MIN_STATES``."""
+    n, work = np.asarray(node_counts, dtype=float), None
+    if 1 << graph.size > _DP_MIN_STATES:
+        # min keeps the first of equal widths: id order
+        width, order = min(((frontier_width(graph, o), o) for o in (
+            None, bfs_order(graph))), key=lambda wo: wo[0])
+        work = (1 + graph.size + sum(1 << int(d) for d in graph.adjacency.sum(
+            axis=1))) << width
+        bound = min(max(_DP_FACTOR * work, _DP_MIN_STATES), STATE_CAP)
+        if 2 * work <= _BATCH_STATES and 1 << graph.size > bound:
+            steps = frontier_steps(graph, order)
+            states = partition_function(steps, np.ones((1, graph.size)))[0]
+            if not states < np.inf:
+                raise StateSpaceCapError(f"graph with {graph.size} cells has "
+                                         f"too many independent sets to "
+                                         f"count")
+            if states > bound:
+                plan = frontier_plan(graph, steps)
+                # x: no beta
+                return (int(states), len(plan.keep) << width + 1,
+                        lambda rho, beta, idle, lone: _frontier(
+                            plan, rho, beta, idle, lone)[1],
+                        lambda rho: frontier_law(plan, rho, 0.0 * rho, n)[0])
     try:
         ss = enumerate_independent_sets(graph)
     except StateSpaceCapError as e:
+        if work is None:
+            raise
         raise StateSpaceCapError(f"{e}; a frontier DP would hold up to "
                                  f"{2 * work} floats per row, above "
                                  f"{_BATCH_STATES}") from None
-    return (len(ss), len(ss), lambda rho, beta: collision_probability(
-        ss, stationary_distribution(ss, rho), beta, n),
-        lambda rho: unblocked_fraction(ss, stationary_distribution(ss, rho)))
+    owner = functools.cache(lambda rows: _owner_columns(ss.collision_index,
+                                                        rows))
+    return (len(ss), len(ss), lambda rho, beta, idle, lone: _collision_average(
+        ss.collision_index, stationary_distribution(ss, rho), beta, idle, lone,
+        owner(len(rho))), lambda rho: unblocked_fraction(
+            ss, stationary_distribution(ss, rho)))
+
+
+def _step(inp: MulticellInput, law, times):
+    """The fixed point's step on ``_law``'s ``law``, prepared once per
+    batch: ``step(beta, rows)`` maps rows of beta, row r at the frame
+    times ``times[r]``, to G(gamma) and the (rows, 4, cells) aux of gamma,
+    activation rate, mean activity time and rho, each row bit for bit
+    what the public kernels give; 1 - beta and its powers are shared."""
+    n, gamma_of = np.asarray(inp.node_counts, dtype=float), law[2]
+    slot, attempt = inp.mac_phy.slot_time, _attempt(inp.backoff)
+
+    def step(beta, rows):
+        miss, t = 1.0 - beta, times[rows]
+        idle, lone = miss ** n, miss ** (n - 1.0)
+        p_any = 1.0 - idle
+        lam = p_any / slot
+        act = _activity_time(p_any, n * beta * lone, t[:, :1], t[:, 1:])
+        rho = lam * act
+        gamma = gamma_of(rho, beta, idle, lone)
+        return attempt(gamma), np.array((gamma, lam, act, rho)).swapaxes(0, 1)
+    return step
 
 
 def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
                  law):
     """The damped fixed point on ``_law``'s ``law`` at each payload size,
     with its multistart check: yields per point, once its rows have run,
-    ``(beta, (gamma, lam, act, rho), x, iterations, residual, warnings)``.
-    Each point's main row, then its probe rows, are rows of batched damped
-    iterations within the budget; the first point whose main row does not
-    settle raises ConvergenceError."""
+    ``(beta, (gamma, lam, act, rho) as one (4, cells) array, x,
+    iterations, residual, warnings)``.  Each point's main row, then its
+    probe rows, are rows of batched damped iterations within the budget;
+    the first point whose main row does not settle raises
+    ConvergenceError."""
     cfg = cfg or FixedPointConfig()
-    _, row_floats, collision, unblocked = law
-    n = np.asarray(inp.node_counts, dtype=float)
+    row_floats, unblocked = law[1], law[3]
     k = 1 + cfg.multistart
     main = np.arange(k * len(payloads)) % k == 0
     times = np.repeat([frame_exchange_times(inp.mac_phy.with_payload(pb))
                        for pb in payloads], k, axis=0)
     probes = np.random.Generator(np.random.Philox(7)).uniform(
         1e-3, 0.999, size=(cfg.multistart, inp.graph.size))
-    beta0 = np.full((1, inp.graph.size), attempt_probability(0.0, inp.backoff))
+    beta0 = np.full((1, inp.graph.size), _attempt(inp.backoff)(0.0))
     x0 = np.tile(np.vstack([beta0, probes]), (len(payloads), 1))
-
-    def step(beta, live):
-        rows = first + live     # first: the batch's first row, set below
-        lam = activation_rate(beta, n, inp.mac_phy.slot_time)
-        act = mean_activity_time(beta, n, times[rows, :1], times[rows, 1:])
-        rho = lam * act
-        gamma = collision(rho, beta)
-        aux = [(gamma[i], lam[i], act[i], rho[i]) if main[r] else None
-               for i, r in enumerate(rows)]
-        return attempt_probability(gamma, inp.backoff), aux
-
     per_batch = max(1, _BATCH_STATES // row_floats)
-    betas, auxes = np.empty_like(x0), []
+    betas, auxes = np.empty_like(x0), np.empty((len(x0), 4, inp.graph.size))
     its, resids = np.empty(len(x0), dtype=int), np.empty(len(x0))
     for first in range(0, len(x0), per_batch):
         chunk = slice(first, first + per_batch)
-        betas[chunk], aux, its[chunk], resids[chunk] = damped_fixed_point(
-            step, x0[chunk], cfg.tolerance, cfg.damping, cfg.max_iterations,
-            "multi-cell fixed point", main[chunk])
-        auxes += aux
+        betas[chunk], auxes[chunk], its[chunk], resids[chunk] = \
+            damped_fixed_point(_step(inp, law, times[chunk]), x0[chunk],
+                               cfg.tolerance, cfg.damping, cfg.max_iterations,
+                               "multi-cell fixed point", main[chunk])
         # the points whose last row ran in this batch
-        for m in range(first - first % k, len(auxes) - k + 1, k):
+        for m in range(first - first % k,
+                       min(first + per_batch, len(x0)) - k + 1, k):
             warnings = []
             for j, r in enumerate(range(m + 1, m + k)):
                 gap = float(np.max(np.abs(betas[r] - betas[m])))
@@ -377,7 +434,7 @@ def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
                                     f"by {gap:.3e}; fixed point may not be "
                                     f"unique")
             # x from the main row's law at its last step
-            yield (betas[m], auxes[m], unblocked(auxes[m][-1]),
+            yield (betas[m], auxes[m], unblocked(auxes[m, -1]),
                    int(its[m]), float(resids[m]), warnings)
 
 

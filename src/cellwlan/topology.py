@@ -205,7 +205,8 @@ class CollisionIndex:
     kept, numbered per cell in the order of their neighbor bits (first
     neighbor most significant).  Pattern k belongs to cell column
     ``owner[k]``, and ``neighbors[k]`` marks the cell columns that contend
-    beside it.  ``column[0]`` holds the pattern of every contending
+    beside it; ``beside[k]`` lists them in column order, padded to one
+    length with the column count.  ``column[0]`` holds the pattern of every contending
     (state, cell) entry in state order, then cell order; ``counts`` holds
     the number of contending cells per state, so ``np.repeat(pi, counts)``
     lines a law over the states up with it.  ``column[r]`` is
@@ -217,6 +218,7 @@ class CollisionIndex:
     column: np.ndarray
     owner: np.ndarray
     neighbors: np.ndarray
+    beside: np.ndarray
 
 
 class StateSpace:
@@ -287,35 +289,42 @@ class StateSpace:
 
     @cached_property
     def collision_index(self) -> CollisionIndex:
-        """Built on first use, then kept with the state space."""
-        cont, n_cells = self.contending_mask, len(self.cells)
+        """Built on first use, then kept with the state space.
+
+        One stable sort numbers every cell's patterns.  Each contending
+        entry's key is its cell, then the bits of its contending neighbors
+        as 64-bit words, first cell most significant, which order as the
+        neighbor bits alone do; up to 57 cells, one word holds both."""
+        cont, adj, n = self.contending_mask, self.adjacency, len(self.cells)
         counts = cont.sum(axis=1)
-        # where each state's next entry goes, in state order, then cell order
-        place = np.cumsum(counts) - counts
-        stack = min(64, max(1, (1 << 16) // max(1, counts.sum())))
-        column = np.empty((stack, counts.sum()), dtype=np.intp)
-        owner, neighbors = [], []
-        for j in range(n_cells):
-            rows = np.flatnonzero(cont[:, j])
-            # the neighbors' contending bits as one integer, first
-            # neighbor most significant, ranked after every 40 bits so it
-            # fits in 63 (ranks < 2^20): per cell, one sort of its states
-            code = np.zeros(len(rows), dtype=np.int64)
-            for i, k in enumerate(np.flatnonzero(self.adjacency[j])):
-                if i and not i % 40:
-                    code = np.unique(code, return_inverse=True)[1]
-                code = code << 1 | cont[rows, k]
-            _, first, code = np.unique(code, return_index=True,
-                                       return_inverse=True)
-            column[0, place[rows]] = len(owner) + code
-            place[rows] += 1
-            owner += [j] * len(first)
-            neighbors += list(cont[rows[first]] & self.adjacency[j])
-        column[1:] = column[0] + len(owner) * np.arange(1, stack)[:, None]
-        return CollisionIndex(
-            counts=counts, column=column,
-            owner=np.array(owner, dtype=np.intp),
-            neighbors=np.array(neighbors, dtype=bool).reshape(len(owner), n_cells))
+        state, cell = np.nonzero(cont)    # in state order, then cell order
+        words = []
+        for m in (cont, adj):
+            # the columns reversed and packed little-endian: the earlier
+            # the cell, the higher its bit
+            w = np.zeros((len(m), (n // 64 + 1) * 8), dtype=np.uint8)
+            w[:, :-(-n // 8)] = np.packbits(m[:, ::-1], axis=1,
+                                            bitorder="little")
+            words.append(w.view("<i8"))
+        key = words[0][state] & words[1][cell]
+        if n <= 57:
+            key = key[:, :1] | (cell << n)[:, None]
+            order = np.argsort(key[:, 0], kind="stable")
+        else:
+            order = np.lexsort((*key.view("<u8").T, cell))
+        key, by_cell = key[order], cell[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (by_cell[1:] != by_cell[:-1]) | (key[1:] != key[:-1]).any(
+            axis=1)
+        first = order[new]     # stable: each pattern's first entry
+        stack = min(64, max(1, (1 << 16) // max(1, len(order))))
+        column = np.empty((stack, len(order)), dtype=np.intp)
+        column[0, order] = np.cumsum(new) - 1
+        column[1:] = column[0] + len(first) * np.arange(1, stack)[:, None]
+        nbrs = cont[state[first]] & adj[cell[first]]
+        beside = np.sort(np.where(nbrs, np.arange(n), n), kind="stable")
+        return CollisionIndex(counts, column, cell[first], nbrs, beside[
+            :, :max(1, nbrs.sum(axis=1).max(initial=0))])
 
 
 def _independent_sets(graph: ContentionGraph) -> np.ndarray:
@@ -346,34 +355,56 @@ def enumerate_independent_sets(graph: ContentionGraph) -> StateSpace:
     return StateSpace(graph, _independent_sets(graph))
 
 
-def _last_neighbors(graph: ContentionGraph) -> np.ndarray:
-    """Per cell column, its highest neighbor column, or -1."""
-    return np.where(graph.adjacency, np.arange(graph.size), -1).max(
+def bfs_order(graph: ContentionGraph) -> np.ndarray:
+    """The cell columns breadth first: each component from its first cell
+    of least degree, each cell's unvisited neighbors in column order."""
+    adj = graph.adjacency
+    seen, order = np.zeros(graph.size, dtype=bool), []
+    for root in np.argsort(adj.sum(axis=1), kind="stable").tolist():
+        if not seen[root]:
+            seen[root], queue = True, [root]
+            for c in queue:
+                nbrs = np.flatnonzero(adj[c] & ~seen)
+                seen[nbrs] = True
+                queue += nbrs.tolist()
+            order += queue
+    return np.array(order, dtype=np.intp)
+
+
+def _last_neighbors(graph: ContentionGraph, order) -> np.ndarray:
+    """Per position of a walk over the cell columns ``order`` (id order if
+    None), the last position of one of its cell's neighbors, or -1."""
+    pos = np.arange(graph.size)
+    order = pos if order is None else order
+    return np.where(graph.adjacency[np.ix_(order, order)], pos, -1).max(
         axis=1, initial=-1)
 
 
-def frontier_width(graph: ContentionGraph) -> int:
-    """The largest frontier of a walk over the cells in id order: the
-    cells taken so far that have a neighbor still to come."""
+def frontier_width(graph: ContentionGraph, order=None) -> int:
+    """The largest frontier of a walk over the cell columns ``order`` (id
+    order if None): the cells taken so far that have a neighbor still to
+    come."""
     c = np.arange(graph.size)
-    return int(((c[:, None] < c) & (_last_neighbors(graph)[:, None] >= c))
-               .sum(axis=0).max(initial=0))
+    return int(((c[:, None] < c) & (_last_neighbors(graph, order)[:, None]
+                                    >= c)).sum(axis=0).max(initial=0))
 
 
-def frontier_steps(graph: ContentionGraph) -> tuple:
-    """A frontier DP's walk: per cell in id order, ``(cell, compatible,
-    drops)``.  The cell joins a (2^f, ...) table as its lowest bit, with
-    its weight in the ``compatible`` columns (no frontier neighbor
-    active); each frontier cell done then sums out as the middle axis of
-    a (hi, 2, ...) view, for each ``hi`` of ``drops`` in turn."""
-    last, frontier, steps = _last_neighbors(graph), [], []
-    for c in range(graph.size):
+def frontier_steps(graph: ContentionGraph, order=None) -> tuple:
+    """A frontier DP's walk over the cell columns ``order`` (id order if
+    None): per cell, ``(cell, compatible, drops)``.  The cell joins a
+    (2^f, ...) table as its lowest bit, with its weight in the
+    ``compatible`` columns (no frontier neighbor active); each frontier
+    cell done then sums out as the middle axis of a (hi, 2, ...) view, for
+    each ``hi`` of ``drops`` in turn."""
+    last, frontier, steps = _last_neighbors(graph, order), [], []
+    order = range(graph.size) if order is None else np.asarray(order).tolist()
+    for p, c in enumerate(order):
         nbits = sum(1 << i for i, k in enumerate(reversed(frontier))
-                    if graph.adjacency[c, k])
+                    if graph.adjacency[c, order[k]])
         columns = np.arange(1 << len(frontier))
         compatible = np.flatnonzero(columns & nbits == 0)
-        frontier, drops = frontier + [c], []
-        for k in [k for k in frontier if last[k] <= c]:
+        frontier, drops = frontier + [p], []
+        for k in [k for k in frontier if last[k] <= p]:
             drops.append(1 << frontier.index(k))
             frontier.remove(k)
         steps.append((c, compatible, drops))
@@ -382,12 +413,12 @@ def frontier_steps(graph: ContentionGraph) -> tuple:
 
 @dataclass(frozen=True)
 class FrontierPlan:
-    """A frontier DP's ``steps`` and what x and gamma read from it: Z
-    with sets of cells zeroed.  ``keep[e]`` is 0.0 on the cells that set
-    e zeroes, else 1.0; set 0 zeroes none, and ``x_set[j]`` is N(j).  Cell
-    j owns the terms from ``term_start[j]`` on, one per subset T of N(j)
-    (``term_members``; T empty first), with the set N[j] + N[T]
-    (``term_set``)."""
+    """A frontier DP's ``steps``, which fix its walk's cell order, and
+    what x and gamma read from it: Z with sets of cells zeroed.
+    ``keep[e]`` is 0.0 on the cells that set e zeroes, else 1.0; set 0
+    zeroes none, and ``x_set[j]`` is N(j).  Cell j owns the terms from
+    ``term_start[j]`` on, one per subset T of N(j) (``term_members``; T
+    empty first), with the set N[j] + N[T] (``term_set``)."""
 
     steps: tuple
     keep: np.ndarray
@@ -398,7 +429,8 @@ class FrontierPlan:
 
 
 def frontier_plan(graph: ContentionGraph, steps: tuple) -> FrontierPlan:
-    """The distinct zero-sets and the terms of a frontier DP."""
+    """The distinct zero-sets and the terms of a frontier DP on the walk
+    ``steps`` (``frontier_steps`` in some cell order)."""
     n, adj = graph.size, graph.adjacency
     bits = [sum(1 << int(k) for k in np.flatnonzero(row)) for row in adj]
     closed = [b | 1 << j for j, b in enumerate(bits)]

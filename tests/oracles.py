@@ -122,6 +122,17 @@ def grid_graph(rows, cols):
     return cells, edges
 
 
+def ladder_graph(n, by_rows):
+    """``(cells, edges)`` of a 2 x n ladder, its cells numbered row by row
+    or column by column."""
+    cells = list(range(1, 2 * n + 1))
+    if by_rows:
+        return cells, [(c, c + 1) for c in cells if c % n] + \
+            [(c, c + n) for c in range(1, n + 1)]
+    return cells, [(c, c + 1) for c in cells if c % 2] + \
+        [(c, c + 2) for c in range(1, 2 * n - 1)]
+
+
 def grid_unblocked_by_rows(rows, cols, rho):
     """Unblocked fractions of a rows x cols grid (cells row-major, 4-
     neighbor edges) under the product-form law at ``rho``, by a transfer

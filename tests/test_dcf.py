@@ -53,6 +53,48 @@ def test_attempt_probability_endpoints_and_monotone():
     assert got.max() == 1.0 and got.min() > 1.0 - 1e-12
 
 
+def _outcome(make):
+    try:
+        return np.float64(make()).tobytes()
+    except ValueError as e:
+        return str(e)
+
+
+def test_a_float_gamma_gives_what_a_one_entry_array_gives():
+    # the single-cell loop hands G Python floats: the value, or the
+    # refusal, must be the array path's, bit for bit
+    rng = np.random.Generator(np.random.Philox(14))
+    gammas = [0.0, 1.0, 0.5, 1e-300] + rng.uniform(0.0, 1.0, 60).tolist()
+    ladders = (BO, mean_backoffs(3, 1024, 7), mean_backoffs(16, 64, 3),
+               BackoffParams(1, (0.5, 2.0)))
+    refused = 0
+    for backoff in ladders:
+        for g in gammas:
+            one = _outcome(lambda: attempt_probability(g, backoff))
+            assert one == _outcome(
+                lambda: attempt_probability(np.array([g]), backoff)[0])
+            refused += isinstance(one, str)
+    assert refused > 10
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"^gamma = .* outside \[0, 1\]$"):
+            attempt_probability(bad, BO)
+
+
+def test_single_cell_solve_is_the_damped_loop_on_g_bit_for_bit():
+    # the lean loop against the damped iteration of the array path
+    for n in range(1, 31):
+        for backoff in (BO, mean_backoffs(3, 1024, 7)):
+            sol = solve_single_cell(n, MP, backoff)
+            beta, _, it, resid = damped_fixed_point(
+                lambda b: (attempt_probability(
+                    np.array([1.0 - (1.0 - b) ** (n - 1)]), backoff)[0],
+                    None),
+                attempt_probability(0.0, backoff), 1e-10, 0.5, 10000, "toy")
+            assert (sol.beta, sol.iterations, sol.residual) == (
+                beta, it, resid)
+            assert type(sol.beta) is type(sol.residual) is float
+
+
 def test_attempt_probability_rejects_degenerate_ladder():
     zero = BackoffParams(retry_limit=1, mean_backoffs=(0.0, 0.0))
     with pytest.raises(ValueError):
@@ -166,12 +208,14 @@ def test_damped_fixed_point_runs_a_2d_iterate_as_independent_rows():
     def step(x, live):
         seen.append(live.copy())
         # each live row's aux: its index and the number of this step
-        return x * x, [(r, len(seen)) for r in live]
+        return x * x, np.column_stack((live, np.full(len(live), len(seen))))
 
     rows, aux, its, resids = damped_fixed_point(step, x0, 1e-9, 1.0, 9, "toy")
+    # one array holds every row's aux, by row index
+    assert aux.shape == (4, 2)
     for r, start in enumerate(x0):
         # each row's aux is from the step at which it stopped
-        assert aux[r] == (r, its[r])
+        assert aux[r].tolist() == [r, its[r]]
         try:
             want, _, it, resid = damped_fixed_point(
                 lambda x: (x * x, None), start, 1e-9, 1.0, 9, "toy")

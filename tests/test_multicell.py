@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from cellwlan.dcf import (ConvergenceError, attempt_probability,
-                          backoff_preset, damped_fixed_point, mac_phy_preset,
-                          solve_single_cell)
+                          backoff_preset, damped_fixed_point,
+                          frame_exchange_times, mac_phy_preset,
+                          mean_backoffs, solve_single_cell)
 from cellwlan.flows import FlowParams, effective_rate_fixed_point
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 activation_rate, collision_probability,
@@ -19,7 +20,7 @@ from cellwlan.multicell import (FixedPointConfig, MulticellInput,
                                 payload_sweep, solve_fixed_point,
                                 stationary_distribution,
                                 tcp_long_throughputs, unblocked_fraction)
-from cellwlan.topology import (StateSpaceCapError,
+from cellwlan.topology import (StateSpaceCapError, bfs_order,
                                enumerate_independent_sets, frontier_plan,
                                frontier_steps, graph_from_edges, mis_stats)
 
@@ -191,19 +192,22 @@ def test_frontier_dp_matches_enumeration():
     isolated = 0
     for g, rho, beta, counts in _frontier_cases():
         ss = space(g)
-        steps = frontier_steps(g)
-        plan = frontier_plan(g, steps)
-        assert partition_function(steps, np.ones((1, g.size)))[0] == len(ss)
         pi = stationary_distribution(ss, rho)
-        x, gamma = frontier_law(plan, rho, beta, counts)
-        np.testing.assert_allclose(x, unblocked_fraction(ss, pi),
-                                   rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(gamma, collision_probability(
-            ss, pi, beta, counts), rtol=0.0, atol=1e-12)
-        # one row at a time gives the same rows
-        for got, want in zip(frontier_law(plan, rho[1], beta[1], counts),
-                             (x[1], gamma[1])):
-            np.testing.assert_array_equal(got, want)
+        # the walk in id order and breadth first
+        for order in (None, bfs_order(g)):
+            steps = frontier_steps(g, order)
+            plan = frontier_plan(g, steps)
+            assert partition_function(steps, np.ones((1, g.size)))[0] == \
+                len(ss)
+            x, gamma = frontier_law(plan, rho, beta, counts)
+            np.testing.assert_allclose(x, unblocked_fraction(ss, pi),
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(gamma, collision_probability(
+                ss, pi, beta, counts), rtol=0.0, atol=1e-12)
+            # one row at a time gives the same rows
+            for got, want in zip(frontier_law(plan, rho[1], beta[1], counts),
+                                 (x[1], gamma[1])):
+                np.testing.assert_array_equal(got, want)
         isolated += int((~g.adjacency.any(axis=1)).sum())
     assert isolated >= 5
 
@@ -264,6 +268,42 @@ def test_large_graphs_take_the_frontier_dp_and_small_ones_enumeration(
         assert law[0] == len(space(g))
 
 
+def test_graphs_of_at_most_ten_cells_enumerate_without_a_walk(monkeypatch):
+    # 2^cells <= _DP_MIN_STATES: no walk is measured or built
+    import cellwlan.multicell as multicell
+
+    def refused(*args):
+        raise AssertionError("walked a graph that always enumerates")
+
+    for name in ("frontier_width", "bfs_order", "frontier_steps"):
+        monkeypatch.setattr(multicell, name, refused)
+    rng = np.random.Generator(np.random.Philox(27))
+    for n in range(1, 11):
+        g = graph_from_edges(*oracles.random_graph(rng, n, 0.3))
+        law, built = _methods(monkeypatch, g)
+        assert built == {"enumerate_independent_sets": 1}
+        assert law[0] == len(space(g))
+    with pytest.raises(AssertionError, match="walked"):
+        multicell._law(graph_from_edges(range(1, 12), []), (2,) * 11)
+
+
+def test_row_numbered_ladder_solves_like_the_column_numbered_one():
+    # in id order the row-numbered 2x16 ladder has width 16, too wide for
+    # the DP, and 1,607,521 states, over the cap; breadth first it has
+    # width 3
+    rows, cols = (graph_from_edges(*oracles.ladder_graph(16, by_rows))
+                  for by_rows in (True, False))
+    # per cell of the row-numbered ladder, its column-numbered index
+    match = [2 * (j % 16) + j // 16 for j in range(32)]
+    cfg = FixedPointConfig(multistart=0)
+    got = solve_fixed_point(MulticellInput(rows, (2,) * 32, MP, BO), cfg)
+    want = solve_fixed_point(MulticellInput(cols, (2,) * 32, MP, BO), cfg)
+    assert got.state_count == want.state_count == 1607521
+    np.testing.assert_allclose(got.x, want.x[match], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got.beta, want.beta[match], rtol=0.0,
+                               atol=1e-8)
+
+
 def test_graph_too_wide_for_the_dp_and_over_the_cap_names_both(monkeypatch):
     import cellwlan.multicell as multicell
     import cellwlan.topology as topology
@@ -292,6 +332,96 @@ def test_grid_6x6_solves_and_matches_the_row_transfer_oracle():
         oracles.grid_unblocked_by_rows(3, 4, rho),
         unblocked_fraction(space(g), stationary_distribution(space(g), rho)),
         rtol=0.0, atol=1e-12)
+
+
+def _step_rows(monkeypatch, inp, times, beta, dp):
+    """The prepared step on the rows of ``beta``, on the law ``_law``
+    picks, or on a frontier DP with ``dp``: (its targets and aux, or the
+    ValueError it raised; the plan)."""
+    import cellwlan.multicell as multicell
+    import cellwlan.topology as topology
+    plans = []
+    with monkeypatch.context() as m:
+        if dp:
+            m.setattr(multicell, "_DP_MIN_STATES", 0)
+            m.setattr(multicell, "_DP_FACTOR", 0)
+        m.setattr(multicell, "frontier_plan", lambda *args: plans.append(
+            topology.frontier_plan(*args)) or plans[-1])
+        law = multicell._law(inp.graph, inp.node_counts)
+    assert len(plans) == dp
+    try:
+        out = multicell._step(inp, law, times)(beta, np.arange(len(beta)))
+    except ValueError as e:
+        out = e
+    return out, plans[0] if dp else None
+
+
+def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
+    # each row, bit for bit, on enumerated laws and frontier DPs; the
+    # cw_min = 3 ladder has G(0) = 1, so beta = 1 and 0^0 appear
+    rng = np.random.Generator(np.random.Philox(28))
+    outcomes = collections.Counter()
+    for k in range(16):
+        n = k % 8 + 1
+        g = graph_from_edges(*oracles.random_graph(rng, n, 0.5))
+        counts = tuple(int(c) for c in rng.integers(1, 9, size=n))
+        for backoff in (BO, mean_backoffs(3, 1024, 7)):
+            start = attempt_probability(0.0, backoff)
+            beta = np.vstack([rng.uniform(1e-3, 0.999, size=(3, n)),
+                              rng.uniform(1e-3, 2e-3, size=(2, n)),
+                              rng.uniform(0.998, 0.999, size=(2, n)),
+                              np.full((1, n), 1e-3), np.full((1, n), 0.999),
+                              np.full((1, n), start)])
+            times = np.array([frame_exchange_times(MP.with_payload(pb))
+                              for pb in rng.uniform(400.0, 12000.0,
+                                                    size=len(beta))])
+            inp = MulticellInput(g, counts, MP, backoff)
+            for dp in (False, True):
+                out, plan = _step_rows(monkeypatch, inp, times, beta, dp)
+
+                def law(rho, b):
+                    if dp:
+                        return frontier_law(plan, rho, b, counts)[1]
+                    ss = space(g)
+                    return collision_probability(
+                        ss, stationary_distribution(ss, rho), b, counts)
+                if isinstance(out, ValueError):
+                    # near beta = 1 the DP's signed sum can round gamma
+                    # above 1: the kernels refuse the rows alike
+                    rho = activation_rate(beta, counts, MP.slot_time) * \
+                        mean_activity_time(beta, counts, times[:, :1],
+                                           times[:, 1:])
+                    with pytest.raises(ValueError) as want:
+                        attempt_probability(law(rho, beta), backoff)
+                    assert dp and str(out) == str(want.value)
+                    outcomes["refused"] += 1
+                    continue
+                target, aux = out
+                assert aux.shape == (len(beta), 4, n)
+                for r, b in enumerate(beta):
+                    gamma, lam, act, rho = aux[r]
+                    want = [activation_rate(b, counts, MP.slot_time),
+                            mean_activity_time(b, counts, *times[r])]
+                    want = [law(want[0] * want[1], b), *want,
+                            want[0] * want[1]]
+                    for got, w in zip((gamma, lam, act, rho), want):
+                        assert got.tobytes() == w.tobytes()
+                    assert target[r].tobytes() == attempt_probability(
+                        gamma, backoff).tobytes()
+                outcomes["dp" if dp else "enumerated"] += 1
+                outcomes["beta 1"] += int((beta[-1] == 1.0).all())
+    assert outcomes["enumerated"] == 32 and outcomes["beta 1"] >= 16
+    assert outcomes["dp"] + outcomes["refused"] == 32
+    assert outcomes["dp"] >= 24 and outcomes["refused"] >= 1
+
+
+def test_a_ladder_with_g_above_one_is_refused_by_a_solve():
+    # cw_min = 2: the first mean backoff is half a slot, so G(0) = 2
+    inp = MulticellInput(chain(), (2, 1, 3), MP, mean_backoffs(2, 64, 3))
+    with pytest.raises(ValueError, match=(
+            r"^reachable mean backoffs average below one slot \(cw_min <= "
+            r"2\); attempt probability would exceed 1$")):
+        solve_fixed_point(inp)
 
 
 def test_solve_leaves_scipy_sparse_unloaded():

@@ -8,8 +8,8 @@ import pytest
 
 from cellwlan.topology import (CellGeom, ContentionGraph, Deployment,
                                MisStats, StateSpace, StateSpaceCapError,
-                               adjacency_text, build_contention_graph,
-                               check_pbd, dot_edges,
+                               adjacency_text, bfs_order,
+                               build_contention_graph, check_pbd, dot_edges,
                                enumerate_independent_sets, frontier_plan,
                                frontier_steps, frontier_width,
                                graph_from_edges, mis_share_table, mis_stats)
@@ -420,6 +420,44 @@ def test_frontier_widths_and_plan_sizes():
         plan = frontier_plan(g, frontier_steps(g))
         assert plan.keep.shape == (zero_sets, rows * cols)
         assert plan.term_members.shape == (terms, rows * cols)
+
+
+def test_bfs_order_starts_each_component_at_a_least_degree_cell():
+    # a triangle 1-2-3 with a tail 3-4, an edge 5-6 and a lone cell 7:
+    # the lone cell first, then from 4 (degree 1) its neighbor 3 and 3's
+    # others in column order, then 5 and 6
+    g = graph_from_edges(range(1, 8), [(1, 2), (2, 3), (1, 3), (3, 4),
+                                       (5, 6)])
+    assert bfs_order(g).tolist() == [6, 3, 2, 0, 1, 4, 5]
+    assert bfs_order(graph_from_edges([1], [])).tolist() == [0]
+    # the row-numbered ladder is wide in id order, narrow breadth first;
+    # the column-numbered one is walked breadth first in id order
+    rows, cols = (graph_from_edges(*oracles.ladder_graph(16, by_rows))
+                  for by_rows in (True, False))
+    assert frontier_width(rows) == 16
+    assert bfs_order(rows)[:5].tolist() == [0, 1, 16, 2, 17]
+    assert frontier_width(rows, bfs_order(rows)) == 3
+    assert bfs_order(cols).tolist() == list(range(32))
+    assert frontier_width(cols) == 2
+
+
+def test_frontier_walks_follow_a_cell_order():
+    # any order: each cell joins once, in that order, the table never
+    # holds more than 2^width columns and ends at one
+    rng = np.random.Generator(np.random.Philox(26))
+    for n in range(1, 13):
+        g = graph_from_edges(*oracles.random_graph(rng, n, 0.4))
+        for order in (None, bfs_order(g), rng.permutation(n)):
+            steps = frontier_steps(g, order)
+            want = range(n) if order is None else order
+            assert [c for c, _, _ in steps] == list(want)
+            size = widest = 1
+            for _, compatible, drops in steps:
+                widest = max(widest, size)
+                assert compatible.max() < size
+                size = 2 * size >> len(drops)
+            assert size == 1
+            assert widest == 1 << frontier_width(g, order)
 
 
 def test_frontier_plan_against_neighborhoods():
