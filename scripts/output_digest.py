@@ -99,6 +99,10 @@ lacks.
         --arrays before.pkl
     python scripts/output_digest.py --compare before.pkl after.pkl
 
+``--compare`` exits 1 if any shared line changed or any line is found on
+one side only, and 0 if the two runs agree line for line, so it can gate
+a change on its own.
+
 Only long-standing public names are used, so older checkouts run it too.
 The whole corpus takes a few seconds.
 """
@@ -748,10 +752,11 @@ def run(arrays: str | None) -> None:
             pickle.dump({"lines": lines, "arrays": ARRAYS}, fh)
 
 
-def compare(before: str, after: str) -> None:
+def compare(before: str, after: str) -> int:
     """Each line whose digest differs between two ``--arrays`` files,
     with the largest |difference| where both sides are numeric arrays of
-    one shape, then each line found on one side only."""
+    one shape, then each line found on one side only.  Returns the exit
+    status: 1 if any line changed or is on one side only, else 0."""
     runs = []
     for path in (before, after):
         with open(path, "rb") as fh:
@@ -769,12 +774,15 @@ def compare(before: str, after: str) -> None:
             delta = np.abs(a.astype(float) - b.astype(float))
         print(f"changed  {label}  max |diff| "
               f"{np.nanmax(delta, initial=0.0):.3g}")
+    one_side = 0
     for side, lines, other in (("before", old, new), ("after", new, old)):
         for label in lines:
             if label not in other:
                 print(f"{side} only  {label}")
+                one_side += 1
     print(f"{len(changed)} of {len(old.keys() & new.keys())} shared lines "
-          f"changed")
+          f"changed, {one_side} on one side only")
+    return int(bool(changed or one_side))
 
 
 if __name__ == "__main__":
@@ -785,6 +793,5 @@ if __name__ == "__main__":
                     help="compare two --arrays files instead of running")
     args = ap.parse_args()
     if args.compare:
-        compare(*args.compare)
-    else:
-        run(args.arrays)
+        sys.exit(compare(*args.compare))
+    run(args.arrays)

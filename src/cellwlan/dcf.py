@@ -145,8 +145,8 @@ def _attempt(backoff: BackoffParams):
                 raise ValueError("reachable mean backoffs average below one "
                                  "slot (cw_min <= 2); attempt probability "
                                  "would exceed 1")
-        out = np.minimum(np.add.reduce(w, axis=-1) / den, 1.0)
-        return float(out) if out.ndim == 0 else out
+        out = np.add.reduce(w, axis=-1) / den
+        return min(float(out), 1.0) if out.ndim == 0 else np.minimum(out, 1.0)
     return attempt
 
 
@@ -188,11 +188,12 @@ class SingleCellSolution:
 
 
 def _slot_outcomes(beta, n):
-    """(p_idle, p_succ) of a slot in which each of n saturated nodes
-    attempts with probability beta: nobody attempts, or exactly one does.
-    Scalars stay Python floats, whose ``**`` can differ from numpy's."""
+    """(p_idle, p_lone, p_succ) of a slot where each of n saturated nodes
+    attempts with probability beta: none does, a given node's n - 1
+    cellmates do not, or one does.  Scalars stay Python floats."""
     miss = 1.0 - beta
-    return miss ** n, n * beta * miss ** (n - 1)
+    lone = miss ** (n - 1)
+    return miss ** n, lone, n * beta * lone
 
 
 def damped_fixed_point(step, x0, tolerance: float, damping: float,
@@ -268,11 +269,10 @@ def solve_single_cell(node_count: int, mac_phy: MacPhyParams,
     attempt = _attempt(backoff)
     # b stays a Python float: its ``**`` can differ from numpy's last bit
     beta, _, it, resid = damped_fixed_point(
-        lambda b: (attempt(1.0 - (1.0 - b) ** (n - 1)), None), attempt(0.0),
-        1e-10, 0.5, 10000, "single-cell fixed point")
-    gamma = 1.0 - (1.0 - beta) ** (n - 1)
-    p_idle, p_succ = _slot_outcomes(beta, n)
-    p_coll = 1.0 - p_idle - p_succ
+        lambda b: (attempt(1.0 - _slot_outcomes(b, n)[1]), None),
+        attempt(0.0), 1e-10, 0.5, 10000, "single-cell fixed point")
+    p_idle, lone, p_succ = _slot_outcomes(beta, n)
+    gamma, p_coll = 1.0 - lone, 1.0 - p_idle - p_succ
     cycle = p_idle * mac_phy.slot_time + p_succ * t_s + p_coll * t_c
     return SingleCellSolution(
         node_count=n, beta=beta, gamma=gamma,

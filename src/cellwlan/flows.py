@@ -381,6 +381,8 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
     ``max_iterations`` steps.
     """
     n = graph.size
+    if not n:
+        raise ValueError("a network needs at least one cell")
     share = service_rate_table(graph, "model2", 1.0)
     nu = np.asarray(params.arrival_rates, dtype=float)
     if nu.shape != (n,):

@@ -12,7 +12,6 @@ an N-dimensional fixed point.  This module computes all of it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .topology import (STATE_CAP, ContentionGraph, FrontierPlan, StateSpace,
                        enumerate_independent_sets, frontier_plan,
                        frontier_steps, frontier_width)
 
-LOG_ZERO = -np.inf
 # a batch of fixed-point rows holds at most this many floats in each of its
 # arrays, 8 MB: (row, state) floats of an enumerated law, (row, zero-set,
 # column) floats of a frontier DP
@@ -50,8 +48,8 @@ def activation_rate(beta, node_count, slot_time):
     the time to activation is geometric with that success probability.
     Accepts scalars or arrays.
     """
-    p_idle, _ = _slot_outcomes(np.asarray(beta, dtype=float),
-                               np.asarray(node_count, dtype=float))
+    p_idle, _, _ = _slot_outcomes(np.asarray(beta, dtype=float),
+                                  np.asarray(node_count, dtype=float))
     return (1.0 - p_idle) / slot_time
 
 
@@ -62,8 +60,8 @@ def mean_activity_time(beta, node_count, t_success, t_collision):
     attempted in the activating slot.  beta -> 0 degenerates to a sure
     success.  Accepts scalars or arrays.
     """
-    p_idle, p_succ = _slot_outcomes(np.asarray(beta, dtype=float),
-                                    np.asarray(node_count, dtype=float))
+    p_idle, _, p_succ = _slot_outcomes(np.asarray(beta, dtype=float),
+                                       np.asarray(node_count, dtype=float))
     return _activity_time(1.0 - p_idle, p_succ, t_success, t_collision)
 
 
@@ -109,7 +107,7 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
             np.dot(block, row, out=out)
     logw = logw.reshape(rho.shape[:-1] + (-1,))
     if silent.any():
-        logw[silent @ state_space.active_float.T > 0.0] = LOG_ZERO
+        logw[silent @ state_space.active_float.T > 0.0] = -np.inf
     logw -= np.maximum.reduce(logw, axis=-1, keepdims=True)
     w = np.exp(logw, out=logw)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
@@ -127,38 +125,43 @@ def collision_probability(state_space: StateSpace, pi, beta,
     (1-beta_j)^n_j, finite for beta_j = 1, and each cell averages over its
     few patterns.  (rows, states) ``pi`` with (rows, cells) ``beta`` give
     one average per row; each sum is one row-offset ``np.bincount`` over
-    as many rows as ``column`` stacks, adding every bin in state order as
-    a call per row would.
+    as many rows as ``_row_columns`` stacks, adding every bin in state
+    order as a call per row would.
     """
-    idx = state_space.collision_index
     pi, beta = (np.asarray(v, dtype=float) for v in (pi, beta))
-    miss, n = 1.0 - beta, np.asarray(node_counts, dtype=float)
-    return _collision_average(idx, pi, beta, miss ** n, miss ** (n - 1.0),
-                              _owner_columns(idx, pi.size // len(idx.counts)))
+    idle, lone, _ = _slot_outcomes(beta, np.asarray(node_counts, dtype=float))
+    return _collision_average(state_space, pi, beta, idle, lone, _row_columns(
+        state_space, pi.size // len(state_space)))
 
 
-def _owner_columns(idx, rows: int) -> np.ndarray:
-    """Each pattern's owner cell, offset by one row of cells per row."""
-    cells = idx.neighbors.shape[1]
-    return (idx.owner + cells * np.arange(rows)[:, None]).ravel()
+def _row_columns(state_space: StateSpace, rows: int):
+    """The row-offset bins of the collision average's sums over ``rows``
+    rows: each entry's pattern, for as many rows as one ``np.bincount``
+    takes (2^16 entries, at most 64 rows), and each pattern's owner."""
+    idx, cells = state_space.collision_index, len(state_space.cells)
+    stack = min(rows, 64, max(1, (1 << 16) // max(1, len(idx.column))))
+    pattern = idx.column + len(idx.owner) * np.arange(stack)[:, None] \
+        if stack > 1 else idx.column[None]    # one row: no copy
+    return pattern, (idx.owner + cells * np.arange(rows)[:, None]).ravel()
 
 
-def _collision_average(idx, pi, beta, idle, lone, owner):
+def _collision_average(state_space: StateSpace, pi, beta, idle, lone,
+                       columns):
     """``collision_probability`` given each cell's (1-beta)^n (``idle``)
-    and (1-beta)^(n-1) (``lone``), and ``_owner_columns`` for pi's rows."""
+    and (1-beta)^(n-1) (``lone``), and ``_row_columns`` of >= pi's rows."""
     _beta_ok(beta)
+    idx, cells = state_space.collision_index, len(state_space.cells)
     # each pattern's neighbors' idle chances, multiplied in column order as
     # a product over all cells would; the padding column reads 1
     padded = np.concatenate((idle, np.ones(idle.shape[:-1] + (1,))), axis=-1)
     silent = lone[..., idx.owner] * np.multiply.reduce(
         padded[..., idx.beside], axis=-1)
-    rows = pi.reshape(-1, len(idx.counts))
-    stack, patterns = len(idx.column), len(idx.owner)
-    cells = idx.neighbors.shape[1]
+    rows, (pattern, owner) = pi.reshape(-1, len(idx.counts)), columns
+    stack, owner = len(pattern), owner[:len(rows) * len(idx.owner)]
     mass = np.concatenate([np.bincount(
-        idx.column[:len(part)].ravel(),
+        pattern[:len(part)].ravel(),
         weights=np.repeat(part, idx.counts, axis=1).ravel(),
-        minlength=len(part) * patterns)
+        minlength=len(part) * len(idx.owner))
         for part in (rows[r:r + stack] for r in range(0, len(rows), stack))])
     num = np.bincount(owner, weights=mass * (1.0 - silent).ravel(),
                       minlength=len(rows) * cells)
@@ -204,8 +207,8 @@ def frontier_law(plan: FrontierPlan, rho, beta, node_counts):
     silent with chance sum over T in N(j) of prod_{k in T} (s_k - 1)
     Z(rho, N[j] + N[T] zeroed) / Z(rho, N[j] zeroed)."""
     rho, beta = (np.asarray(v, dtype=float) for v in (rho, beta))
-    miss, n = 1.0 - beta, np.asarray(node_counts, dtype=float)
-    return _frontier(plan, rho, beta, miss ** n, miss ** (n - 1.0))
+    idle, lone, _ = _slot_outcomes(beta, np.asarray(node_counts, dtype=float))
+    return _frontier(plan, rho, beta, idle, lone)
 
 
 def _frontier(plan: FrontierPlan, rho, beta, idle, lone):
@@ -224,6 +227,8 @@ def _frontier(plan: FrontierPlan, rho, beta, idle, lone):
                     (idle - 1.0).reshape(len(z), 1, -1), 1.0).prod(-1)
     silent = np.add.reduceat(coef * z[:, plan.term_set], plan.term_start,
                              axis=1) / z[:, plan.term_set[plan.term_start]]
+    # near beta = 1 the signed sum can round a few ulps outside [0, 1]
+    np.clip(silent, 0.0, 1.0, out=silent)
     return ((z[:, plan.x_set] / z[:, :1]).reshape(beta.shape),
             1.0 - lone * silent.reshape(beta.shape))
 
@@ -238,6 +243,8 @@ class MulticellInput:
     backoff: BackoffParams
 
     def __post_init__(self) -> None:
+        if not self.graph.size:
+            raise ValueError("a network needs at least one cell")
         if len(self.node_counts) != self.graph.size:
             raise ValueError("need one node count per cell")
         for n in self.node_counts:
@@ -306,7 +313,7 @@ def solve_fixed_point(inp: MulticellInput,
     the saturation throughput of an isolated cell with the same node
     count; cellmates share equally.
     """
-    law = _law(inp.graph, inp.node_counts)
+    states, *_ = law = _law(inp.graph, inp.node_counts)
     [(beta, (gamma, lam, act, rho), x, it, resid, warnings)] = \
         _fixed_point(inp, [inp.mac_phy.payload_bits], cfg, law)
     iso = _isolated_throughputs(inp.node_counts, inp.mac_phy, inp.backoff)
@@ -319,21 +326,21 @@ def solve_fixed_point(inp: MulticellInput,
         per_node_throughput_pkts=cell_thpt / np.asarray(inp.node_counts),
         isolated_throughput_pkts=iso,
         normalized_network_throughput=float(x.sum()),
-        residual=resid, iterations=it, state_count=law[0],
+        residual=resid, iterations=it, state_count=states,
         warnings=tuple(warnings))
 
 
 def _law(graph: ContentionGraph, node_counts):
-    """``(state count, floats per fixed-point row, gamma of (rows, cells)
-    rho, beta, (1-beta)^n and (1-beta)^(n-1), x of one rho)`` of
-    ``graph``'s law.  A frontier DP where the state count exceeds
-    ``STATE_CAP``, or ``_DP_MIN_STATES`` and ``_DP_FACTOR`` times the DP's
-    work per row: at most 1 + cells + sum of 2^degree zero-sets, times
-    2^width columns.  The walk takes the cells in id order, or in
-    ``bfs_order`` where that is strictly narrower.  That work and the
-    bound 2^cells can settle it before anything is built; else a one-row
-    DP counts the states.  Enumeration elsewhere, without a walk where
-    2^cells is at most ``_DP_MIN_STATES``."""
+    """``(state count, floats per fixed-point row, gamma for up to r rows:
+    a function of (rows, cells) rho, beta, (1-beta)^n and (1-beta)^(n-1),
+    x of one rho)`` of ``graph``'s law.  A frontier DP where the state
+    count exceeds ``STATE_CAP``, or ``_DP_MIN_STATES`` and ``_DP_FACTOR``
+    times the DP's work per row: at most 1 + cells + sum of 2^degree
+    zero-sets, times 2^width columns.  The walk takes the cells in id
+    order, or in ``bfs_order`` where that is strictly narrower.  That
+    work and the bound 2^cells can settle it before anything is built;
+    else a one-row DP counts the states.  Enumeration elsewhere, without
+    a walk where 2^cells is at most ``_DP_MIN_STATES``."""
     n, work = np.asarray(node_counts, dtype=float), None
     if 1 << graph.size > _DP_MIN_STATES:
         # min keeps the first of equal widths: id order
@@ -353,7 +360,7 @@ def _law(graph: ContentionGraph, node_counts):
                 plan = frontier_plan(graph, steps)
                 # x: no beta
                 return (int(states), len(plan.keep) << width + 1,
-                        lambda rho, beta, idle, lone: _frontier(
+                        lambda r: lambda rho, beta, idle, lone: _frontier(
                             plan, rho, beta, idle, lone)[1],
                         lambda rho: frontier_law(plan, rho, 0.0 * rho, n)[0])
     try:
@@ -364,29 +371,30 @@ def _law(graph: ContentionGraph, node_counts):
         raise StateSpaceCapError(f"{e}; a frontier DP would hold up to "
                                  f"{2 * work} floats per row, above "
                                  f"{_BATCH_STATES}") from None
-    owner = functools.cache(lambda rows: _owner_columns(ss.collision_index,
-                                                        rows))
-    return (len(ss), len(ss), lambda rho, beta, idle, lone: _collision_average(
-        ss.collision_index, stationary_distribution(ss, rho), beta, idle, lone,
-        owner(len(rho))), lambda rho: unblocked_fraction(
-            ss, stationary_distribution(ss, rho)))
+
+    def gamma_for(r):
+        columns = _row_columns(ss, r)
+        return lambda rho, beta, idle, lone: _collision_average(
+            ss, stationary_distribution(ss, rho), beta, idle, lone, columns)
+    return (len(ss), len(ss), gamma_for, lambda rho: unblocked_fraction(
+        ss, stationary_distribution(ss, rho)))
 
 
-def _step(inp: MulticellInput, law, times):
-    """The fixed point's step on ``_law``'s ``law``, prepared once per
-    batch: ``step(beta, rows)`` maps rows of beta, row r at the frame
+def _step(inp: MulticellInput, gamma_for, times):
+    """The fixed point's step on a ``_law``'s ``gamma_for``, prepared once
+    per batch: ``step(beta, rows)`` maps rows of beta, row r at the frame
     times ``times[r]``, to G(gamma) and the (rows, 4, cells) aux of gamma,
     activation rate, mean activity time and rho, each row bit for bit
-    what the public kernels give; 1 - beta and its powers are shared."""
-    n, gamma_of = np.asarray(inp.node_counts, dtype=float), law[2]
-    slot, attempt = inp.mac_phy.slot_time, _attempt(inp.backoff)
+    what the public kernels give; the per-slot outcomes are shared."""
+    n, slot = np.asarray(inp.node_counts, dtype=float), inp.mac_phy.slot_time
+    attempt, gamma_of = _attempt(inp.backoff), gamma_for(len(times))
 
     def step(beta, rows):
-        miss, t = 1.0 - beta, times[rows]
-        idle, lone = miss ** n, miss ** (n - 1.0)
+        t = times[rows]
+        idle, lone, p_succ = _slot_outcomes(beta, n)
         p_any = 1.0 - idle
         lam = p_any / slot
-        act = _activity_time(p_any, n * beta * lone, t[:, :1], t[:, 1:])
+        act = _activity_time(p_any, p_succ, t[:, :1], t[:, 1:])
         rho = lam * act
         gamma = gamma_of(rho, beta, idle, lone)
         return attempt(gamma), np.array((gamma, lam, act, rho)).swapaxes(0, 1)
@@ -396,14 +404,13 @@ def _step(inp: MulticellInput, law, times):
 def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
                  law):
     """The damped fixed point on ``_law``'s ``law`` at each payload size,
-    with its multistart check: yields per point, once its rows have run,
-    ``(beta, (gamma, lam, act, rho) as one (4, cells) array, x,
-    iterations, residual, warnings)``.  Each point's main row, then its
-    probe rows, are rows of batched damped iterations within the budget;
-    the first point whose main row does not settle raises
-    ConvergenceError."""
+    with its multistart check: per point, ``(beta, (gamma, lam, act, rho)
+    as one (4, cells) array, x, iterations, residual, warnings)``.  Each
+    point's main row, then its probe rows, are rows of batched damped
+    iterations within the budget; the first point whose main row does not
+    settle raises ConvergenceError."""
     cfg = cfg or FixedPointConfig()
-    row_floats, unblocked = law[1], law[3]
+    _, row_floats, gamma_for, unblocked = law
     k = 1 + cfg.multistart
     main = np.arange(k * len(payloads)) % k == 0
     times = np.repeat([frame_exchange_times(inp.mac_phy.with_payload(pb))
@@ -418,24 +425,23 @@ def _fixed_point(inp: MulticellInput, payloads, cfg: FixedPointConfig | None,
     for first in range(0, len(x0), per_batch):
         chunk = slice(first, first + per_batch)
         betas[chunk], auxes[chunk], its[chunk], resids[chunk] = \
-            damped_fixed_point(_step(inp, law, times[chunk]), x0[chunk],
+            damped_fixed_point(_step(inp, gamma_for, times[chunk]), x0[chunk],
                                cfg.tolerance, cfg.damping, cfg.max_iterations,
                                "multi-cell fixed point", main[chunk])
-        # the points whose last row ran in this batch
-        for m in range(first - first % k,
-                       min(first + per_batch, len(x0)) - k + 1, k):
-            warnings = []
-            for j, r in enumerate(range(m + 1, m + k)):
-                gap = float(np.max(np.abs(betas[r] - betas[m])))
-                if not resids[r] <= cfg.tolerance:
-                    warnings.append(f"uniqueness start {j}: did not converge")
-                elif gap > 100.0 * cfg.tolerance:
-                    warnings.append(f"uniqueness start {j}: solutions differ "
-                                    f"by {gap:.3e}; fixed point may not be "
-                                    f"unique")
-            # x from the main row's law at its last step
-            yield (betas[m], auxes[m], unblocked(auxes[m, -1]),
-                   int(its[m]), float(resids[m]), warnings)
+    points = []
+    for m in range(0, len(x0), k):
+        warnings = []
+        for j, r in enumerate(range(m + 1, m + k)):
+            gap = float(np.max(np.abs(betas[r] - betas[m])))
+            if not resids[r] <= cfg.tolerance:
+                warnings.append(f"uniqueness start {j}: did not converge")
+            elif gap > 100.0 * cfg.tolerance:
+                warnings.append(f"uniqueness start {j}: solutions differ by "
+                                f"{gap:.3e}; fixed point may not be unique")
+        # x from the main row's law at its last step
+        points.append((betas[m], auxes[m], unblocked(auxes[m, -1]),
+                       int(its[m]), float(resids[m]), warnings))
+    return points
 
 
 def tcp_pair(mac_phy: MacPhyParams, tcp_data_bits: float,

@@ -204,20 +204,17 @@ class CollisionIndex:
     into a few patterns: at most 2^degree, and only the observed ones are
     kept, numbered per cell in the order of their neighbor bits (first
     neighbor most significant).  Pattern k belongs to cell column
-    ``owner[k]``, and ``neighbors[k]`` marks the cell columns that contend
-    beside it; ``beside[k]`` lists them in column order, padded to one
-    length with the column count.  ``column[0]`` holds the pattern of every contending
-    (state, cell) entry in state order, then cell order; ``counts`` holds
-    the number of contending cells per state, so ``np.repeat(pi, counts)``
-    lines a law over the states up with it.  ``column[r]`` is
-    ``column[0] + r * len(owner)``, for as many rows as one row-offset
-    ``np.bincount`` takes: 2^16 entries, at most 64 rows.
+    ``owner[k]``, and ``beside[k]`` lists the cell columns that contend
+    beside it in column order, padded to one length with the column
+    count.  ``column`` holds the pattern of every contending (state, cell)
+    entry in state order, then cell order; ``counts`` holds the number of
+    contending cells per state, so ``np.repeat(pi, counts)`` lines a law
+    over the states up with it.
     """
 
     counts: np.ndarray
     column: np.ndarray
     owner: np.ndarray
-    neighbors: np.ndarray
     beside: np.ndarray
 
 
@@ -294,7 +291,7 @@ class StateSpace:
         One stable sort numbers every cell's patterns.  Each contending
         entry's key is its cell, then the bits of its contending neighbors
         as 64-bit words, first cell most significant, which order as the
-        neighbor bits alone do; up to 57 cells, one word holds both."""
+        neighbor bits alone do."""
         cont, adj, n = self.contending_mask, self.adjacency, len(self.cells)
         counts = cont.sum(axis=1)
         state, cell = np.nonzero(cont)    # in state order, then cell order
@@ -307,23 +304,17 @@ class StateSpace:
                                             bitorder="little")
             words.append(w.view("<i8"))
         key = words[0][state] & words[1][cell]
-        if n <= 57:
-            key = key[:, :1] | (cell << n)[:, None]
-            order = np.argsort(key[:, 0], kind="stable")
-        else:
-            order = np.lexsort((*key.view("<u8").T, cell))
+        order = np.lexsort((*key.view("<u8").T, cell))
         key, by_cell = key[order], cell[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (by_cell[1:] != by_cell[:-1]) | (key[1:] != key[:-1]).any(
             axis=1)
         first = order[new]     # stable: each pattern's first entry
-        stack = min(64, max(1, (1 << 16) // max(1, len(order))))
-        column = np.empty((stack, len(order)), dtype=np.intp)
-        column[0, order] = np.cumsum(new) - 1
-        column[1:] = column[0] + len(first) * np.arange(1, stack)[:, None]
+        column = np.empty(len(order), dtype=np.intp)
+        column[order] = np.cumsum(new) - 1
         nbrs = cont[state[first]] & adj[cell[first]]
         beside = np.sort(np.where(nbrs, np.arange(n), n), kind="stable")
-        return CollisionIndex(counts, column, cell[first], nbrs, beside[
+        return CollisionIndex(counts, column, cell[first], beside[
             :, :max(1, nbrs.sum(axis=1).max(initial=0))])
 
 

@@ -121,10 +121,20 @@ def test_stationary_rows_match_one_whole_matrix_gemv_each():
 @pytest.mark.parametrize("graph, rows", [(_grid(5, 5), 4), (chain(), 150)],
                          ids=["grid5x5", "chain-150-rows"])
 def test_collision_rows_match_one_call_per_row(graph, rows):
+    import cellwlan.multicell as multicell
     ss = space(graph)
     n = graph.size
-    # the grid takes one row per bincount, the chain 64
-    assert len(ss.collision_index.column) == (1 if n == 25 else 64)
+    # the grid takes one row per bincount, the index's own column, the
+    # chain 64, each offset by one row of patterns; the owners are offset
+    # by one row of cells
+    patterns, owner = multicell._row_columns(ss, rows)
+    idx = ss.collision_index
+    assert len(patterns) == (1 if n == 25 else 64)
+    assert np.shares_memory(patterns, idx.column) == (n == 25)
+    np.testing.assert_array_equal(patterns, idx.column + len(idx.owner)
+                                  * np.arange(len(patterns))[:, None])
+    np.testing.assert_array_equal(owner, np.concatenate(
+        [idx.owner + n * r for r in range(rows)]))
     rng = np.random.Generator(np.random.Philox(9))
     pi = stationary_distribution(ss, rng.uniform(0.5, 40.0, size=(rows, n)))
     beta = rng.uniform(0.0, 0.3, size=(rows, n))
@@ -204,6 +214,13 @@ def test_frontier_dp_matches_enumeration():
                                        rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(gamma, collision_probability(
                 ss, pi, beta, counts), rtol=0.0, atol=1e-12)
+            # each row again with beta in [0.998, 1], where the DP's signed
+            # sum cancels most: gamma stays a probability
+            near = 0.998 + 0.002 * beta
+            _, got = frontier_law(plan, rho, near, counts)
+            assert ((0.0 <= got) & (got <= 1.0)).all()
+            np.testing.assert_allclose(got, collision_probability(
+                ss, pi, near, counts), rtol=0.0, atol=1e-12)
             # one row at a time gives the same rows
             for got, want in zip(frontier_law(plan, rho[1], beta[1], counts),
                                  (x[1], gamma[1])):
@@ -245,14 +262,14 @@ def _methods(monkeypatch, graph):
 
 def test_large_graphs_take_the_frontier_dp_and_small_ones_enumeration(
         monkeypatch):
-    law, built = _methods(monkeypatch, _grid(5, 5))
+    (states, *_), built = _methods(monkeypatch, _grid(5, 5))
     assert built == {"frontier_steps": 1, "frontier_plan": 1}
-    assert law[0] == 55447
+    assert states == 55447
     # the 4x5 grid counts its states (6,743, against a DP work count of
     # 6,816), then enumerates them; no plan is built
-    law, built = _methods(monkeypatch, _grid(4, 5))
+    (states, *_), built = _methods(monkeypatch, _grid(4, 5))
     assert built == {"frontier_steps": 1, "enumerate_independent_sets": 1}
-    assert law[0] == 6743
+    assert states == 6743
     rng = np.random.Generator(np.random.Philox(22))
     smalls = [chain(), clique(), graph_from_edges([1, 2], [(1, 2)]),
               _grid(3, 3), graph_from_edges(range(1, 9), [])]
@@ -263,9 +280,9 @@ def test_large_graphs_take_the_frontier_dp_and_small_ones_enumeration(
     smalls.append(graph_from_edges(cells,
                                    list(itertools.combinations(cells, 2))))
     for g in smalls:
-        law, built = _methods(monkeypatch, g)
+        (states, *_), built = _methods(monkeypatch, g)
         assert built == {"enumerate_independent_sets": 1}
-        assert law[0] == len(space(g))
+        assert states == len(space(g))
 
 
 def test_graphs_of_at_most_ten_cells_enumerate_without_a_walk(monkeypatch):
@@ -280,9 +297,9 @@ def test_graphs_of_at_most_ten_cells_enumerate_without_a_walk(monkeypatch):
     rng = np.random.Generator(np.random.Philox(27))
     for n in range(1, 11):
         g = graph_from_edges(*oracles.random_graph(rng, n, 0.3))
-        law, built = _methods(monkeypatch, g)
+        (states, *_), built = _methods(monkeypatch, g)
         assert built == {"enumerate_independent_sets": 1}
-        assert law[0] == len(space(g))
+        assert states == len(space(g))
     with pytest.raises(AssertionError, match="walked"):
         multicell._law(graph_from_edges(range(1, 12), []), (2,) * 11)
 
@@ -336,8 +353,8 @@ def test_grid_6x6_solves_and_matches_the_row_transfer_oracle():
 
 def _step_rows(monkeypatch, inp, times, beta, dp):
     """The prepared step on the rows of ``beta``, on the law ``_law``
-    picks, or on a frontier DP with ``dp``: (its targets and aux, or the
-    ValueError it raised; the plan)."""
+    picks, or on a frontier DP with ``dp``: (its targets and aux, the
+    plan)."""
     import cellwlan.multicell as multicell
     import cellwlan.topology as topology
     plans = []
@@ -349,16 +366,15 @@ def _step_rows(monkeypatch, inp, times, beta, dp):
             topology.frontier_plan(*args)) or plans[-1])
         law = multicell._law(inp.graph, inp.node_counts)
     assert len(plans) == dp
-    try:
-        out = multicell._step(inp, law, times)(beta, np.arange(len(beta)))
-    except ValueError as e:
-        out = e
+    _, _, gamma_for, _ = law
+    out = multicell._step(inp, gamma_for, times)(beta, np.arange(len(beta)))
     return out, plans[0] if dp else None
 
 
 def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
     # each row, bit for bit, on enumerated laws and frontier DPs; the
-    # cw_min = 3 ladder has G(0) = 1, so beta = 1 and 0^0 appear
+    # cw_min = 3 ladder has G(0) = 1, so beta = 1 and 0^0 appear, and the
+    # DP's rows of beta near 1 keep gamma within [0, 1]
     rng = np.random.Generator(np.random.Philox(28))
     outcomes = collections.Counter()
     for k in range(16):
@@ -377,7 +393,8 @@ def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
                                                     size=len(beta))])
             inp = MulticellInput(g, counts, MP, backoff)
             for dp in (False, True):
-                out, plan = _step_rows(monkeypatch, inp, times, beta, dp)
+                (target, aux), plan = _step_rows(monkeypatch, inp, times,
+                                                 beta, dp)
 
                 def law(rho, b):
                     if dp:
@@ -385,18 +402,6 @@ def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
                     ss = space(g)
                     return collision_probability(
                         ss, stationary_distribution(ss, rho), b, counts)
-                if isinstance(out, ValueError):
-                    # near beta = 1 the DP's signed sum can round gamma
-                    # above 1: the kernels refuse the rows alike
-                    rho = activation_rate(beta, counts, MP.slot_time) * \
-                        mean_activity_time(beta, counts, times[:, :1],
-                                           times[:, 1:])
-                    with pytest.raises(ValueError) as want:
-                        attempt_probability(law(rho, beta), backoff)
-                    assert dp and str(out) == str(want.value)
-                    outcomes["refused"] += 1
-                    continue
-                target, aux = out
                 assert aux.shape == (len(beta), 4, n)
                 for r, b in enumerate(beta):
                     gamma, lam, act, rho = aux[r]
@@ -410,9 +415,8 @@ def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
                         gamma, backoff).tobytes()
                 outcomes["dp" if dp else "enumerated"] += 1
                 outcomes["beta 1"] += int((beta[-1] == 1.0).all())
-    assert outcomes["enumerated"] == 32 and outcomes["beta 1"] >= 16
-    assert outcomes["dp"] + outcomes["refused"] == 32
-    assert outcomes["dp"] >= 24 and outcomes["refused"] >= 1
+    assert outcomes["enumerated"] == outcomes["dp"] == 32
+    assert outcomes["beta 1"] >= 16
 
 
 def test_a_ladder_with_g_above_one_is_refused_by_a_solve():
@@ -789,6 +793,19 @@ def test_input_validation():
     with pytest.raises(ValueError):
         MulticellInput(graph=chain(), node_counts=(10, 0, 10), mac_phy=MP,
                        backoff=BO)
+
+
+def test_an_empty_network_is_refused_by_name():
+    empty = graph_from_edges([], [])
+    for run in (
+            lambda: solve_fixed_point(MulticellInput(empty, (), MP, BO)),
+            lambda: payload_sweep(MulticellInput(empty, (), MP, BO), [8e3]),
+            lambda: tcp_long_throughputs(empty, MP, BO, 12e3, 320.0),
+            lambda: effective_rate_fixed_point(empty,
+                                               FlowParams((), 1.0, 1.0))):
+        with pytest.raises(ValueError,
+                           match="^a network needs at least one cell$"):
+            run()
 
 
 @pytest.mark.parametrize("setting, value", [

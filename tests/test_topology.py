@@ -103,16 +103,15 @@ def _assert_collision_index_numbering(g):
     idx = ss.collision_index
     pattern, owner, neighbors = oracles.collision_index_per_neighbor(ss)
     np.testing.assert_array_equal(idx.owner, owner)
-    np.testing.assert_array_equal(idx.neighbors, neighbors)
+    # each pattern's neighbor columns in order, padded with the cell count
+    beside = np.full((len(owner), max(1, neighbors.sum(axis=1).max())),
+                     g.size)
+    for k, row in enumerate(neighbors):
+        beside[k, :row.sum()] = np.flatnonzero(row)
+    np.testing.assert_array_equal(idx.beside, beside)
     cont = ss.contending_mask
-    np.testing.assert_array_equal(idx.column[0], pattern[cont])
+    np.testing.assert_array_equal(idx.column, pattern[cont])
     np.testing.assert_array_equal(idx.counts, cont.sum(axis=1))
-    # the stacked rows are offset by one row of patterns each, as many as
-    # 2^16 entries allow, 1-64 of them
-    assert len(idx.column) == min(64, max(1, (1 << 16) // cont.sum()))
-    np.testing.assert_array_equal(
-        idx.column, idx.column[0] + len(owner) * np.arange(
-            len(idx.column))[:, None])
 
 
 def test_collision_index_keeps_the_per_neighbor_numbering():
@@ -137,6 +136,14 @@ def test_collision_index_keeps_the_per_neighbor_numbering():
         [1, *ks, 50, 51], [(1, k) for k in ks]
         + list(itertools.combinations(ks, 2))
         + [(k, 50 if k < 42 else 51) for k in ks]))
+    # dense graphs of 57 and 58 cells (a 64-bit word holds 57 neighbor
+    # bits beside a 6-bit cell column, not 58): cliques less a matching,
+    # with 86 and 88 states
+    for n in (57, 58):
+        cells = range(1, n + 1)
+        _assert_collision_index_numbering(graph_from_edges(cells, [
+            (a, b) for a, b in itertools.combinations(cells, 2)
+            if not (a % 2 and b == a + 1)]))
 
 
 def test_partition_three_chain():
