@@ -35,6 +35,13 @@ The corpus:
   ids, some runs crossing a chunk boundary, digesting every ``SlottedRun``
   field but ``throughput_pkts``, which older checkouts have and this one
   does not;
+- the samplers' edge cases: ``simulate_ctmc`` on a 1-cell graph (one
+  jump interval), for 1, 2 and 3 transitions and across a second chunk
+  of odd length on a 4-cell graph, on a 5-cell graph without edges (32
+  states, too many jump intervals to compose pairs of steps) and on a
+  seeded 40-48-state graph; ``simulate_slotted`` with holds that end on
+  a chunk boundary, holds of two or three cells that end in the same
+  slot, and an attempt in a chunk's last slot;
 - ``enumerate_independent_sets`` and ``mis_stats`` on seeded graphs of
   1-16 cells with non-contiguous ids and on the 5x5 grid, digesting the
   member tuples (their repr, so the type of each member counts), the
@@ -438,6 +445,52 @@ def slotted_digests(count: int = 16):
                                    skip=("throughput_pkts",))
 
 
+def sampler_edge_digests():
+    chain4 = graph_from_edges([1, 2, 3, 4], [(1, 2), (2, 3)])
+    rng = np.random.Generator(np.random.Philox(31))
+    while True:     # a seeded graph of 40-48 states
+        cells, edges = (list(range(1, 8)), [
+            e for e in itertools.combinations(range(1, 8), 2)
+            if rng.random() < 0.3])
+        ss48 = enumerate_independent_sets(graph_from_edges(cells, edges))
+        if 40 <= len(ss48) <= 48:
+            break
+    chunk = 1 << 16
+    for tag, ss, transitions in (
+            ("1-cell", enumerate_independent_sets(graph_from_edges([4], [])),
+             chunk + 3),
+            ("chain4 t=1", enumerate_independent_sets(chain4), 1),
+            ("chain4 t=2", enumerate_independent_sets(chain4), 2),
+            ("chain4 t=3", enumerate_independent_sets(chain4), 3),
+            ("chain4 odd chunk", enumerate_independent_sets(chain4),
+             chunk + 1_001),
+            ("edgeless 5", enumerate_independent_sets(
+                graph_from_edges(list(range(1, 6)), [])), 5_001),
+            (f"{len(ss48)} states", ss48, 3_001)):
+        n = len(ss.cells)
+        run = simulate_ctmc(ss, rng.uniform(0.1, 3.0, n),
+                            rng.uniform(0.1, 3.0, n), transitions=transitions,
+                            seed=int(rng.integers(1 << 30)))
+        yield from _result_digests(f"ctmc edge {tag}", run)
+    # beta = 1 and lone nodes: two isolated cells both hold to every
+    # multiple of 64 (the chunk boundary among them), a lone cell with a
+    # 2-slot hold attempts in every third slot (65,535 among them), and
+    # the chain's cells collide together
+    chain3 = _chain(3)
+    for tag, args in (
+            ("boundary", (graph_from_edges([1, 2], []), (1, 1), (1.0, 1.0),
+                          63, 50, chunk + 200)),
+            ("last slot", (graph_from_edges([1], []), (1,), (1.0,), 2, 9,
+                           chunk + 200)),
+            ("together", (chain3, (1, 1, 1), (1.0, 1.0, 1.0), 62, 50,
+                          chunk + 200)),
+            ("mixed", (chain3, (1, 2, 1), (1.0, 0.3, 1.0), 63, 63,
+                       2 * chunk + 3))):
+        yield from _result_digests(f"slotted edge {tag}",
+                                   simulate_slotted(*args, seed=5),
+                                   skip=("throughput_pkts",))
+
+
 def _solution_digests(tag: str, res):
     for field in (f.name for f in dataclasses.fields(res)):
         value = getattr(res, field)
@@ -741,6 +794,7 @@ def run(arrays: str | None) -> None:
                                              library_digests(),
                                              config_digests(tmp),
                                              slotted_digests(),
+                                             sampler_edge_digests(),
                                              state_space_digests(),
                                              fixed_point_digests(),
                                              geometry_digests(),

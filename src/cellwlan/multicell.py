@@ -83,6 +83,20 @@ def _beta_ok(beta) -> None:
         raise ValueError(f"beta = {beta} outside [0, 1]")
 
 
+def _shaped(name: str, value: np.ndarray, shape: tuple) -> None:
+    """ValueError naming ``name`` unless ``value`` has ``shape``."""
+    if value.shape != shape:
+        raise ValueError(f"{name} has shape {value.shape}; need {shape}")
+
+
+def _rows(name: str, value: np.ndarray, width: int, what: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is one row or rows of
+    ``width`` entries."""
+    if value.ndim not in (1, 2) or value.shape[-1] != width:
+        raise ValueError(f"{name} has shape {value.shape}; need one {what} "
+                         f"({width}) in each of one or more rows")
+
+
 def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     """Product-form stationary law over the independent sets.
 
@@ -128,8 +142,12 @@ def collision_probability(state_space: StateSpace, pi, beta,
     as many rows as ``_row_columns`` stacks, adding every bin in state
     order as a call per row would.
     """
-    pi, beta = (np.asarray(v, dtype=float) for v in (pi, beta))
-    idle, lone, _ = _slot_outcomes(beta, np.asarray(node_counts, dtype=float))
+    pi, beta, n = (np.asarray(v, dtype=float) for v in (pi, beta, node_counts))
+    cells = len(state_space.cells)
+    _rows("pi", pi, len(state_space), "probability per state")
+    _shaped("beta", beta, pi.shape[:-1] + (cells,))
+    _shaped("node_counts", n, (cells,))
+    idle, lone, _ = _slot_outcomes(beta, n)
     return _collision_average(state_space, pi, beta, idle, lone, _row_columns(
         state_space, pi.size // len(state_space)))
 
@@ -177,6 +195,7 @@ def _collision_average(state_space: StateSpace, pi, beta, idle, lone,
 def unblocked_fraction(state_space: StateSpace, pi) -> np.ndarray:
     """Fraction of time each cell is active or contending (not frozen)."""
     pi = np.asarray(pi, dtype=float)
+    _rows("pi", pi, len(state_space), "probability per state")
     return pi @ (~state_space.blocked_mask)
 
 
@@ -206,8 +225,12 @@ def frontier_law(plan: FrontierPlan, rho, beta, node_counts):
     s_k = (1-beta_k)^n_k, every contending neighbor of cell j stays
     silent with chance sum over T in N(j) of prod_{k in T} (s_k - 1)
     Z(rho, N[j] + N[T] zeroed) / Z(rho, N[j] zeroed)."""
-    rho, beta = (np.asarray(v, dtype=float) for v in (rho, beta))
-    idle, lone, _ = _slot_outcomes(beta, np.asarray(node_counts, dtype=float))
+    rho, beta, n = (np.asarray(v, dtype=float) for v in (rho, beta, node_counts))
+    cells = plan.keep.shape[1]
+    _rows("rho", rho, cells, "access intensity per cell")
+    _shaped("beta", beta, rho.shape)
+    _shaped("node_counts", n, (cells,))
+    idle, lone, _ = _slot_outcomes(beta, n)
     return _frontier(plan, rho, beta, idle, lone)
 
 

@@ -9,6 +9,17 @@ collide, and busy periods hold the channel for integer numbers of slots.
 Its counters give empirical attempt, collision and blocking statistics
 that the analytic fixed point must reproduce.
 
+Both run at a small cost per step.  The CTMC finds each draw's jump
+interval in a table of ``_BUCKETS`` equal buckets of [0, 1), searching
+only the draws in a bucket that holds a cut point, and on up to
+``_COMPOSE_MAX_STATES`` states it composes jump maps over blocks of
+steps, two steps at a time where the table of step pairs fits
+``_PAIR_ENTRIES``.  The slotted simulator goes from event to event (an
+attempt or the end of a hold): it keeps each hold's end slot, finds each
+cell's next attempt slot in the cell's byte string of the chunk and
+keeps it until it is passed, and draws attempt counts only for the
+cells that attempt.
+
 Replay contract: every output field is a fixed function of the inputs
 and the seed.  Both simulators draw from a counter-based generator
 (Philox) in chunks of ``_CHUNK`` steps: the CTMC draws k uniforms and
@@ -33,8 +44,20 @@ from .topology import ContentionGraph, StateSpace
 _CHUNK = 1 << 16
 # Up to this many states the CTMC walk is resolved by composing jump
 # tables; above it, by a plain per-step walk.  Composition does work per
-# step in proportion to the state count, and stops paying at about 36.
-_COMPOSE_MAX_STATES = 32
+# step in proportion to the state count.  Per chunk, interleaved medians
+# on seeded 5-8-cell graphs: the per-step walk takes 1.9x as long as
+# composition at 32 states, 1.3-1.5x at 48, 1.1-1.4x at 52 and 0.9-1.0x
+# at 56-64.
+_COMPOSE_MAX_STATES = 48
+# A draw u finds its jump-table interval through one of this many equal
+# buckets of [0, 1); a power of two, so u * _BUCKETS is exact.
+_BUCKETS = 1 << 12
+# Steps are composed two at a time where the table of step pairs
+# (intervals^2 x states entries, 8 bytes each) holds at most this many
+# entries.  On 6-cell graphs with 22 and 24 states (81,862 and 127,896
+# entries) pairs make a 300,000-step run 1.3-1.4x as fast, with a
+# traced peak of 2.28 and 2.65 MB.
+_PAIR_ENTRIES = 1 << 17
 
 
 @dataclass
@@ -78,39 +101,94 @@ def _jump_table(cuts: np.ndarray, targets: np.ndarray, ends: np.ndarray):
     return edges, table
 
 
-def _compose_walk(edges: np.ndarray, table: np.ndarray, s: int,
+def _bucket_lookup(edges: np.ndarray, scale: int) -> np.ndarray:
+    """Per bucket [b, b + 1) / ``_BUCKETS`` of [0, 1): ``scale`` times the
+    number of edges below b / ``_BUCKETS`` where the bucket holds no edge,
+    so every u in it has that interval; -1 where it holds one."""
+    below = np.searchsorted(edges, np.arange(_BUCKETS + 1) / _BUCKETS)
+    lookup = below[:-1] * scale
+    lookup[below[1:] > below[:-1]] = -1
+    return lookup
+
+
+def _intervals(edges: np.ndarray, lookup: np.ndarray, scale: int,
+               us: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``scale * searchsorted(edges, us, side="right")`` into ``out``
+    by ``_bucket_lookup``; only draws in a bucket that holds an edge are
+    searched."""
+    # u * _BUCKETS is exact and >= 0, so the cast to int is its floor
+    np.multiply(us, _BUCKETS, out=out, casting="unsafe")
+    lookup.take(out, out=out, mode="clip")
+    mixed = np.flatnonzero(out < 0)
+    out[mixed] = np.searchsorted(edges, us[mixed], side="right") * scale
+    return out
+
+
+def _compose_walk(edges: np.ndarray, lookup: np.ndarray, tables, s: int,
                   us: np.ndarray, visited: np.ndarray) -> int:
     """Write the state before each step of a chunk into ``visited``;
-    return the state after the chunk.
+    return the state after the chunk.  The draws ``us`` are spent on the
+    way, and their buffer is reused as scratch.
 
-    The walk s_{t+1} = table[r_t, s_t] is resolved in three passes over
-    blocks of about sqrt(k) / 2 steps: compose each block's jump maps on all
-    states (vectorized across blocks), walk the block starts, then replay
-    every block from its start in parallel.
+    ``tables`` is ``(table,)`` or ``(table, pairs)``, with
+    ``pairs[r1, r2, s] = table[r2, table[r1, s]]`` the state two steps
+    on.  With pairs the walk moves two steps at a time (a chunk of one
+    step, one), one gather gives the states in between, and an odd
+    chunk's last step is taken on its own.  The walk over moves is resolved in three passes over blocks of
+    about sqrt(moves) / 3 of them (85 single steps of a full chunk; a
+    power-of-two block, read column by column, is slower): compose each
+    block's maps on all states (vectorized across blocks), walk the block
+    starts, then replay every block from its start in parallel.
     """
-    n_states = table.shape[1]
-    flat = table.ravel()
+    table = tables[0]
+    n_intervals, n_states = table.shape
     k = len(us)
-    block = max(1, math.isqrt(k) // 2)
-    n_blocks = -(-k // block)
-    rows = np.searchsorted(edges, us, side="right")
-    if n_blocks * block > k:
-        rows = np.concatenate((rows, np.zeros(n_blocks * block - k, dtype=rows.dtype)))
-    rows *= n_states
-    steps = rows.reshape(n_blocks, block)       # steps[b, t]: step t of block b
+    w = len(tables) if k > 1 else 1            # steps per move
+    flat, wide = table.ravel(), tables[w - 1].ravel()
+    rows = _intervals(edges, lookup, n_states, us, visited)
+    h = k // w                                  # moves
+    last = w * h - 1                            # the last step they make
+    tail = rows[last:].tolist()
+    block = max(1, math.isqrt(h) // 3)
+    n_blocks = -(-h // block)
+    padded = n_blocks * block
+    # the draws are spent: their buffer holds each move's offset into
+    # ``wide``, then the state before it
+    codes = us.view(np.intp) if padded <= k else np.empty(padded, np.intp)
+    if w == 2:
+        np.multiply(rows[0:2 * h:2], n_intervals, out=codes[:h])
+        codes[:h] += rows[1:2 * h:2]
+    else:
+        codes[:h] = rows
+    codes[h:padded] = 0
+    steps = codes[:padded].reshape(n_blocks, block)  # [b, t]: move t of block b
     maps = np.repeat(np.arange(n_states), n_blocks).reshape(n_states, n_blocks)
+    # every index is in range: mode="clip" only spares take a copy of out
     for t in range(block):
-        flat.take(np.add(steps[:, t], maps, out=maps), out=maps)
+        wide.take(np.add(steps[:, t], maps, out=maps), out=maps, mode="clip")
     cur = np.empty(n_blocks, dtype=np.intp)
     for b in range(n_blocks):
         cur[b] = s
         s = maps[s, b]
-    replay = np.empty((n_blocks, block), dtype=np.intp)
+    nxt = np.empty_like(cur)
     for t in range(block):
-        replay[:, t] = cur
-        flat.take(np.add(steps[:, t], cur, out=cur), out=cur)
-    visited[:] = replay.ravel()[:k]
-    return int(flat[rows[k - 1] + visited[-1]])
+        move = steps[:, t]
+        wide.take(np.add(move, cur, out=nxt), out=nxt, mode="clip")
+        move[:] = cur
+        cur, nxt = nxt, cur
+    if w == 2:
+        between = np.add(visited[0:2 * h:2], codes[:h], out=codes[h:2 * h])
+        flat.take(between, out=between, mode="clip")
+        visited[1:2 * h:2] = between
+        visited[0:2 * h:2] = codes[:h]
+    else:
+        visited[:] = codes[:k]
+    s = int(visited[last])
+    for j, r in enumerate(tail, last):
+        if j > last:
+            visited[j] = s
+        s = int(flat[r + s])
+    return s
 
 
 def _sequential_walk(cuts: list[float], targets: list[int], ends: list[int],
@@ -175,9 +253,14 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
 
     if n_states <= _COMPOSE_MAX_STATES:
         edges, table = _jump_table(cuts, targets, ends)
+        lookup = _bucket_lookup(edges, n_states)
+        tables = (table,)
+        if table.size * len(table) <= _PAIR_ENTRIES:
+            # [r1, r2, s]: table[r2, table[r1, s]]
+            tables += (table[np.arange(len(table))[:, None], table[:, None]],)
 
         def walk(s, us, visited):
-            return _compose_walk(edges, table, s, us, visited)
+            return _compose_walk(edges, lookup, tables, s, us, visited)
     else:
         cuts, targets, ends = cuts.tolist(), targets.tolist(), ends.tolist()
 
@@ -188,17 +271,19 @@ def simulate_ctmc(state_space: StateSpace, activation_rates, deactivation_rates,
     hold = np.zeros(n_states)
     s = 0  # empty state
     done = 0
+    # one buffer takes a chunk's uniforms, which the walk spends, then its
+    # exponentials
+    draws = np.empty(min(_CHUNK, transitions))
+    visited = np.empty(len(draws), dtype=np.intp)
     while done < transitions:
         k = min(_CHUNK, transitions - done)
-        us = rng.random(k)
-        es = rng.standard_exponential(k)
-        visited = np.empty(k, dtype=np.intp)
-        s = walk(s, us, visited)
+        s = walk(s, rng.random(out=draws[:k]), visited[:k])
+        es = rng.standard_exponential(out=draws[:k])
+        es *= inv_rate[visited[:k]]
         # add.at adds one step at a time in step order, so each state's
         # total is the same sequential sum as hold[s] += e * (1 / R(s))
-        np.add.at(hold, visited, es * inv_rate[visited])
+        np.add.at(hold, visited[:k], es)
         done += k
-        del us, es  # free this chunk's draws before the next are made
 
     pi_hat = hold / hold.sum()
     return CtmcRun(seed=seed, transitions=transitions, holding_time=hold,
@@ -292,85 +377,91 @@ def simulate_slotted(graph: ContentionGraph, node_counts, beta,
 
     # The cells' roles (active, blocked, contending) stay as they are until
     # a hold runs out or a contending cell attempts, by its tagged node or
-    # by at least one cellmate.  The slots up to that event are taken in
-    # one step, and the per-cell slot counters are summed per mask of busy
-    # cells at the end.
+    # by at least one cellmate.  The slots up to and including that event
+    # are taken in one step, and the per-cell slot counters are summed per
+    # mask of busy cells at the end.
     roles: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
     def role(busy: int):
-        """(active, blocked, contending) cells while ``busy`` holds."""
-        got = roles.get(busy)
-        if got is None:
-            act = [j for j in range(n_cells) if busy >> j & 1]
-            blk = [j for j in range(n_cells) if not busy >> j & 1
-                   and any(busy >> q & 1 for q in nbrs[j])]
-            cont = [j for j in range(n_cells) if j not in act and j not in blk]
-            got = roles[busy] = (act, blk, cont)
-        return got
+        """(active, blocked, contending) cells while ``busy`` holds, kept
+        in ``roles``."""
+        act = [j for j in range(n_cells) if busy >> j & 1]
+        blk = [j for j in range(n_cells) if not busy >> j & 1
+               and any(busy >> q & 1 for q in nbrs[j])]
+        cont = [j for j in range(n_cells) if j not in act and j not in blk]
+        roles[busy] = (act, blk, cont)
+        return roles[busy]
 
-    hold = [0] * n_cells           # slots left in the current hold
-    busy = 0                       # mask of cells with hold > 0
+    nbr_mask = [sum(1 << q for q in row) for row in nbrs]
+    end = [0] * n_cells            # slot of the chunk at which a hold ends
+    busy = 0                       # mask of cells in a hold
     slots_in: dict[int, int] = {}  # busy mask -> slots spent in it
     a_tag = [0] * n_cells
     c_tag = [0] * n_cells
     succ = [0] * n_cells
 
     rng = np.random.Generator(np.random.Philox(seed))
+    draws = np.empty((min(_CHUNK, horizon_slots), 2 * n_cells))
     done = 0
     while done < horizon_slots:
         k = min(_CHUNK, horizon_slots - done)
-        us = rng.random((k, 2 * n_cells))
+        us = rng.random(out=draws[:k])
         # fires[j][t] == 1 when cell j would attempt in slot t of the chunk
         fires = [((us[:, 2 * j] < b[j]) | (us[:, 2 * j + 1] >= other_cum[j][0])).tobytes()
                  for j in range(n_cells)]
+        # each cell's first attempt slot at or after the slot it was looked
+        # up from (k: none left in the chunk), looked up again once passed
+        first = [-1] * n_cells
         t = 0
         while t < k:
-            act, _, cont = role(busy)
+            act, _, cont = roles.get(busy) or role(busy)
             nxt = k
             for j in act:
-                nxt = min(nxt, t + hold[j])
+                if end[j] < nxt:
+                    nxt = end[j]
+            at, attempting = nxt, 0
             for j in cont:
-                i = fires[j].find(1, t, nxt)
-                if i >= 0:
-                    nxt = i
-            step = max(nxt - t, 1)
-            slots_in[busy] = slots_in.get(busy, 0) + step
+                i = first[j]
+                if i < t:
+                    i = fires[j].find(1, t)
+                    i = first[j] = i if i >= 0 else k
+                if i <= at:
+                    if i < at:
+                        at, attempting = i, 0
+                    attempting |= 1 << j
+            # the slots up to the event, and the attempt slot itself, are
+            # spent in this mask; holds that run out end the step
+            step_end = at + 1 if at < nxt else nxt
+            slots_in[busy] = slots_in.get(busy, 0) + step_end - t
+            t = step_end
             for j in act:
-                hold[j] -= step
-                if not hold[j]:
+                if end[j] == t:
                     busy ^= 1 << j
-            if nxt == t:
-                row = us[t].tolist()
-                attempts = [0] * n_cells
-                for j in cont:
-                    tagged = row[2 * j] < b[j]
-                    attempts[j] = bisect_right(other_cum[j], row[2 * j + 1]) + tagged
-                    a_tag[j] += tagged
-                # resolve every attempt against the same slot snapshot:
-                # only contending cells have nonzero attempts, so the
-                # clash check is symmetric regardless of processing order
-                for j in cont:
-                    m = attempts[j]
-                    if m == 0:
-                        continue
-                    clash = any(attempts[q] for q in nbrs[j])
-                    if m == 1 and not clash:
-                        succ[j] += 1
-                        hold[j] = t_success_slots
-                    else:
-                        hold[j] = t_collision_slots
-                    busy |= 1 << j
-                    if row[2 * j] < b[j] and (m > 1 or clash):
-                        c_tag[j] += 1
-            t += step
+            if at == nxt:
+                continue
+            row = us[at].tolist()
+            for j in cont:
+                if not attempting >> j & 1:
+                    continue
+                tagged = row[2 * j] < b[j]
+                m = bisect_right(other_cum[j], row[2 * j + 1]) + tagged
+                a_tag[j] += tagged
+                if m == 1 and not nbr_mask[j] & attempting:
+                    succ[j] += 1
+                    end[j] = t + t_success_slots
+                else:
+                    end[j] = t + t_collision_slots
+                    c_tag[j] += tagged
+            busy |= attempting
         done += k
-        del us, fires  # free this chunk's draws before the next are made
+        end = [e - k for e in end]
+        del fires  # free this chunk's attempt slots before the next are built
 
     backoff = [0] * n_cells
     blocked = [0] * n_cells
     active = [0] * n_cells
     for mask, slots in slots_in.items():
-        for counter, cells in zip((active, blocked, backoff), role(mask)):
+        for counter, cells in zip((active, blocked, backoff), roles[mask]):
             for j in cells:
                 counter[j] += slots
 

@@ -857,6 +857,40 @@ def test_kernel_input_out_of_range_is_named(name, make):
         make(space(chain()))
 
 
+def test_kernel_input_of_the_wrong_shape_is_named():
+    # a 4-entry beta on the 3-cell chain would be read as the padding
+    # column of the silence product; a 2-entry one would index past it
+    ss = space(chain())
+    pi = stationary_distribution(ss, [1.0, 2.0, 1.0])
+    np.testing.assert_allclose(collision_probability(
+        ss, pi, [0.1, 0.2, 0.1], (2, 2, 2)), [0.262, 0.47512, 0.262])
+    rows = np.vstack([pi, pi])
+    bad = [(pi, [0.1, 0.2, 0.1, 0.5], (2, 2, 2), "beta"),
+           (pi, [0.1, 0.2], (2, 2, 2), "beta"),
+           (rows, [0.1, 0.2, 0.1], (2, 2, 2), "beta"),
+           (pi, [0.1, 0.2, 0.1], (2, 2), "node_counts"),
+           (pi, [0.1, 0.2, 0.1], (2, 2, 2, 2), "node_counts"),
+           (pi[:-1], [0.1, 0.2, 0.1], (2, 2, 2), "pi"),
+           (rows[None], np.full((1, 2, 3), 0.1), (2, 2, 2), "pi")]
+    for p, beta, counts, name in bad:
+        with pytest.raises(ValueError, match=f"^{name} has shape "):
+            collision_probability(ss, p, beta, counts)
+    for p in (pi[:-1], np.append(pi, 0.0), rows[None]):
+        with pytest.raises(ValueError, match="^pi has shape "):
+            unblocked_fraction(ss, p)
+    g = _grid(2, 2)
+    plan = frontier_plan(g, frontier_steps(g))
+    rho = np.ones(4)
+    for r, beta, counts, name in (
+            (rho[:3], np.full(3, 0.1), [2] * 3, "rho"),
+            (np.ones((1, 1, 4)), np.full((1, 1, 4), 0.1), [2] * 4, "rho"),
+            (rho, np.full(5, 0.1), [2] * 4, "beta"),
+            (np.ones((2, 4)), np.full(4, 0.1), [2] * 4, "beta"),
+            (rho, np.full(4, 0.1), [2] * 3, "node_counts")):
+        with pytest.raises(ValueError, match=f"^{name} has shape "):
+            frontier_law(plan, r, beta, counts)
+
+
 def test_nonconvergence_is_a_convergence_error():
     inp = MulticellInput(graph=chain(), node_counts=(10, 10, 10),
                          mac_phy=MP, backoff=BO)

@@ -202,17 +202,32 @@ def _random_case(rng, n_cells):
     return graph_from_edges(cells, edges)
 
 
-def test_ctmc_equals_sequential_reference_bit_for_bit():
+def test_ctmc_equals_sequential_reference_bit_for_bit(monkeypatch):
     # seeded graphs of 1-8 cells (4 to 256 states, so both ways of
     # resolving the walk run), one cell with lam = 0 in every other case,
     # a run that ends 7 steps into its third chunk, and a step-at-a-time
-    # walk (64 states) that crosses a chunk boundary
+    # walk (64 states) that crosses a chunk boundary; then a 1-cell graph
+    # (one jump interval), runs of 1, 2 and 3 transitions on a graph that
+    # walks pair steps, a second chunk of odd length, and a 32-state graph
+    # whose pair table is over budget, so single steps are composed
     rng = np.random.Generator(np.random.Philox(606))
     cases = [(_random_case(rng, n), 3_001) for n in range(1, 9)]
     cases += [(_random_case(rng, 5), 2 * simkit._CHUNK + 7),
               (graph_from_edges(list(range(1, 9)), []), 5_000),
               (graph_from_edges([1, 2, 3], [(1, 2), (2, 3)]), 1),
               (graph_from_edges(list(range(1, 7)), []), simkit._CHUNK + 5)]
+    cases += [(graph_from_edges([4], []), 1_001),
+              (graph_from_edges([4], []), simkit._CHUNK + 3)]
+    cases += [(graph_from_edges([1, 2, 3, 4], [(1, 2), (2, 3)]), t)
+              for t in (1, 2, 3, simkit._CHUNK + 1_001)]
+    cases += [(graph_from_edges(list(range(1, 6)), []), 5_001)]
+    widths = []       # (jump intervals, tables) of each composed chunk
+    compose = simkit._compose_walk
+
+    def spy(edges, lookup, tables, s, us, visited):
+        widths.append((len(tables[0]), len(tables)))
+        return compose(edges, lookup, tables, s, us, visited)
+    monkeypatch.setattr(simkit, "_compose_walk", spy)
     for i, (g, transitions) in enumerate(cases):
         ss = enumerate_independent_sets(g)
         lam = rng.uniform(0.1, 3.0, g.size)
@@ -225,6 +240,10 @@ def test_ctmc_equals_sequential_reference_bit_for_bit():
         assert run.holding_time.dtype == want.dtype
         assert run.holding_time.tobytes() == want.tobytes(), (i, g.edges)
         assert run.empirical_pi.tobytes() == (want / want.sum()).tobytes()
+    # one jump interval, pair steps and composed single steps all ran
+    assert any(r == 1 for r, _ in widths)
+    assert any(r > 1 and w == 2 for r, w in widths)
+    assert any(r > 1 and w == 1 for r, w in widths)
 
 
 def test_slotted_equals_sequential_reference_bit_for_bit():
@@ -247,6 +266,20 @@ def test_slotted_equals_sequential_reference_bit_for_bit():
               (graph_from_edges([1], []), (1,), (0.25,), (8, 4), 5_000),
               (graph_from_edges([1, 2], [(1, 2)]), (1, 3), (1.0, 0.0), (3, 2),
                5_000)]
+    # lone nodes with beta = 1 attempt whenever they contend: two isolated
+    # cells attempt in slot 0 and every 64th slot after, so their holds
+    # both end on every multiple of 64, the chunk boundary among them; a
+    # lone cell with a 2-slot hold attempts every third slot, the chunk's
+    # last slot (65,535) among them; the chain's cells collide in slot 0
+    # and every 51st slot after, and their holds end together
+    cases += [(graph_from_edges([1, 2], []), (1, 1), (1.0, 1.0), (63, 50),
+               simkit._CHUNK + 200),
+              (graph_from_edges([1], []), (1,), (1.0,), (2, 9),
+               simkit._CHUNK + 200),
+              (graph_from_edges([1, 2, 3], [(1, 2), (2, 3)]), (1, 1, 1),
+               (1.0, 1.0, 1.0), (62, 50), simkit._CHUNK + 200),
+              (graph_from_edges([1, 2, 3], [(1, 2), (2, 3)]), (1, 2, 1),
+               (1.0, 0.3, 1.0), (63, 63), 2 * simkit._CHUNK + 3)]
     for i, (g, nodes, beta, (t_s, t_c), horizon) in enumerate(cases):
         seed = int(rng.integers(1 << 30))
         run = simulate_slotted(g, nodes, beta, t_s, t_c, horizon, seed=seed)
@@ -255,6 +288,46 @@ def test_slotted_equals_sequential_reference_bit_for_bit():
             got = getattr(run, name)
             assert got.dtype == counts.dtype and np.array_equal(got, counts), \
                 (i, name, got, counts)
+
+
+def test_bucket_lookup_equals_searchsorted():
+    # edges from jump tables of seeded graphs, none at all (one interval),
+    # edges on and beside bucket boundaries, and many in one bucket; draws
+    # on every edge and bucket boundary, their neighbors on both sides, 0.0
+    # and the largest double below 1
+    rng = np.random.Generator(np.random.Philox(909))
+    m = simkit._BUCKETS
+    edge_sets = [np.empty(0),
+                 np.array([0.25, 0.5, 0.75]),
+                 np.nextafter(np.arange(1, m) / m,
+                              ([np.inf, -np.inf] * (m // 2))[:m - 1]),
+                 np.sort(0.5 + rng.uniform(0.0, 1.0 / m, 50)),
+                 np.array([np.nextafter(1.0, 0.0)])]
+    for n in range(1, 8):
+        g = _random_case(rng, n)
+        ss = enumerate_independent_sets(g)
+        lam = rng.uniform(0.1, 3.0, n)
+        mu = rng.uniform(0.1, 3.0, n)
+        moves = np.hstack((ss.contending_mask, ss.active_mask))
+        cum = np.cumsum(np.where(moves, np.concatenate((lam, mu)), 0.0), axis=1)
+        ends = np.cumsum(moves.sum(axis=1))
+        cuts = simkit._cut_points(cum[moves], ends)
+        targets = np.hstack((ss.toggle_index,) * 2)[moves]
+        edge_sets.append(simkit._jump_table(cuts, targets, ends)[0])
+    bounds = np.arange(m) / m
+    for edges in edge_sets:
+        marks = np.concatenate((edges, bounds))
+        us = np.concatenate((marks, np.nextafter(marks, -np.inf),
+                             np.nextafter(marks, np.inf),
+                             [0.0, np.nextafter(1.0, 0.0)]))
+        us = us[(0.0 <= us) & (us < 1.0)]
+        us = np.concatenate((us, rng.random(1_000)))
+        for scale in (1, 7):
+            lookup = simkit._bucket_lookup(edges, scale)
+            got = simkit._intervals(edges, lookup, scale, us,
+                                    np.empty(len(us), dtype=np.intp))
+            want = np.searchsorted(edges, us, side="right") * scale
+            np.testing.assert_array_equal(got, want)
 
 
 def test_cut_points_are_the_exact_thresholds():
