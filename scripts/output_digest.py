@@ -84,10 +84,14 @@ The corpus:
   out of range, a setting that is not a whole number (of ``SimConfig``,
   ``FixedPointConfig``, a node count, a sampler seed or step count, a
   backoff ladder), a NaN, infinite or out-of-range intensity or attempt
-  probability given to the kernels, and a duration or slot time given to
-  ``slots_for`` that is not finite and > 0 or whose ratio overflows.  A
-  bad ``SimConfig`` is only constructed: older checkouts accept it and
-  then never finish a run.
+  probability given to the kernels, a duration or slot time given to
+  ``slots_for`` that is not finite and > 0 or whose ratio overflows, an
+  edge list with a repeated cell id, an edge that is not a pair or one
+  to an unlisted cell, and ``mis_share_table`` on 21 cells, one above its
+  cap.  A bad ``SimConfig`` or ``FixedPointConfig`` is also constructed
+  on its own: older checkouts accept the first and then never finish a
+  run, and refuse the second only in the solver.  On an older checkout
+  without the share table's cap, the 21-cell case builds a 352 MB table.
 
 Run it against two checkouts and diff the results to show that a change
 leaves every output byte-identical:
@@ -144,7 +148,7 @@ from cellwlan.topology import (CellGeom, Deployment, StateSpaceCapError,
                                adjacency_text, build_contention_graph,
                                check_pbd, dot_edges,
                                enumerate_independent_sets, graph_from_edges,
-                               mis_stats)
+                               mis_share_table, mis_stats)
 
 VERBS = ("saturation", "tcp-long", "tcp-short", "infinite-rho", "sweep",
          "validate")
@@ -721,7 +725,23 @@ def refusal_digests():
                 inp, FixedPointConfig(**{setting: value})).x))
     yield "bad effective-rate damping=0", _sha(_outcome(
         lambda: effective_rate_fixed_point(
-            _chain(3), FlowParams((0.1,) * 3, 1.0, 1.0), damping=0.0).x_hat))
+            _chain(3), FlowParams((0.1,) * 3, 1.0, 1.0),
+            FixedPointConfig(damping=0.0)).x_hat))
+    for setting, value in (("damping", 0.0), ("damping", 1.5),
+                           ("damping", float("nan")), ("tolerance", -1.0),
+                           ("tolerance", float("nan")), ("max_iterations", 0),
+                           ("max_iterations", 2.5), ("max_iterations", True),
+                           ("multistart", -2), ("multistart", 1.5)):
+        yield f"bad fixed-point-config {setting}={value!r}", _sha(_outcome(
+            lambda: FixedPointConfig(**{setting: value})))
+    for label, cells, edges in (("repeated id", [1, 2, 1], [(1, 2)]),
+                                ("non-pair edge", [1, 2, 3], [(1, 2, 3)]),
+                                ("unlisted cell", [1, 2, 3], [(2, 9)])):
+        yield f"bad graph_from_edges {label}", _sha(_outcome(
+            lambda: graph_from_edges(cells, edges)))
+    # an older checkout, without the cap, builds the (2^21, 21) table
+    yield "bad mis_share_table 21 cells", _sha(_outcome(
+        lambda: mis_share_table(_chain(21)).shape))
     for label, make in _not_whole_or_out_of_range(mac, backoff):
         yield f"bad {label}", _sha(_outcome(make))
     inf, nan = float("inf"), float("nan")
@@ -763,7 +783,7 @@ def _not_whole_or_out_of_range(mac, backoff):
         ("effective-rate max_iterations=2.5",
          lambda: effective_rate_fixed_point(
              _chain(3), FlowParams((0.1,) * 3, 1.0, 1.0),
-             max_iterations=2.5).x_hat),
+             FixedPointConfig(max_iterations=2.5)).x_hat),
         ("node_counts (10, 2.5, 10)", lambda: chain_x((10, 2.5, 10))),
         ("node_counts (True, 2, 2)", lambda: chain_x((True, 2, 2))),
         ("single-cell node_count=2.5",

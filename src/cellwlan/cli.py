@@ -10,8 +10,10 @@ bits per second; everything is converted to SI at the boundary.
 Every config key is one row of ``SCHEMA``: its type, unit divisor,
 default and bounds.  One validator walks the document against that table.
 The rules that span keys are short code after the walk: one deployment
-form, edges between known cells, one entry per cell, presets as defaults,
-and the keys each traffic mode and verb needs.
+form, one entry per cell, presets as defaults, and the keys each traffic
+mode and verb needs.  A library constructor's own refusal (an adjacency
+list's repeated id or stray edge, say) is reported as a config error of
+its section.
 
 Outputs are deterministic: same config and seed give byte-identical
 files.  Exit codes: 0 success, 1 bad configuration, usage or --out, 2
@@ -305,16 +307,7 @@ def _deployment(d: dict) -> tuple[Deployment | None, ContentionGraph,
     if "adjacency" in d:
         adj = d["adjacency"]
         cells = adj["cells"]
-        if len(set(cells)) != len(cells):
-            raise ConfigError("deployment.adjacency.cells: duplicate ids")
-        for e in adj["edges"]:
-            if len(e) != 2:
-                raise ConfigError("deployment.adjacency.edges: entries must "
-                                  "be [a, b] pairs")
-            if not set(e) <= set(cells):
-                raise ConfigError(f"deployment.adjacency.edges: {list(e)} "
-                                  f"names a cell not in cells")
-        graph = _build("deployment",
+        graph = _build("deployment.adjacency",
                        lambda: graph_from_edges(cells, adj["edges"]))
         counts = adj.get("node_counts", (CellGeom.node_count,) * len(cells))
         return None, graph, cells, _per_cell(
@@ -468,24 +461,34 @@ def write_bundle(bundle: ResultBundle, out_dir: str, fmt: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # verbs
 
+def _cells(cfg: AnalysisConfig, **columns) -> tuple[list[str], list[list]]:
+    """A table of one row per cell, by ascending id: the cell, then one
+    entry of each column, in the order the columns are named."""
+    return (["cell", *columns], [[c, *row] for c, row in zip(
+        cfg.graph.cells, zip(*columns.values(), strict=True), strict=True)])
+
+
+def _keys(**values) -> tuple[list[str], list[list]]:
+    """A key/value table, one row per value, in the order they are named."""
+    return ["key", "value"], [[k, v] for k, v in values.items()]
+
+
+def _network(cfg: AnalysisConfig) -> MulticellInput:
+    return MulticellInput(graph=cfg.graph, node_counts=cfg.node_counts,
+                          mac_phy=cfg.mac_phy, backoff=cfg.backoff)
+
+
 def _run_saturation(cfg: AnalysisConfig) -> tuple[dict, tuple]:
-    inp = MulticellInput(graph=cfg.graph, node_counts=cfg.node_counts,
-                         mac_phy=cfg.mac_phy, backoff=cfg.backoff)
-    sol = solve_fixed_point(inp, cfg.solver)
-    cells_rows = [[c, cfg.node_counts[j], sol.beta[j], sol.gamma[j],
-                   sol.rho[j], sol.x[j], sol.cell_throughput_pkts[j],
-                   sol.per_node_throughput_pkts[j]]
-                  for j, c in enumerate(cfg.graph.cells)]
+    sol = solve_fixed_point(_network(cfg), cfg.solver)
     tables = {
-        "cells": (["cell", "node_count", "beta", "gamma", "rho", "x",
-                   "cell_throughput_pkts", "per_node_throughput_pkts"],
-                  cells_rows),
-        "summary": (["key", "value"],
-                    [["normalized_network_throughput",
-                      sol.normalized_network_throughput],
-                     ["residual", sol.residual],
-                     ["iterations", sol.iterations],
-                     ["states", sol.state_count]]),
+        "cells": _cells(cfg, node_count=cfg.node_counts, beta=sol.beta,
+                        gamma=sol.gamma, rho=sol.rho, x=sol.x,
+                        cell_throughput_pkts=sol.cell_throughput_pkts,
+                        per_node_throughput_pkts=sol.per_node_throughput_pkts),
+        "summary": _keys(
+            normalized_network_throughput=sol.normalized_network_throughput,
+            residual=sol.residual, iterations=sol.iterations,
+            states=sol.state_count),
     }
     if sol.state_count <= 512:
         ss = enumerate_independent_sets(cfg.graph)
@@ -500,17 +503,14 @@ def _run_tcp_long(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     res = tcp_long_throughputs(cfg.graph, cfg.mac_phy, cfg.backoff,
                                cfg.tcp_data_bits, cfg.tcp_ack_bits,
                                cfg.solver)
-    rows = [[c, res.solution.x[j], res.ap_throughput_pkts[j]]
-            for j, c in enumerate(cfg.graph.cells)]
     tables = {
-        "cells": (["cell", "x", "ap_throughput_pkts"], rows),
-        "summary": (["key", "value"],
-                    [["isolated_ap_throughput_pkts",
-                      res.isolated_ap_throughput_pkts],
-                     ["equivalent_payload_bytes",
-                      res.equivalent_payload_bits / 8.0],
-                     ["residual", res.solution.residual],
-                     ["iterations", res.solution.iterations]]),
+        "cells": _cells(cfg, x=res.solution.x,
+                        ap_throughput_pkts=res.ap_throughput_pkts),
+        "summary": _keys(
+            isolated_ap_throughput_pkts=res.isolated_ap_throughput_pkts,
+            equivalent_payload_bytes=res.equivalent_payload_bits / 8.0,
+            residual=res.solution.residual,
+            iterations=res.solution.iterations),
     }
     return tables, res.solution.warnings
 
@@ -528,65 +528,49 @@ def _run_tcp_short(cfg: AnalysisConfig) -> tuple[dict, tuple]:
                         mean_flow_size=cfg.mean_flow_size_bits,
                         single_cell_rate=rate,
                         service_model=cfg.service_model)
-    eff = effective_rate_fixed_point(cfg.graph, params,
-                                     tolerance=cfg.solver.tolerance,
-                                     damping=cfg.solver.damping,
-                                     max_iterations=cfg.solver.max_iterations)
-    header = ["cell", "arrival_rate_per_s", "x_hat", "effective_rate_bps",
-              "load", "stable", "mean_delay_s"]
-    rows = [[c, cfg.arrival_rates[j], eff.x_hat[j], eff.effective_rates[j],
-             eff.loads[j], bool(eff.stable[j]), eff.mean_delay[j]]
-            for j, c in enumerate(cfg.graph.cells)]
-    tables = {"cells": (header, rows),
-              "summary": (["key", "value"],
-                          [["single_cell_rate_bps", rate],
-                           ["mean_flow_size_bytes",
-                            cfg.mean_flow_size_bits / 8.0],
-                           ["iterations", eff.iterations],
-                           ["residual", eff.residual]])}
+    eff = effective_rate_fixed_point(cfg.graph, params, cfg.solver)
+    tables = {
+        "cells": _cells(cfg, arrival_rate_per_s=cfg.arrival_rates,
+                        x_hat=eff.x_hat,
+                        effective_rate_bps=eff.effective_rates,
+                        load=eff.loads, stable=eff.stable.tolist(),
+                        mean_delay_s=eff.mean_delay),
+        "summary": _keys(single_cell_rate_bps=rate,
+                         mean_flow_size_bytes=cfg.mean_flow_size_bits / 8.0,
+                         iterations=eff.iterations, residual=eff.residual)}
     warnings: list[str] = []
     if cfg.sim_enabled:
         sim = simulate_flow_network(cfg.graph, params, cfg.sim)
-        srows = [[c, sim.mean_delay[j], sim.confidence_halfwidth[j],
-                  bool(sim.stable[j]), int(sim.completed[j])]
-                 for j, c in enumerate(cfg.graph.cells)]
-        tables["sim"] = (["cell", "mean_delay_s", "ci_halfwidth_s", "stable",
-                          "completed_flows"], srows)
+        tables["sim"] = _cells(
+            cfg, mean_delay_s=sim.mean_delay,
+            ci_halfwidth_s=sim.confidence_halfwidth,
+            stable=sim.stable.tolist(), completed_flows=sim.completed.tolist())
         if not sim.stable.all():
-            bad = [str(c) for j, c in enumerate(cfg.graph.cells)
-                   if not sim.stable[j]]
+            bad = [str(c) for c, ok in zip(cfg.graph.cells, sim.stable)
+                   if not ok]
             warnings.append("simulation unstable for cells: " + ",".join(bad))
     return tables, tuple(warnings)
 
 
 def _run_infinite_rho(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     mis = mis_stats(cfg.graph)
-    rows = [list(r) for r in zip(cfg.graph.cells, mis.per_cell, mis.share)]
-    tables = {"cells": (["cell", "mis_count", "x_limit"], rows),
-              "summary": (["key", "value"],
-                          [["independence_number", mis.max_size],
-                           ["mis_total", mis.count],
-                           ["normalized_network_throughput",
-                            float(mis.max_size)]])}
+    tables = {"cells": _cells(cfg, mis_count=mis.per_cell, x_limit=mis.share),
+              "summary": _keys(
+                  independence_number=mis.max_size, mis_total=mis.count,
+                  normalized_network_throughput=float(mis.max_size))}
     return tables, ()
 
 
 def _run_sweep(cfg: AnalysisConfig) -> tuple[dict, tuple]:
-    inp = MulticellInput(graph=cfg.graph, node_counts=cfg.node_counts,
-                         mac_phy=cfg.mac_phy, backoff=cfg.backoff)
-    points = payload_sweep(inp, cfg.sweep_payload_bits, cfg.solver)
-    rows = []
-    srows = []
-    warnings = []
+    points = payload_sweep(_network(cfg), cfg.sweep_payload_bits, cfg.solver)
+    rows, srows, warnings = [], [], []
     for pt in points:
-        srows.append([pt.payload_bits / 8.0,
-                      pt.normalized_network_throughput])
-        for j, c in enumerate(cfg.graph.cells):
-            rows.append([pt.payload_bits / 8.0, c, pt.beta[j], pt.rho[j],
-                         pt.x[j]])
-        warnings += [f"payload {_fmt(pt.payload_bits / 8.0)} B: {w}"
-                     for w in pt.warnings]
-    tables = {"points": (["payload_bytes", "cell", "beta", "rho", "x"], rows),
+        payload = pt.payload_bits / 8.0
+        srows.append([payload, pt.normalized_network_throughput])
+        header, per_cell = _cells(cfg, beta=pt.beta, rho=pt.rho, x=pt.x)
+        rows += [[payload, *row] for row in per_cell]
+        warnings += [f"payload {_fmt(payload)} B: {w}" for w in pt.warnings]
+    tables = {"points": (["payload_bytes", *header], rows),
               "summary": (["payload_bytes", "normalized_network_throughput"],
                           srows)}
     return tables, tuple(warnings)
@@ -601,9 +585,8 @@ def _run_validate(cfg: AnalysisConfig) -> tuple[dict, tuple]:
     erow = [list(e) for e in cfg.graph.edges]
     tables = {"pairs": (["cell_a", "cell_b", "relation"], prow),
               "edges": (["cell_a", "cell_b"], erow),
-              "summary": (["key", "value"],
-                          [["satisfied", report.satisfied],
-                           ["violations", len(report.violations)]])}
+              "summary": _keys(satisfied=report.satisfied,
+                               violations=len(report.violations))}
     warnings = tuple(f"cells {r.cell_a},{r.cell_b} straddle the carrier-sense "
                      f"boundary" for r in report.violations)
     return tables, warnings

@@ -213,13 +213,8 @@ def damped_fixed_point(step, x0, tolerance: float, damping: float,
     residual not at most ``tolerance``; the first such row in the mask
     ``must_settle`` raises ConvergenceError.
 
-    A setting out of range (NaN included), or a ``max_iterations`` that
-    is not a whole number, raises ValueError naming it."""
-    if not tolerance >= 0:
-        raise ValueError(f"{what}: tolerance must be >= 0, not {tolerance}")
-    if not 0 < damping <= 1:
-        raise ValueError(f"{what}: damping must be in (0, 1], not {damping}")
-    max_iterations = _whole(f"{what}: max_iterations", max_iterations)
+    The settings are taken as given: callers pass constants or a checked
+    ``multicell.FixedPointConfig``."""
     batch = np.ndim(x0) == 2
     x, resid = (np.array(x0, dtype=float) if batch else x0), np.inf
     if batch:

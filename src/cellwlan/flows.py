@@ -36,7 +36,7 @@ import numpy as np
 
 from .dcf import _whole, damped_fixed_point
 from .multicell import FixedPointConfig
-from .topology import ContentionGraph, mis_share_table
+from .topology import MAX_FIXED_POINT_CELLS, ContentionGraph, mis_share_table
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,6 @@ class FlowParams:
                              "finite and > 0")
         if self.service_model not in ("model1", "model2"):
             raise ValueError(f"unknown service model {self.service_model!r}")
-
-
-MAX_FIXED_POINT_CELLS = 20
 
 
 def service_rate_table(graph: ContentionGraph, model: str,
@@ -362,9 +359,7 @@ class EffectiveRateResult:
 
 
 def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
-                               tolerance: float = FixedPointConfig.tolerance,
-                               damping: float = FixedPointConfig.damping,
-                               max_iterations: int = FixedPointConfig.max_iterations
+                               cfg: FixedPointConfig | None = None
                                ) -> EffectiveRateResult:
     """Solve for the long-run fraction of the single-cell rate each cell
     gets, averaging the busy-subgraph split over who is busy.
@@ -376,10 +371,12 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
     ``model2`` at unit rate, whatever ``params.service_model`` says; each
     iteration weighs them by their Bernoulli probabilities given that cell
     j is busy, so time and memory grow as 2^n n.  Graphs beyond
-    MAX_FIXED_POINT_CELLS cells are refused.  Raises ConvergenceError when
-    the damped iteration has not met the tolerance after
-    ``max_iterations`` steps.
+    MAX_FIXED_POINT_CELLS cells are refused.  The damped iteration runs
+    at ``cfg``'s tolerance, damping and max_iterations (its multistart is
+    not used) and raises ConvergenceError when it has not met the
+    tolerance after max_iterations steps.
     """
+    cfg = cfg or FixedPointConfig()
     n = graph.size
     if not n:
         raise ValueError("a network needs at least one cell")
@@ -409,8 +406,9 @@ def effective_rate_fixed_point(graph: ContentionGraph, params: FlowParams,
             w[:half] *= idle[o]
         return np.einsum("ij,ij->j", w, share), None
 
-    x, _, it, resid = damped_fixed_point(step, np.ones(n), tolerance, damping,
-                                         max_iterations, "effective-rate fixed point")
+    x, _, it, resid = damped_fixed_point(
+        step, np.ones(n), cfg.tolerance, cfg.damping, cfg.max_iterations,
+        "effective-rate fixed point")
     ev = params.mean_flow_size
     rate = x * params.single_cell_rate
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -37,8 +37,6 @@ _BATCH_STATES = 1 << 20
 # networks' outputs as they were.
 _DP_FACTOR = 2
 _DP_MIN_STATES = 1 << 10
-# stationary_distribution runs blocks of this many states for every row
-_GEMV_STATES = 4096
 
 
 def activation_rate(beta, node_count, slot_time):
@@ -103,22 +101,18 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     pi(A) is proportional to the product of the access intensities of the
     members of A.  Computed in log space so extreme intensities stay
     finite.  A (rows, cells) ``rho`` gives one law per row: one gemv per
-    row (a matrix product's rows are not bit-equal to it), each block of
-    ``_GEMV_STATES`` states run for every row while it is in cache.
+    row (a matrix product's rows are not bit-equal to it).
     """
     rho = np.asarray(rho, dtype=float)
-    if rho.ndim not in (1, 2) or rho.shape[-1] != len(state_space.cells):
-        raise ValueError("need one access intensity per cell")
+    _rows("rho", rho, len(state_space.cells), "access intensity per cell")
     _rho_ok(rho)
     silent = rho == 0.0
     # 0 * -inf is nan, so keep the products finite and kill the states
     # that contain a silent cell afterwards
     log_rho = np.log(np.where(silent, 1.0, rho)).reshape(-1, rho.shape[-1])
     logw = np.empty((len(log_rho), len(state_space)))
-    for s in range(0, len(state_space), _GEMV_STATES):
-        block = state_space.active_float[s:s + _GEMV_STATES]
-        for row, out in zip(log_rho, logw[:, s:s + _GEMV_STATES]):
-            np.dot(block, row, out=out)
+    for row, out in zip(log_rho, logw):
+        np.dot(state_space.active_float, row, out=out)
     logw = logw.reshape(rho.shape[:-1] + (-1,))
     if silent.any():
         logw[silent @ state_space.active_float.T > 0.0] = -np.inf
@@ -284,6 +278,7 @@ class FixedPointConfig:
     damped iteration, each stopping on its own; a probe that does not
     settle within ``max_iterations``, or settles more than 100x the
     tolerance away from the solution, is reported as a warning on it.
+    A setting out of range, NaN included, raises ValueError naming it.
     """
 
     tolerance: float = 1e-8
@@ -292,8 +287,13 @@ class FixedPointConfig:
     multistart: int = 3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "multistart",
-                           _whole("multistart", self.multistart, 0))
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be >= 0, not {self.tolerance}")
+        if not 0 < self.damping <= 1:
+            raise ValueError(f"damping must be in (0, 1], not {self.damping}")
+        for name, low in (("max_iterations", 1), ("multistart", 0)):
+            object.__setattr__(self, name,
+                               _whole(name, getattr(self, name), low))
 
 
 @dataclass

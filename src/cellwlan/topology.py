@@ -22,6 +22,8 @@ from .dcf import _whole
 
 # enumeration refuses a graph with more independent sets than this
 STATE_CAP = 2**20
+# tables over every subset of the cells (2^n rows) refuse more cells than this
+MAX_FIXED_POINT_CELLS = 20
 
 
 class StateSpaceCapError(Exception):
@@ -120,10 +122,21 @@ class ContentionGraph:
 
 def graph_from_edges(cells: list[int] | tuple[int, ...],
                      edges: list[tuple[int, int]]) -> ContentionGraph:
-    """Build a contention graph directly from an explicit edge list."""
-    cell_tuple = tuple(sorted(set(cells)))
-    edge_set = set()
-    for a, b in edges:
+    """Build a contention graph directly from an explicit edge list.  A
+    repeated cell id, an edge that is not a pair, names a cell not in
+    ``cells`` or is a self-loop raises ValueError naming it."""
+    cell_tuple = tuple(sorted(cells))
+    for a, b in zip(cell_tuple, cell_tuple[1:]):
+        if a == b:
+            raise ValueError(f"cells: id {a} is listed more than once")
+    known, edge_set = set(cell_tuple), set()
+    for e in edges:
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edges: {e!r} is not a pair of cells") from None
+        if not {a, b} <= known:
+            raise ValueError(f"edges: [{a}, {b}] names a cell not in cells")
         if a == b:
             raise ValueError(f"self-loop on cell {a}")
         edge_set.add((min(a, b), max(a, b)))
@@ -495,9 +508,13 @@ def mis_share_table(graph: ContentionGraph) -> np.ndarray:
     including it leaves ``(mask - 2^k) & ~nbr[k]``; both lie below 2^k, so
     the block [2^k, 2^(k+1)) is one vectorized pass over the blocks before
     it.  Per-cell counts are exact integers in float64 until the final
-    division.  Memory is 2^n x n floats.
+    division.  Memory is 2^n x n floats, so graphs beyond
+    MAX_FIXED_POINT_CELLS cells are refused.
     """
     n = graph.size
+    if n > MAX_FIXED_POINT_CELLS:
+        raise ValueError(f"{n} cells; the share table of all 2^n subgraphs "
+                         f"is capped at {MAX_FIXED_POINT_CELLS} cells")
     nbr = graph.adjacency @ (1 << np.arange(n))
     alpha = np.zeros(1 << n, dtype=np.intp)
     count = np.ones(1 << n)

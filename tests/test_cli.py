@@ -295,8 +295,12 @@ def test_config_rejects_unknown_and_conflicting_keys(tmp_path, capsys):
     ({"cells": [1, 2, 3], "edges": [[1, 2], [2, 9]]}, {}),
     ({"cells": [1, 1.7]}, {}),
     ({"cells": [1, 2, 3], "edges": [[1, 2]]}, {"node_counts": ["a", 2, 2]}),
+    ({"cells": [1, 2, 1]}, {}),
+    ({"cells": [1, 2, 3], "edges": [[1, 2, 3]]}, {}),
+    ({"cells": [1, 2, 3], "edges": [[2, 2]]}, {}),
 ], ids=["edge-to-unknown-cell", "fractional-cell-id",
-        "non-integer-node-count"])
+        "non-integer-node-count", "repeated-cell-id", "edge-not-a-pair",
+        "self-loop"])
 def test_malformed_adjacency_is_a_config_error(tmp_path, capsys, adjacency,
                                                traffic):
     doc = chain_doc(deployment={"adjacency": adjacency})
@@ -395,6 +399,24 @@ def test_tcp_short_without_arrivals_writes_the_sim_table(tmp_path, fmt):
     assert header == ["cell", "mean_delay_s", "ci_halfwidth_s", "stable",
                       "completed_flows"]
     assert rows == [[c, "nan", "nan", "true", "0"] for c in "123"]
+
+
+def test_tcp_short_warns_of_an_unstable_simulated_cell(tmp_path, capsys):
+    # cell 1 is offered about 100 times what it can serve: its queue
+    # passes the runaway threshold long before it records its quota
+    doc = tcp_short_doc()
+    doc["traffic"]["arrival_rates_per_s"] = [5000, 0, 0]
+    doc["sim"] = {"enabled": True, "seed": 5, "flows_per_cell": 1000000,
+                  "warmup_flows": 0, "replications": 1}
+    out = tmp_path / "out"
+    assert main(["tcp-short", "--config", write_cfg(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert "  warning: simulation unstable for cells: 1\n" \
+        in capsys.readouterr().out
+    _, rows = read_csv(out / "tcp-short_sim.csv")
+    assert [r[3] for r in rows] == ["false", "true", "true"]
+    _, meta = read_csv(out / "tcp-short_meta.csv")
+    assert ["warning_0", "simulation unstable for cells: 1"] in meta
 
 
 def test_verbs_reject_configs_missing_their_sections(tmp_path, capsys):

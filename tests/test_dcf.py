@@ -246,6 +246,11 @@ def test_single_cell_validation():
         solve_single_cell(0, MP, BO)
 
 
+def test_negative_mean_backoff_is_refused():
+    with pytest.raises(ValueError, match="^mean backoffs must be >= 0$"):
+        BackoffParams(retry_limit=1, mean_backoffs=(15.5, -1.0))
+
+
 @pytest.mark.parametrize("name, make", [
     ("node_count", lambda: solve_single_cell(2.5, MP, BO)),
     ("cw_min", lambda: mean_backoffs(32.5, 1024, 7)),

@@ -18,6 +18,7 @@ from cellwlan.dcf import ConvergenceError
 from cellwlan.flows import (FlowParams, MAX_FIXED_POINT_CELLS, SimConfig,
                             effective_rate_fixed_point, service_rate_table,
                             simulate_flow_network)
+from cellwlan.multicell import FixedPointConfig
 from cellwlan.topology import graph_from_edges
 
 import oracles
@@ -146,7 +147,8 @@ def test_effective_rate_satisfies_power_set_map():
         nu = tuple(rng.uniform(0.02, 0.3, size=n))
         ev = float(rng.uniform(0.5, 2.0))
         params = FlowParams(nu, ev, 1.0)
-        res = effective_rate_fixed_point(g, params, tolerance=1e-10)
+        res = effective_rate_fixed_point(g, params,
+                                         FixedPointConfig(tolerance=1e-10))
         back = oracles.effective_rate_map_powerset(
             cells, edges, res.x_hat, list(nu), ev, 1.0)
         np.testing.assert_allclose(back, res.x_hat, atol=1e-7)
@@ -172,7 +174,8 @@ def test_effective_rate_nonconvergence_is_a_convergence_error():
     params = FlowParams((0.1, 0.1, 0.1), 1.0, 1.0)
     with pytest.raises(ConvergenceError,
                        match=r"residual .* > tol 1\.0e-08 after 1 iterations"):
-        effective_rate_fixed_point(chain(), params, max_iterations=1)
+        effective_rate_fixed_point(chain(), params,
+                                   FixedPointConfig(max_iterations=1))
 
 
 def test_effective_rate_edgeless_and_zero_arrivals():
@@ -192,6 +195,13 @@ def test_effective_rate_flags_overload():
     res = effective_rate_fixed_point(g, params)
     assert not res.stable[0]
     assert np.isnan(res.mean_delay[0])
+
+
+def test_effective_rate_needs_one_arrival_rate_per_cell():
+    for rates in ((0.1, 0.1), (0.1,) * 4):
+        with pytest.raises(ValueError,
+                           match="^need one arrival rate per cell$"):
+            effective_rate_fixed_point(chain(), FlowParams(rates, 1.0, 1.0))
 
 
 def test_effective_rate_cell_cap():

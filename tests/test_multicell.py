@@ -102,10 +102,7 @@ def _grid(rows, cols):
 
 
 def test_stationary_rows_match_one_whole_matrix_gemv_each():
-    import cellwlan.multicell as multicell
     ss = space(_grid(5, 5))
-    block = multicell._GEMV_STATES
-    assert len(ss) > 2 * block and len(ss) % block
     rng = np.random.Generator(np.random.Philox(8))
     rho = rng.uniform(0.5, 40.0, size=(5, 25))
     rho[2, [3, 17]] = 0.0
@@ -302,6 +299,14 @@ def test_graphs_of_at_most_ten_cells_enumerate_without_a_walk(monkeypatch):
         assert states == len(space(g))
     with pytest.raises(AssertionError, match="walked"):
         multicell._law(graph_from_edges(range(1, 12), []), (2,) * 11)
+
+
+def test_state_count_overflowing_the_dp_is_a_cap_error():
+    # 2^1100 independent sets: the one-row DP that counts them overflows
+    import cellwlan.multicell as multicell
+    with pytest.raises(StateSpaceCapError, match="^graph with 1100 cells has "
+                       "too many independent sets to count$"):
+        multicell._law(graph_from_edges(range(1, 1101), []), (2,) * 1100)
 
 
 def test_row_numbered_ladder_solves_like_the_column_numbered_one():
@@ -813,14 +818,9 @@ def test_an_empty_network_is_refused_by_name():
     ("tolerance", -1.0), ("tolerance", float("nan")),
     ("max_iterations", 0), ("max_iterations", 2.5)])
 def test_bad_solver_setting_is_named(setting, value):
-    # refused before the first iteration, by every solver that iterates
-    inp = MulticellInput(graph=chain(), node_counts=(10, 10, 10),
-                         mac_phy=MP, backoff=BO)
-    with pytest.raises(ValueError, match=f"{setting} must be"):
-        solve_fixed_point(inp, FixedPointConfig(**{setting: value}))
-    with pytest.raises(ValueError, match=f"{setting} must be"):
-        effective_rate_fixed_point(chain(), FlowParams((0.1,) * 3, 1.0, 1.0),
-                                   **{setting: value})
+    # refused where the settings are made, before any solver sees them
+    with pytest.raises(ValueError, match=f"^{setting} must be"):
+        FixedPointConfig(**{setting: value})
 
 
 def test_negative_multistart_is_named():
@@ -878,6 +878,9 @@ def test_kernel_input_of_the_wrong_shape_is_named():
     for p in (pi[:-1], np.append(pi, 0.0), rows[None]):
         with pytest.raises(ValueError, match="^pi has shape "):
             unblocked_fraction(ss, p)
+    for r in ([1.0, 2.0], [1.0] * 4, np.ones((1, 1, 3))):
+        with pytest.raises(ValueError, match="^rho has shape "):
+            stationary_distribution(ss, r)
     g = _grid(2, 2)
     plan = frontier_plan(g, frontier_steps(g))
     rho = np.ones(4)

@@ -59,6 +59,15 @@ def test_mis_stats_matches_power_set_on_random_graphs():
         assert sum(stats.per_cell) == alpha * count
 
 
+def test_mis_share_table_is_capped():
+    # refused before the (2^21, 21) table is allocated
+    from cellwlan import flows, topology
+    assert flows.MAX_FIXED_POINT_CELLS == topology.MAX_FIXED_POINT_CELLS == 20
+    with pytest.raises(ValueError, match="^21 cells; .* capped at 20 cells$"):
+        mis_share_table(graph_from_edges(range(1, 22), []))
+    assert mis_share_table(graph_from_edges(range(1, 4), [])).shape == (8, 3)
+
+
 def test_mis_share_table_matches_power_set_on_every_subset():
     rng = np.random.Generator(np.random.Philox(314))
     graphs = [oracles.random_graph(rng, k % 8 + 1, float(rng.uniform(0, 0.9)))
@@ -290,6 +299,17 @@ def test_enumeration_leaves_no_reference_cycles():
 def test_graph_validation():
     with pytest.raises(ValueError):
         graph_from_edges([1, 2], [(1, 1)])
+    # each refusal names what it refuses
+    for cells, edges, match in (
+            ([1, 1, 2], [], r"^cells: id 1 is listed more than once$"),
+            ([3, 1, 2, 3, 1], [(1, 2)], r"^cells: id 1 is listed"),
+            ([1, 2, 3], [(1, 2, 3)], r"^edges: \(1, 2, 3\) is not a pair"),
+            ([1, 2, 3], [(1, 2), 3], r"^edges: 3 is not a pair"),
+            ([1, 2, 3], [[1, 2], [2, 9]],
+             r"^edges: \[2, 9\] names a cell not in cells$"),
+            ([1, 2, 3], [(7, 7)], r"^edges: \[7, 7\] names a cell not in")):
+        with pytest.raises(ValueError, match=match):
+            graph_from_edges(cells, edges)
     with pytest.raises(ValueError):
         ContentionGraph(cells=(2, 1), edges=())
     with pytest.raises(ValueError):
