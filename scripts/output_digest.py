@@ -46,15 +46,18 @@ The corpus:
   1-16 cells with non-contiguous ids and on the 5x5 grid, digesting the
   member tuples (their repr, so the type of each member counts), the
   three role masks, ``toggle_index`` and the ``MisStats`` repr;
-- the ``infinite-rho`` verb on the 5x5 grid (25 cells, 55,447 states);
+- the ``infinite-rho`` verb on the 5x5 grid (25 cells, 55,447 states),
+  and the frontier DP through the CLI as perfbench's ``large-grid``
+  runs it: ``saturation`` and ``tcp-long`` on the 5x5 grid at 1000-byte
+  frames, ``sweep`` on the 4x5 grid (6,743 states) over 300-2000 bytes;
 - ``saturation`` and ``sweep`` on the 3-cell chain and on a seeded
   6-cell config with a ``max_iterations`` low enough that uniqueness
   probes fail and their warnings reach the output, and on two 5-cell
   configs with cells of one node, one of them on a ``cw_min = 3`` ladder
   (G(0) = 1);
 - ``solve_fixed_point`` and ``payload_sweep`` on seeded graphs of 1-8
-  cells and on the 5x5 grid, at the default solver settings and at a
-  ``max_iterations`` between the main solve's count and the probes',
+  cells and on the 4x5 and 5x5 grids, at the default solver settings and
+  at a ``max_iterations`` between the main solve's count and the probes',
   digesting every field of the solution and of each sweep point
   (warnings included; the graph by its sorted edges), plus a 5-point
   ``payload_sweep`` on the 5x5 grid (20 solver rows of the frontier DP)
@@ -225,6 +228,17 @@ def cli_digests(tmp: str):
                                          "edges": [list(e) for e in edges]}}}
     runs = [(label, doc, VERBS) for label, doc in cli_configs()]
     runs.append(("grid5x5", grid, ("infinite-rho",)))
+    # the frontier DP through the CLI, as perfbench's large-grid runs it
+    mac = {"preset": "dot11b-11mbps", "payload_bytes": 1000}
+    tcp = {"mode": "tcp-long", "tcp_data_bytes": 1500, "tcp_ack_bytes": 40}
+    runs.append(("grid5x5-dp", {**grid, "mac_phy": mac, "traffic": tcp},
+                 ("saturation", "tcp-long")))
+    cells, edges = _grid(4, 5)
+    runs.append(("grid4x5-dp", {
+        "deployment": {"adjacency": {"cells": cells,
+                                     "edges": [list(e) for e in edges]}},
+        "mac_phy": mac, "sweep": {"payload_bytes": [300, 600, 1000, 1500,
+                                                    2000]}}, ("sweep",)))
     for label, doc in PROBE_CONFIGS:
         runs.append((f"{label}-probes", doc, ("saturation", "sweep")))
     for label, doc in ONE_NODE_CONFIGS:
@@ -542,6 +556,8 @@ def fixed_point_digests(count: int = 12):
         counts = tuple(int(c) for c in rng.integers(1, 9, size=n))
         nets.append((f"graph {k} n={n}", graph_from_edges(cells, edges),
                      counts, float(rng.uniform(4000.0, 12000.0)), 2))
+    nets.append(("grid 4x5", graph_from_edges(*_grid(4, 5)), (2,) * 20,
+                 8000.0, 2))
     nets.append(("grid 5x5", graph_from_edges(*_grid(5, 5)), (2,) * 25,
                  8000.0, 2))
     for label, g, counts, payload, points in nets:

@@ -26,16 +26,17 @@ from .topology import (STATE_CAP, ContentionGraph, FrontierPlan, StateSpace,
 
 # a batch of fixed-point rows holds at most this many floats in each of its
 # arrays, 8 MB: (row, state) floats of an enumerated law, (row, zero-set,
-# column) floats of a frontier DP
+# table entry) floats of a frontier DP
 _BATCH_STATES = 1 << 20
-# _law's choice, measured on solves at multistart 3, one BLAS thread: grids
-# break even at about 1.3 states per unit of DP work (4x5 at 0.99: the DP
-# 1.75x slower; 4x6 at 2.2: 1.75x faster; 5x5 at 6.1: 3.7x), and sparse
-# random graphs gain more, their work count being a loose bound.  Below
-# about 2^10 states both cost mostly per-call overhead (8-15-cell chains
-# and edgeless graphs within 25 % either way); enumeration keeps such
-# networks' outputs as they were.
-_DP_FACTOR = 2
+# _law's choice, measured on solves at multistart 3, one BLAS thread: the
+# DP and enumeration break even at about one state per unit of DP work
+# (3x6 grid at 1.05 and a sparse 16-cell graph at 1.09: the DP 1.1-1.2x
+# faster; 4x5 grid at 1.51: 1.6x; a sparse 15-cell graph at 0.86: 0.77x;
+# 4x4 grid at 0.59: 0.66x).  Below about 2^10 states both cost mostly
+# per-call overhead (a 14-cell chain, 987 states at 4.9: the DP 0.8-0.9x;
+# a 16-cell chain, 2,584 states: 1.2x); enumeration keeps such networks'
+# outputs as they were.
+_DP_FACTOR = 1
 _DP_MIN_STATES = 1 << 10
 
 
@@ -196,20 +197,22 @@ def unblocked_fraction(state_space: StateSpace, pi) -> np.ndarray:
 def partition_function(steps, weights) -> np.ndarray:
     """Z = sum over the independent sets A of prod_{i in A} w_i per row
     of a (rows, cells) ``weights``, by a frontier DP over ``steps``
-    (``topology.frontier_steps``) on a (columns, rows) table.  No state is
-    listed and no matrix product taken, so no BLAS thread count changes a
-    result; an overflow gives a Z that is not finite."""
-    w = np.ascontiguousarray(np.asarray(weights, dtype=float).T)
-    table = np.ones((1, w.shape[1]))
+    (``topology.frontier_steps``) on an (entries, rows) table: a cell
+    joins by appending its compatible entries times its weight, and a
+    frontier cell leaves by adding each entry with it to its partner
+    without it.  No state is listed and no matrix product taken, so no
+    BLAS thread count changes a result; an overflow gives a Z that is not
+    finite.  Python-int weights (an object array) give an exact Z."""
+    w = np.asarray(weights)
+    w = np.ascontiguousarray(w.T, dtype=np.result_type(w, float))
+    table = np.ones((1, w.shape[1]), dtype=w.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for cell, compatible, drops in steps:
-            grown = np.zeros((len(table), 2, w.shape[1]))
-            grown[:, 0] = table
-            grown[compatible, 1] = table[compatible] * w[cell]
-            table = grown.reshape(-1, w.shape[1])
-            for hi in drops:
-                part = table.reshape(hi, 2, -1)
-                table = (part[:, 0] + part[:, 1]).reshape(-1, w.shape[1])
+            table = np.concatenate((table, table[compatible] * w[cell]))
+            for keep, into, taken in drops:
+                folded = table[keep]
+                folded[into] += table[taken]
+                table = folded
     return table[0]
 
 
@@ -359,41 +362,46 @@ def _law(graph: ContentionGraph, node_counts):
     x of one rho)`` of ``graph``'s law.  A frontier DP where the state
     count exceeds ``STATE_CAP``, or ``_DP_MIN_STATES`` and ``_DP_FACTOR``
     times the DP's work per row: at most 1 + cells + sum of 2^degree
-    zero-sets, times 2^width columns.  The walk takes the cells in id
-    order, or in ``bfs_order`` where that is strictly narrower.  That
-    work and the bound 2^cells can settle it before anything is built;
-    else a one-row DP counts the states.  Enumeration elsewhere, without
-    a walk where 2^cells is at most ``_DP_MIN_STATES``."""
-    n, work = np.asarray(node_counts, dtype=float), None
+    zero-sets, times the walk's largest table.  The walk takes the cells
+    in id order, or in ``bfs_order`` where that is strictly narrower, and
+    stops once a table passes the batch budget.  That work and the bound
+    2^cells can settle it before the states are counted; else a one-row
+    DP in Python ints counts them exactly.  Enumeration elsewhere,
+    without a walk where 2^cells is at most ``_DP_MIN_STATES``."""
+    n, steps = np.asarray(node_counts, dtype=float), None
     if 1 << graph.size > _DP_MIN_STATES:
         # min keeps the first of equal widths: id order
-        width, order = min(((frontier_width(graph, o), o) for o in (
+        _, order = min(((frontier_width(graph, o), o) for o in (
             None, bfs_order(graph))), key=lambda wo: wo[0])
-        work = (1 + graph.size + sum(1 << int(d) for d in graph.adjacency.sum(
-            axis=1))) << width
-        bound = min(max(_DP_FACTOR * work, _DP_MIN_STATES), STATE_CAP)
-        if 2 * work <= _BATCH_STATES and 1 << graph.size > bound:
-            steps = frontier_steps(graph, order)
-            states = partition_function(steps, np.ones((1, graph.size)))[0]
-            if not states < np.inf:
+        zero_sets = 1 + graph.size + sum(
+            1 << int(d) for d in graph.adjacency.sum(axis=1))
+        steps = frontier_steps(graph, order, _BATCH_STATES // zero_sets)
+    if steps is not None:
+        # the largest table is a join's, which the first fold after it reads
+        widest = max(len(d[0][0]) + len(d[0][2]) for _, _, d in steps if d)
+        bound = min(max(_DP_FACTOR * zero_sets * widest, _DP_MIN_STATES),
+                    STATE_CAP)
+        if 1 << graph.size > bound:
+            states = partition_function(steps, np.ones(
+                (1, graph.size), dtype=object))[0]
+            if states > float(np.finfo(float).max):
                 raise StateSpaceCapError(f"graph with {graph.size} cells has "
                                          f"too many independent sets to "
                                          f"count")
             if states > bound:
                 plan = frontier_plan(graph, steps)
                 # x: no beta
-                return (int(states), len(plan.keep) << width + 1,
+                return (states, len(plan.keep) * widest,
                         lambda r: lambda rho, beta, idle, lone: _frontier(
                             plan, rho, beta, idle, lone)[1],
                         lambda rho: frontier_law(plan, rho, 0.0 * rho, n)[0])
     try:
         ss = enumerate_independent_sets(graph)
     except StateSpaceCapError as e:
-        if work is None:
+        if 1 << graph.size <= _DP_MIN_STATES:
             raise
-        raise StateSpaceCapError(f"{e}; a frontier DP would hold up to "
-                                 f"{2 * work} floats per row, above "
-                                 f"{_BATCH_STATES}") from None
+        raise StateSpaceCapError(f"{e}; a frontier DP would hold more than "
+                                 f"{_BATCH_STATES} floats per row") from None
 
     def gamma_for(r):
         columns = _row_columns(ss, r)

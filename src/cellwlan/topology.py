@@ -393,25 +393,38 @@ def frontier_width(graph: ContentionGraph, order=None) -> int:
                                     >= c)).sum(axis=0).max(initial=0))
 
 
-def frontier_steps(graph: ContentionGraph, order=None) -> tuple:
+def frontier_steps(graph: ContentionGraph, order=None,
+                   limit=None) -> tuple | None:
     """A frontier DP's walk over the cell columns ``order`` (id order if
-    None): per cell, ``(cell, compatible, drops)``.  The cell joins a
-    (2^f, ...) table as its lowest bit, with its weight in the
-    ``compatible`` columns (no frontier neighbor active); each frontier
-    cell done then sums out as the middle axis of a (hi, 2, ...) view, for
-    each ``hi`` of ``drops`` in turn."""
+    None): per cell, ``(cell, compatible, drops)``, or None once a table
+    would hold more than ``limit`` entries.  The table holds one entry per
+    independent subset of the frontier, the cells taken that have a
+    neighbor still to come.  The cell joins as new entries appended after
+    the old ones: the ``compatible`` entries (no neighbor of it in them)
+    times its weight.  Each frontier cell done then leaves by one
+    ``(keep, into, taken)`` of ``drops`` in turn: the entries without it
+    (``keep``) stay, and each entry with it (``taken``) is added to its
+    partner without it, at ``into`` among them (Calkin & Wilf's transfer
+    matrix over the independent sets of a row, one cell at a time)."""
     last, frontier, steps = _last_neighbors(graph, order), [], []
     order = range(graph.size) if order is None else np.asarray(order).tolist()
+    sets = [0]    # per entry, bit p set: the cell at position p is in it
     for p, c in enumerate(order):
-        nbits = sum(1 << i for i, k in enumerate(reversed(frontier))
-                    if graph.adjacency[c, order[k]])
-        columns = np.arange(1 << len(frontier))
-        compatible = np.flatnonzero(columns & nbits == 0)
+        nbits = sum(1 << k for k in frontier if graph.adjacency[c, order[k]])
+        compatible = [e for e, s in enumerate(sets) if not s & nbits]
+        sets += [sets[e] | 1 << p for e in compatible]
+        if limit is not None and len(sets) > limit:
+            return None
         frontier, drops = frontier + [p], []
         for k in [k for k in frontier if last[k] <= p]:
-            drops.append(1 << frontier.index(k))
             frontier.remove(k)
-        steps.append((c, compatible, drops))
+            keep = [e for e, s in enumerate(sets) if not s >> k & 1]
+            taken = [e for e, s in enumerate(sets) if s >> k & 1]
+            at = {sets[e]: j for j, e in enumerate(keep)}
+            drops.append(tuple(np.array(v, dtype=np.intp) for v in (
+                keep, [at[sets[e] ^ 1 << k] for e in taken], taken)))
+            sets = [sets[e] for e in keep]
+        steps.append((c, np.array(compatible, dtype=np.intp), drops))
     return tuple(steps)
 
 

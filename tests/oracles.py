@@ -165,6 +165,48 @@ def grid_unblocked_by_rows(rows, cols, rho):
     return x
 
 
+def grid_independent_sets(rows, cols):
+    """The number of independent sets of a rows x cols grid, exactly: a
+    row-transfer count over the independent patterns of one row, in
+    Python ints (OEIS A006506 on square grids)."""
+    patterns = [m for m in range(1 << cols) if not m & m >> 1]
+    count = dict.fromkeys(patterns, 1)
+    for _ in range(rows - 1):
+        count = {b: sum(n for a, n in count.items() if not a & b)
+                 for b in patterns}
+    return sum(count.values())
+
+
+def partition_function_bitmask(adjacency, order, weights):
+    """Z per row of a (rows, cells) ``weights`` by a frontier DP over a
+    table of all 2^f bitmasks of the frontier, f its size (zero where
+    the mask is not independent), the walk over the cell columns
+    ``order`` (column order if None).  The joining cell is the low bit,
+    entered with its weight where no frontier neighbor is set; a cell
+    whose neighbors are all in sums its bit out as without + with."""
+    adj = np.asarray(adjacency, dtype=bool)
+    order = list(range(len(adj))) if order is None else list(order)
+    last = [max((q for q, d in enumerate(order) if adj[c, d]), default=-1)
+            for c in order]
+    w = np.ascontiguousarray(np.asarray(weights, dtype=float).T)
+    table, frontier = np.ones((1, w.shape[1])), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, c in enumerate(order):
+            nbits = sum(1 << i for i, q in enumerate(reversed(frontier))
+                        if adj[c, order[q]])
+            fits = np.flatnonzero(np.arange(len(table)) & nbits == 0)
+            grown = np.zeros((len(table), 2, w.shape[1]))
+            grown[:, 0] = table
+            grown[fits, 1] = table[fits] * w[c]
+            table = grown.reshape(-1, w.shape[1])
+            frontier.append(p)
+            for q in [q for q in frontier if last[q] <= p]:
+                part = table.reshape(1 << frontier.index(q), 2, -1)
+                table = (part[:, 0] + part[:, 1]).reshape(-1, w.shape[1])
+                frontier.remove(q)
+    return table[0]
+
+
 def neighbors_direct(cells, edges):
     """{cell: set of adjacent cells}."""
     nbrs = {c: set() for c in cells}

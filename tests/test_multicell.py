@@ -226,6 +226,30 @@ def test_frontier_dp_matches_enumeration():
     assert isolated >= 5
 
 
+def test_partition_function_equals_the_bitmask_kernel_bit_for_bit():
+    # the packed table of independent frontier subsets does the float
+    # operations of a table of all 2^width masks, entry for entry: seeded
+    # random graphs of 1-12 cells, three walk orders, 1, 4 and 20 rows,
+    # zero and overflowing weights among them; Python-int weights count
+    rng = np.random.Generator(np.random.Philox(29))
+    for n in range(1, 13):
+        for p in (0.2, 0.4, 0.7):
+            g = graph_from_edges(*oracles.random_graph(rng, n, p))
+            count = len(oracles.independent_sets_powerset(g.cells, g.edges))
+            for order in (None, bfs_order(g), rng.permutation(n)):
+                steps = frontier_steps(g, order)
+                for rows in (1, 4, 20):
+                    w = 10.0 ** rng.uniform(-3.0, 4.0, size=(rows, n))
+                    w[rng.random((rows, n)) < 0.2] = 0.0
+                    w[-1, rng.random(n) < 0.5] = 1e300
+                    want = oracles.partition_function_bitmask(
+                        g.adjacency, order, w)
+                    assert partition_function(steps, w).tobytes() == \
+                        want.tobytes()
+                assert partition_function(steps, np.ones(
+                    (1, n), dtype=object)).tolist() == [count]
+
+
 def test_frontier_dp_refuses_bad_kernel_inputs_by_name():
     g = _grid(2, 2)
     plan = frontier_plan(g, frontier_steps(g))
@@ -259,23 +283,32 @@ def _methods(monkeypatch, graph):
 
 def test_large_graphs_take_the_frontier_dp_and_small_ones_enumeration(
         monkeypatch):
-    (states, *_), built = _methods(monkeypatch, _grid(5, 5))
-    assert built == {"frontier_steps": 1, "frontier_plan": 1}
-    assert states == 55447
-    # the 4x5 grid counts its states (6,743, against a DP work count of
-    # 6,816), then enumerates them; no plan is built
-    (states, *_), built = _methods(monkeypatch, _grid(4, 5))
+    # DP work counts: at most 1 + cells + sum of 2^degree zero-sets times
+    # the largest table, 282 x 21 on the 5x5 grid, 213 x 21 on the 4x5,
+    # 179 x 16 on the 3x6 and 161 x 13 on the 4x4
+    for (rows, cols), want in (((5, 5), 55447), ((4, 5), 6743),
+                               ((3, 6), 2999)):
+        (states, *_), built = _methods(monkeypatch, _grid(rows, cols))
+        assert built == {"frontier_steps": 1, "frontier_plan": 1}
+        assert states == want
+    # the 4x4 grid counts its 1,234 states, fewer than its work count of
+    # 2,093, then enumerates them; no plan is built
+    (states, *_), built = _methods(monkeypatch, _grid(4, 4))
     assert built == {"frontier_steps": 1, "enumerate_independent_sets": 1}
-    assert states == 6743
+    assert states == 1234
+    # the 66-clique's walk stops at its first table: with up to
+    # 1 + 66 + 66 x 2^65 zero-sets, no entry fits the batch budget
+    cells = range(1, 67)
+    (states, *_), built = _methods(monkeypatch, graph_from_edges(
+        cells, list(itertools.combinations(cells, 2))))
+    assert built == {"frontier_steps": 1, "enumerate_independent_sets": 1}
+    assert states == 67
     rng = np.random.Generator(np.random.Philox(22))
     smalls = [chain(), clique(), graph_from_edges([1, 2], [(1, 2)]),
               _grid(3, 3), graph_from_edges(range(1, 9), [])]
     smalls += [graph_from_edges(*oracles.random_graph(
         rng, n, float(rng.uniform(0.0, 0.7)))) for n in range(4, 9)
         for _ in range(4)]
-    cells = range(1, 67)
-    smalls.append(graph_from_edges(cells,
-                                   list(itertools.combinations(cells, 2))))
     for g in smalls:
         (states, *_), built = _methods(monkeypatch, g)
         assert built == {"enumerate_independent_sets": 1}
@@ -309,6 +342,40 @@ def test_state_count_overflowing_the_dp_is_a_cap_error():
         multicell._law(graph_from_edges(range(1, 1101), []), (2,) * 1100)
 
 
+def test_grid_state_counts_stay_exact_past_two_to_the_53(monkeypatch):
+    # OEIS A006506; the 9x9 and 10x10 grids, refused when the DP's table
+    # held every frontier mask, take the DP within the batch budget
+    for side, want in ((7, 1280128950), (8, 660647962955),
+                       (9, 770548397261707), (10, 2030049051145980050)):
+        assert oracles.grid_independent_sets(side, side) == want
+        (states, row_floats, *_), built = _methods(monkeypatch,
+                                                   _grid(side, side))
+        assert built == {"frontier_steps": 1, "frontier_plan": 1}
+        assert type(states) is int and states == want
+    # 1,137 distinct zero-sets times a largest table of 233 entries
+    assert row_floats == 264921
+    # the same walk in floats rounds to ...979,904
+    assert partition_function(frontier_steps(_grid(10, 10)), np.ones(
+        (1, 100))).tolist() == [2030049051145979904.0]
+
+
+def test_grid_too_wide_for_the_batch_budget_is_refused_by_name(monkeypatch):
+    # the 12x12 grid's walk passes 2^20 floats per row (up to 2,081
+    # zero-sets, a table over 503 entries) and stops there
+    import cellwlan.multicell as multicell
+    import cellwlan.topology as topology
+    walked = []
+    monkeypatch.setattr(multicell, "frontier_steps", lambda *args: (
+        walked.append(topology.frontier_steps(*args)) or walked[-1]))
+    monkeypatch.setattr(topology, "STATE_CAP", 1000)
+    with pytest.raises(StateSpaceCapError, match=(
+            r"^graph with 144 cells has more than 1000 independent sets; "
+            r"enumeration refused; a frontier DP would hold more than "
+            r"1048576 floats per row$")):
+        multicell._law(_grid(12, 12), (2,) * 144)
+    assert walked == [None]
+
+
 def test_row_numbered_ladder_solves_like_the_column_numbered_one():
     # in id order the row-numbered 2x16 ladder has width 16, too wide for
     # the DP, and 1,607,521 states, over the cap; breadth first it has
@@ -334,8 +401,7 @@ def test_graph_too_wide_for_the_dp_and_over_the_cap_names_both(monkeypatch):
     inp = MulticellInput(_grid(5, 5), (2,) * 25, MP, BO)
     with pytest.raises(StateSpaceCapError, match=(
             r"more than 1000 independent sets; enumeration refused; a "
-            r"frontier DP would hold up to 18048 floats per row, above "
-            r"1000$")):
+            r"frontier DP would hold more than 1000 floats per row$")):
         solve_fixed_point(inp)
 
 
@@ -1050,9 +1116,11 @@ def test_sweep_failing_at_its_second_point_names_that_point():
 
 def test_probe_batches_bound_their_arrays(monkeypatch):
     import cellwlan.multicell as multicell
-    inp = MulticellInput(_grid(4, 5), (2,) * 20, MP, BO)
+    # the 4x4 grid enumerates its 1,234 states; the main solve takes 19
+    # iterations, and 15 of the 100 probes more than 28
+    inp = MulticellInput(_grid(4, 4), (2,) * 16, MP, BO)
     states = len(space(inp.graph))
-    # the main solve takes 19 iterations, the probes 25-30
+    assert multicell._law(inp.graph, inp.node_counts)[:2] == (states, states)
     cfg = FixedPointConfig(multistart=100, max_iterations=28)
     beta, want_rows, want_warnings = oracles.fixed_point_sequential_probes(
         inp, cfg)

@@ -468,23 +468,54 @@ def test_bfs_order_starts_each_component_at_a_least_degree_cell():
     assert frontier_width(cols) == 2
 
 
+def _independent_subsets(adjacency, members):
+    """The number of independent subsets of the cell columns ``members``,
+    by filtering their power set."""
+    return sum(1 for r in range(len(members) + 1)
+               for sub in itertools.combinations(members, r)
+               if not adjacency[np.ix_(sub, sub)].any())
+
+
 def test_frontier_walks_follow_a_cell_order():
-    # any order: each cell joins once, in that order, the table never
-    # holds more than 2^width columns and ends at one
+    # any order: each cell joins once, in that order, and every table
+    # holds one entry per independent subset of the frontier (the cells
+    # taken with a neighbor still to come), by a brute-force count after
+    # each join and each fold; the walk ends at one entry, and a limit
+    # below its largest table stops it
     rng = np.random.Generator(np.random.Philox(26))
     for n in range(1, 13):
         g = graph_from_edges(*oracles.random_graph(rng, n, 0.4))
+        adj = g.adjacency
         for order in (None, bfs_order(g), rng.permutation(n)):
             steps = frontier_steps(g, order)
-            want = range(n) if order is None else order
-            assert [c for c, _, _ in steps] == list(want)
+            want = list(range(n) if order is None else order)
+            assert [c for c, _, _ in steps] == want
+            last = [max((q for q, d in enumerate(want) if adj[c, d]),
+                        default=-1) for c in want]
             size = widest = 1
-            for _, compatible, drops in steps:
-                widest = max(widest, size)
+            for p, (_, compatible, drops) in enumerate(steps):
+                frontier = [q for q in range(p) if last[q] >= p] + [p]
+                assert compatible.tolist() == sorted(set(compatible.tolist()))
                 assert compatible.max() < size
-                size = 2 * size >> len(drops)
+                size += len(compatible)
+                assert size == _independent_subsets(
+                    adj, [want[q] for q in frontier])
+                widest = max(widest, size)
+                done = [q for q in frontier if last[q] <= p]
+                assert len(drops) == len(done)
+                for q, (keep, into, taken) in zip(done, drops):
+                    frontier.remove(q)
+                    assert sorted(keep.tolist() + taken.tolist()) == \
+                        list(range(size))
+                    size = len(keep)
+                    assert size == _independent_subsets(
+                        adj, [want[q] for q in frontier])
+                    assert len(into) == len(taken) == len(set(into.tolist()))
+                    assert into.max(initial=0) < size
             assert size == 1
-            assert widest == 1 << frontier_width(g, order)
+            assert widest <= 1 << frontier_width(g, order) + 1
+            assert frontier_steps(g, order, widest) is not None
+            assert frontier_steps(g, order, widest - 1) is None
 
 
 def test_frontier_plan_against_neighborhoods():
