@@ -77,8 +77,7 @@ The corpus:
 - seeded geometric deployments of 1-12 cells on mixed channels, listed
   out of id order, with pairs on both sides of the carrier-sense
   boundary and straddling it, plus one with exact ties at the boundary,
-  through ``build_contention_graph``, ``check_pbd``, ``dot_edges`` and
-  ``adjacency_text``;
+  through ``build_contention_graph`` and ``check_pbd``;
 - the stdout of the ``presets`` verb and the ``KeyError`` text of an
   unknown MAC/PHY and backoff preset;
 - the outcome (result, or exception type and text) of each bad input
@@ -143,14 +142,14 @@ from cellwlan.dcf import (BackoffParams, backoff_preset, mac_phy_preset,
 from cellwlan.flows import (FlowParams, SimConfig, effective_rate_fixed_point,
                             simulate_flow_network)
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
-                                collision_probability, payload_sweep,
+                                frontier_law, payload_sweep,
                                 solve_fixed_point, stationary_distribution,
                                 tcp_pair)
 from cellwlan.simkit import simulate_ctmc, simulate_slotted, slots_for
 from cellwlan.topology import (CellGeom, Deployment, StateSpaceCapError,
-                               adjacency_text, build_contention_graph,
-                               check_pbd, dot_edges,
-                               enumerate_independent_sets, graph_from_edges,
+                               build_contention_graph, check_pbd,
+                               enumerate_independent_sets, frontier_plan,
+                               frontier_steps, graph_from_edges,
                                mis_share_table, mis_stats)
 
 VERBS = ("saturation", "tcp-long", "tcp-short", "infinite-rho", "sweep",
@@ -662,8 +661,6 @@ def _geometry(label: str, dep: Deployment):
     edges = sorted(sorted(e) for e in g.edges)
     yield f"{label} graph", _sha(repr((g.cells, edges)).encode())
     yield f"{label} pbd", _sha(repr(check_pbd(dep)).encode())
-    yield f"{label} dot", _sha(dot_edges(g).encode())
-    yield f"{label} adjacency", _sha(adjacency_text(g).encode())
 
 
 def geometry_digests(count: int = 24):
@@ -772,7 +769,7 @@ def _not_whole_or_out_of_range(mac, backoff):
     """(label, call) pairs: one call per setting that is not a whole
     number, and per kernel input that is NaN, infinite or out of range."""
     ss = enumerate_independent_sets(_chain(3))
-    uniform = np.full(len(ss), 1.0 / len(ss))
+    plan = frontier_plan(_chain(3), frontier_steps(_chain(3)))
 
     def chain_x(counts, cfg=None):
         return solve_fixed_point(MulticellInput(_chain(3), counts, mac,
@@ -813,10 +810,10 @@ def _not_whole_or_out_of_range(mac, backoff):
          lambda: BackoffParams(1.5, (15.5, 31.5))),
         ("rho nan", lambda: stationary_distribution(ss, [np.nan, 1.0, 1.0])),
         ("rho inf", lambda: stationary_distribution(ss, [np.inf, 1.0, 1.0])),
-        ("beta 1.5", lambda: collision_probability(
-            ss, uniform, [1.5, 0.1, 0.1], (2, 2, 2))),
-        ("beta nan", lambda: collision_probability(
-            ss, uniform, [np.nan, 0.1, 0.1], (2, 2, 2)))]
+        ("beta 1.5", lambda: frontier_law(
+            plan, [1.0] * 3, [1.5, 0.1, 0.1], (2, 2, 2))),
+        ("beta nan", lambda: frontier_law(
+            plan, [1.0] * 3, [np.nan, 0.1, 0.1], (2, 2, 2)))]
 
 
 def run(arrays: str | None) -> None:

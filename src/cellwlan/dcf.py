@@ -110,21 +110,14 @@ def mean_backoffs(cw_min: int, cw_max: int, retry_limit: int) -> BackoffParams:
     return BackoffParams(retry_limit=retry_limit, mean_backoffs=bs)
 
 
-def attempt_probability(gamma, backoff: BackoffParams):
-    """Per-slot attempt probability G(gamma) of a saturated node, given its
-    collision probability.  Accepts a scalar or an array of gammas.
-
-    Renewal ratio: attempts per packet over mean backoff slots per packet,
-    each weighted by the chance gamma^k of reaching attempt k.  G exceeds 1
-    exactly when the reachable mean backoffs average below one slot, which
-    is an error; rounding above 1 when they average one slot is clipped.
-    """
-    return _attempt(backoff)(gamma)
-
-
 def _attempt(backoff: BackoffParams):
-    """``attempt_probability`` on one ladder, as a function of gamma whose
-    arrays are built once; a Python float gamma skips the array checks."""
+    """Per-slot attempt probability G(gamma) of a saturated node on one
+    ladder, as a function of a scalar or an array of gammas, its arrays
+    built once (a Python float gamma skips the array checks): attempts
+    per packet over mean backoff slots per packet, each weighted by the
+    chance gamma^k of reaching attempt k.  G exceeds 1 exactly when the
+    reachable mean backoffs average below one slot, which is an error;
+    rounding above 1 when they average one slot is clipped."""
     exps, b = np.arange(backoff.retry_limit + 1), np.asarray(
         backoff.mean_backoffs)
     # with every mean backoff at least one slot, den >= 1 and G <= 1

@@ -40,33 +40,10 @@ _DP_FACTOR = 1
 _DP_MIN_STATES = 1 << 10
 
 
-def activation_rate(beta, node_count, slot_time):
-    """Rate at which a contending cell grabs the channel.
-
-    Per backoff slot the cell attempts with probability 1 - (1-beta)^n, so
-    the time to activation is geometric with that success probability.
-    Accepts scalars or arrays.
-    """
-    p_idle, _, _ = _slot_outcomes(np.asarray(beta, dtype=float),
-                                  np.asarray(node_count, dtype=float))
-    return (1.0 - p_idle) / slot_time
-
-
-def mean_activity_time(beta, node_count, t_success, t_collision):
-    """Mean duration of one channel occupancy by the cell.
-
-    An activation is a success when exactly one of the cell's n nodes
-    attempted in the activating slot.  beta -> 0 degenerates to a sure
-    success.  Accepts scalars or arrays.
-    """
-    p_idle, _, p_succ = _slot_outcomes(np.asarray(beta, dtype=float),
-                                       np.asarray(node_count, dtype=float))
-    return _activity_time(1.0 - p_idle, p_succ, t_success, t_collision)
-
-
 def _activity_time(p_any, p_succ, t_success, t_collision):
-    """``mean_activity_time`` from the chances that any one, and exactly
-    one, of the cell's nodes attempts in a slot."""
+    """Mean duration of one channel occupancy by a cell, from the chances
+    that any one, and exactly one, of its nodes attempts in a slot; none
+    attempting (beta = 0) counts as a sure success."""
     busy = p_any > 0.0
     p_succ = np.where(busy, p_succ / np.where(busy, p_any, 1.0), 1.0)
     return p_succ * t_success + (1.0 - p_succ) * t_collision
@@ -123,30 +100,6 @@ def stationary_distribution(state_space: StateSpace, rho) -> np.ndarray:
     return w
 
 
-def collision_probability(state_space: StateSpace, pi, beta,
-                          node_counts) -> np.ndarray:
-    """Collision probability per cell, averaged over the states in which
-    the cell is contending.
-
-    Works on the state space's ``collision_index``: the law's mass is
-    summed per (cell, pattern of contending neighbors), each pattern's
-    collision probability is a product of silence probabilities
-    (1-beta_j)^n_j, finite for beta_j = 1, and each cell averages over its
-    few patterns.  (rows, states) ``pi`` with (rows, cells) ``beta`` give
-    one average per row; each sum is one row-offset ``np.bincount`` over
-    as many rows as ``_row_columns`` stacks, adding every bin in state
-    order as a call per row would.
-    """
-    pi, beta, n = (np.asarray(v, dtype=float) for v in (pi, beta, node_counts))
-    cells = len(state_space.cells)
-    _rows("pi", pi, len(state_space), "probability per state")
-    _shaped("beta", beta, pi.shape[:-1] + (cells,))
-    _shaped("node_counts", n, (cells,))
-    idle, lone, _ = _slot_outcomes(beta, n)
-    return _collision_average(state_space, pi, beta, idle, lone, _row_columns(
-        state_space, pi.size // len(state_space)))
-
-
 def _row_columns(state_space: StateSpace, rows: int):
     """The row-offset bins of the collision average's sums over ``rows``
     rows: each entry's pattern, for as many rows as one ``np.bincount``
@@ -160,8 +113,14 @@ def _row_columns(state_space: StateSpace, rows: int):
 
 def _collision_average(state_space: StateSpace, pi, beta, idle, lone,
                        columns):
-    """``collision_probability`` given each cell's (1-beta)^n (``idle``)
-    and (1-beta)^(n-1) (``lone``), and ``_row_columns`` of >= pi's rows."""
+    """Collision probability per cell, averaged over the states in which
+    it contends, given each cell's (1-beta)^n (``idle``) and (1-beta)^(n-1)
+    (``lone``), and ``_row_columns`` of >= pi's rows: the law's mass
+    summed per (cell, pattern of contending neighbors) of the
+    ``collision_index``, times each pattern's chance of a collision, one
+    average per row.  Each sum is one row-offset ``np.bincount`` over as
+    many rows as ``_row_columns`` stacks, adding every bin in state order
+    as a call per row would."""
     _beta_ok(beta)
     idx, cells = state_space.collision_index, len(state_space.cells)
     # each pattern's neighbors' idle chances, multiplied in column order as
@@ -217,7 +176,7 @@ def partition_function(steps, weights) -> np.ndarray:
 
 
 def frontier_law(plan: FrontierPlan, rho, beta, node_counts):
-    """``unblocked_fraction`` and ``collision_probability`` at ``rho``, per
+    """``unblocked_fraction`` and ``_collision_average`` at ``rho``, per
     row, by a frontier DP: x_i = Z(rho, N(i) zeroed) / Z(rho).  With
     s_k = (1-beta_k)^n_k, every contending neighbor of cell j stays
     silent with chance sum over T in N(j) of prod_{k in T} (s_k - 1)
@@ -387,7 +346,7 @@ def _law(graph: ContentionGraph, node_counts):
             if states > float(np.finfo(float).max):
                 raise StateSpaceCapError(f"graph with {graph.size} cells has "
                                          f"too many independent sets to "
-                                         f"count")
+                                         f"read its law in floats")
             if states > bound:
                 plan = frontier_plan(graph, steps)
                 # x: no beta
@@ -415,8 +374,8 @@ def _step(inp: MulticellInput, gamma_for, times):
     """The fixed point's step on a ``_law``'s ``gamma_for``, prepared once
     per batch: ``step(beta, rows)`` maps rows of beta, row r at the frame
     times ``times[r]``, to G(gamma) and the (rows, 4, cells) aux of gamma,
-    activation rate, mean activity time and rho, each row bit for bit
-    what the public kernels give; the per-slot outcomes are shared."""
+    activation rate, mean activity time and rho, each row bit for bit as
+    if stepped alone; the per-slot outcomes are shared."""
     n, slot = np.asarray(inp.node_counts, dtype=float), inp.mac_phy.slot_time
     attempt, gamma_of = _attempt(inp.backoff), gamma_for(len(times))
 
@@ -424,6 +383,7 @@ def _step(inp: MulticellInput, gamma_for, times):
         t = times[rows]
         idle, lone, p_succ = _slot_outcomes(beta, n)
         p_any = 1.0 - idle
+        # a contending cell activates after a geometric number of slots
         lam = p_any / slot
         act = _activity_time(p_any, p_succ, t[:, :1], t[:, 1:])
         rho = lam * act

@@ -549,19 +549,3 @@ def mis_share_table(graph: ContentionGraph) -> np.ndarray:
         grown[:, k] = in_ * count[inc]
     per /= count[:, None]
     return per
-
-
-def adjacency_text(graph: ContentionGraph) -> str:
-    """Plain-text adjacency list, one ``cell: neighbors...`` line per cell."""
-    lines = []
-    for c, row in zip(graph.cells, graph.adjacency):
-        nb = " ".join(str(graph.cells[j]) for j in np.flatnonzero(row))
-        lines.append(f"{c}: {nb}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def dot_edges(graph: ContentionGraph) -> str:
-    """DOT-compatible rendering of the contention graph."""
-    body = [f"  {c};" for c in graph.cells]
-    body += [f"  {a} -- {b};" for a, b in graph.edges]
-    return "graph contention {\n" + "\n".join(body) + "\n}\n"

@@ -548,25 +548,28 @@ def flow_replication_reference(graph, params, cfg, rng, table):
 
 def fixed_point_from(inp, cfg, start, ss=None):
     """The coupled fixed point's beta, solved by one damped iteration from
-    ``start`` on the 1-D kernels, under ``cfg``'s tolerance, damping and
-    iteration cap.  Raises ConvergenceError if it does not settle."""
-    from cellwlan.dcf import (attempt_probability, damped_fixed_point,
+    ``start`` on the 1-D kernels the solver's step runs, under ``cfg``'s
+    tolerance, damping and iteration cap.  Raises ConvergenceError if it
+    does not settle."""
+    from cellwlan.dcf import (_attempt, _slot_outcomes, damped_fixed_point,
                               frame_exchange_times)
-    from cellwlan.multicell import (activation_rate, collision_probability,
-                                    mean_activity_time,
-                                    stationary_distribution)
+    from cellwlan.multicell import (_activity_time, _collision_average,
+                                    _row_columns, stationary_distribution)
     from cellwlan.topology import enumerate_independent_sets
 
     ss = enumerate_independent_sets(inp.graph) if ss is None else ss
     n = np.asarray(inp.node_counts, dtype=float)
     t_s, t_c = frame_exchange_times(inp.mac_phy)
+    attempt, columns = _attempt(inp.backoff), _row_columns(ss, 1)
 
     def step(beta):
-        rho = (activation_rate(beta, n, inp.mac_phy.slot_time)
-               * mean_activity_time(beta, n, t_s, t_c))
-        gamma = collision_probability(
-            ss, stationary_distribution(ss, rho), beta, n)
-        return attempt_probability(gamma, inp.backoff), None
+        idle, lone, p_succ = _slot_outcomes(beta, n)
+        p_any = 1.0 - idle
+        rho = (p_any / inp.mac_phy.slot_time
+               * _activity_time(p_any, p_succ, t_s, t_c))
+        gamma = _collision_average(
+            ss, stationary_distribution(ss, rho), beta, idle, lone, columns)
+        return attempt(gamma), None
 
     return damped_fixed_point(step, start, cfg.tolerance, cfg.damping,
                               cfg.max_iterations, "multi-cell fixed point")[0]
@@ -577,7 +580,7 @@ def fixed_point_sequential_probes(inp, cfg):
     solve per start, in start order, on the 1-D kernels:
     ``(beta, probe betas (None where a probe did not converge),
     warnings)``.  Raises ConvergenceError if the main solve does."""
-    from cellwlan.dcf import ConvergenceError, attempt_probability
+    from cellwlan.dcf import ConvergenceError, _attempt
     from cellwlan.topology import enumerate_independent_sets
 
     ss = enumerate_independent_sets(inp.graph)
@@ -585,8 +588,7 @@ def fixed_point_sequential_probes(inp, cfg):
     def solve(start):
         return fixed_point_from(inp, cfg, start, ss)
 
-    beta = solve(np.full(inp.graph.size,
-                         attempt_probability(0.0, inp.backoff)))
+    beta = solve(np.full(inp.graph.size, _attempt(inp.backoff)(0.0)))
     probes, warnings = [], []
     rng = np.random.Generator(np.random.Philox(7))
     for k in range(cfg.multistart):

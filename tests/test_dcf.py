@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellwlan.dcf import (MAC_PHY_PRESETS, BackoffParams, ConvergenceError,
-                          MacPhyParams, attempt_probability, backoff_preset,
+                          MacPhyParams, _attempt, backoff_preset,
                           damped_fixed_point, frame_exchange_times,
                           mac_phy_preset, mean_backoffs, solve_single_cell)
 
@@ -35,21 +35,21 @@ def test_attempt_probability_matches_horner_oracle():
     rng = np.random.Generator(np.random.Philox(11))
     gammas = list(np.linspace(0.0, 1.0, 21)) + list(rng.uniform(0, 1, 50))
     for gamma in gammas:
-        got = attempt_probability(float(gamma), BO)
+        got = _attempt(BO)(float(gamma))
         want = oracles.attempt_probability_horner(float(gamma),
                                                   BO.mean_backoffs)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_attempt_probability_endpoints_and_monotone():
-    assert attempt_probability(0.0, BO) == pytest.approx(1.0 / 15.5)
+    assert _attempt(BO)(0.0) == pytest.approx(1.0 / 15.5)
     grid = np.linspace(0.0, 1.0, 200)
-    vals = [attempt_probability(float(g), BO) for g in grid]
+    vals = [_attempt(BO)(float(g)) for g in grid]
     # more collisions mean longer windows, so attempts get rarer
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     # every mean backoff one slot: G = 1 exactly, though the two sums may
     # round apart; the result must not exceed 1
-    got = attempt_probability(grid, mean_backoffs(3, 3, 255))
+    got = _attempt(mean_backoffs(3, 3, 255))(grid)
     assert got.max() == 1.0 and got.min() > 1.0 - 1e-12
 
 
@@ -70,14 +70,14 @@ def test_a_float_gamma_gives_what_a_one_entry_array_gives():
     refused = 0
     for backoff in ladders:
         for g in gammas:
-            one = _outcome(lambda: attempt_probability(g, backoff))
+            one = _outcome(lambda: _attempt(backoff)(g))
             assert one == _outcome(
-                lambda: attempt_probability(np.array([g]), backoff)[0])
+                lambda: _attempt(backoff)(np.array([g]))[0])
             refused += isinstance(one, str)
     assert refused > 10
     for bad in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"^gamma = .* outside \[0, 1\]$"):
-            attempt_probability(bad, BO)
+            _attempt(BO)(bad)
 
 
 def test_single_cell_solve_is_the_damped_loop_on_g_bit_for_bit():
@@ -85,11 +85,11 @@ def test_single_cell_solve_is_the_damped_loop_on_g_bit_for_bit():
     for n in range(1, 31):
         for backoff in (BO, mean_backoffs(3, 1024, 7)):
             sol = solve_single_cell(n, MP, backoff)
+            attempt = _attempt(backoff)
             beta, _, it, resid = damped_fixed_point(
-                lambda b: (attempt_probability(
-                    np.array([1.0 - (1.0 - b) ** (n - 1)]), backoff)[0],
-                    None),
-                attempt_probability(0.0, backoff), 1e-10, 0.5, 10000, "toy")
+                lambda b: (attempt(np.array([1.0 - (1.0 - b) ** (n - 1)]))[0],
+                           None),
+                attempt(0.0), 1e-10, 0.5, 10000, "toy")
             assert (sol.beta, sol.iterations, sol.residual) == (
                 beta, it, resid)
             assert type(sol.beta) is type(sol.residual) is float
@@ -98,15 +98,15 @@ def test_single_cell_solve_is_the_damped_loop_on_g_bit_for_bit():
 def test_attempt_probability_rejects_degenerate_ladder():
     zero = BackoffParams(retry_limit=1, mean_backoffs=(0.0, 0.0))
     with pytest.raises(ValueError):
-        attempt_probability(0.5, zero)
+        _attempt(zero)(0.5)
     with pytest.raises(ValueError):
-        attempt_probability(1.5, BO)
+        _attempt(BO)(1.5)
     with pytest.raises(ValueError):
-        attempt_probability(np.array([0.5, np.nan]), BO)
+        _attempt(BO)(np.array([0.5, np.nan]))
     # cw_min = 2 gives a mean first backoff of half a slot: G(0) = 2
     for gamma in (0.0, np.array([0.0, 0.3])):
         with pytest.raises(ValueError, match="below one slot"):
-            attempt_probability(gamma, mean_backoffs(2, 64, 3))
+            _attempt(mean_backoffs(2, 64, 3))(gamma)
 
 
 def test_frame_times_frozen_1000_byte():

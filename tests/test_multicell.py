@@ -8,14 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from cellwlan.dcf import (ConvergenceError, attempt_probability,
+from cellwlan.dcf import (ConvergenceError, _attempt, _slot_outcomes,
                           backoff_preset, damped_fixed_point,
                           frame_exchange_times, mac_phy_preset,
                           mean_backoffs, solve_single_cell)
 from cellwlan.flows import FlowParams, effective_rate_fixed_point
 from cellwlan.multicell import (FixedPointConfig, MulticellInput,
-                                activation_rate, collision_probability,
-                                frontier_law, mean_activity_time,
+                                _activity_time, _collision_average,
+                                _row_columns, frontier_law,
                                 partition_function,
                                 payload_sweep, solve_fixed_point,
                                 stationary_distribution,
@@ -42,24 +42,43 @@ def space(g):
     return enumerate_independent_sets(g)
 
 
+def collision(ss, pi, beta, counts):
+    """The enumerated law's collision average per row of ``pi``, by the
+    kernels the solver's step runs."""
+    pi, beta = np.asarray(pi, dtype=float), np.asarray(beta, dtype=float)
+    idle, lone, _ = _slot_outcomes(beta, np.asarray(counts, dtype=float))
+    return _collision_average(ss, pi, beta, idle, lone,
+                              _row_columns(ss, pi.size // len(ss)))
+
+
+def _step_aux(counts, beta, t_success, t_collision):
+    """The prepared step's gamma, activation rates, mean activity times
+    and rho at one row of ``beta``, on edgeless cells of ``counts``
+    nodes."""
+    import cellwlan.multicell as multicell
+    g = graph_from_edges(range(1, len(counts) + 1), [])
+    inp = MulticellInput(g, counts, MP, BO)
+    step = multicell._step(inp, multicell._law(g, counts)[2],
+                           np.array([(t_success, t_collision)]))
+    return step(np.array([beta], dtype=float), np.arange(1))[1][0]
+
+
 def test_activation_rate_golden():
-    # two nodes at beta 0.1 in 20 us slots: (1 - 0.81) / 20e-6
-    assert activation_rate(0.1, 2, 20e-6) == pytest.approx(9500.0, rel=1e-12)
-    np.testing.assert_allclose(
-        activation_rate([0.1, 0.5], [2, 1], 1.0), [0.19, 0.5], rtol=1e-12)
+    # in 20 us slots, two nodes at beta 0.1: (1 - 0.81) / 20e-6; one at
+    # 0.5: 0.5 / 20e-6
+    _, lam, _, _ = _step_aux((2, 1), [0.1, 0.5], 2.0, 1.0)
+    np.testing.assert_allclose(lam, [9500.0, 25000.0], rtol=1e-12)
 
 
 def test_mean_activity_time_limits():
-    # a lone attempt always succeeds
-    assert mean_activity_time(0.0, 5, 2.0, 1.0) == pytest.approx(2.0)
-    # all nodes attempting every slot always collide (n > 1)
-    assert mean_activity_time(1.0, 3, 2.0, 1.0) == pytest.approx(1.0)
-    # generic point against the defining mixture
+    # a lone attempt always succeeds; all nodes attempting every slot
+    # always collide (n > 1); a generic point against the defining mixture
     b, n, ts, tc = 0.2, 4, 2.0, 0.5
     p_any = 1 - (1 - b) ** n
     p_s = n * b * (1 - b) ** (n - 1) / p_any
-    assert mean_activity_time(b, n, ts, tc) == pytest.approx(
-        p_s * ts + (1 - p_s) * tc, rel=1e-12)
+    _, _, act, _ = _step_aux((5, 3, n), [0.0, 1.0, b], ts, tc)
+    np.testing.assert_allclose(act, [ts, tc, p_s * ts + (1 - p_s) * tc],
+                               rtol=1e-12)
 
 
 def test_stationary_distribution_closed_form_chain():
@@ -137,11 +156,10 @@ def test_collision_rows_match_one_call_per_row(graph, rows):
     beta = rng.uniform(0.0, 0.3, size=(rows, n))
     beta[rows // 2, 0] = 1.0
     counts = rng.integers(1, 6, size=n)
-    got = collision_probability(ss, pi, beta, counts)
+    got = collision(ss, pi, beta, counts)
     assert got.shape == (rows, n)
     for p, b, g in zip(pi, beta, got):
-        np.testing.assert_array_equal(g, collision_probability(ss, p, b,
-                                                               counts))
+        np.testing.assert_array_equal(g, collision(ss, p, b, counts))
         np.testing.assert_allclose(
             g, oracles.collision_average_per_state(ss, p, b, counts),
             rtol=1e-12, atol=0.0)
@@ -155,8 +173,7 @@ def test_huge_intensities_are_refused_by_name():
     assert pi[0] == 0.0
     for p in (pi, np.vstack([stationary_distribution(ss, [1.0] * 3), pi])):
         with pytest.raises(ValueError, match="access intensities too large"):
-            collision_probability(ss, p, np.full(p.shape[:-1] + (3,), 0.1),
-                                  (2, 2, 2))
+            collision(ss, p, np.full(p.shape[:-1] + (3,), 0.1), (2, 2, 2))
 
 
 def test_huge_intensities_are_refused_by_name_on_the_frontier_dp():
@@ -209,15 +226,15 @@ def test_frontier_dp_matches_enumeration():
             x, gamma = frontier_law(plan, rho, beta, counts)
             np.testing.assert_allclose(x, unblocked_fraction(ss, pi),
                                        rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(gamma, collision_probability(
-                ss, pi, beta, counts), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(gamma, collision(ss, pi, beta, counts),
+                                       rtol=0.0, atol=1e-12)
             # each row again with beta in [0.998, 1], where the DP's signed
             # sum cancels most: gamma stays a probability
             near = 0.998 + 0.002 * beta
             _, got = frontier_law(plan, rho, near, counts)
             assert ((0.0 <= got) & (got <= 1.0)).all()
-            np.testing.assert_allclose(got, collision_probability(
-                ss, pi, near, counts), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got, collision(ss, pi, near, counts),
+                                       rtol=0.0, atol=1e-12)
             # one row at a time gives the same rows
             for got, want in zip(frontier_law(plan, rho[1], beta[1], counts),
                                  (x[1], gamma[1])):
@@ -338,8 +355,25 @@ def test_state_count_overflowing_the_dp_is_a_cap_error():
     # 2^1100 independent sets: the one-row DP that counts them overflows
     import cellwlan.multicell as multicell
     with pytest.raises(StateSpaceCapError, match="^graph with 1100 cells has "
-                       "too many independent sets to count$"):
+                       "too many independent sets to read its law in "
+                       "floats$"):
         multicell._law(graph_from_edges(range(1, 1101), []), (2,) * 1100)
+
+
+def test_a_40_clique_solves_on_the_collision_index(monkeypatch):
+    # 41 states, each cell of degree 39: _law enumerates them without a
+    # plan, and x_i = (1 + rho_i) / (1 + sum rho) where at most one cell
+    # is active
+    cells = range(1, 41)
+    g = graph_from_edges(cells, list(itertools.combinations(cells, 2)))
+    (states, *_), built = _methods(monkeypatch, g)
+    assert states == 41
+    assert built["enumerate_independent_sets"] == 1
+    assert "frontier_plan" not in built
+    sol = solve_fixed_point(MulticellInput(g, (2,) * 40, MP, BO))
+    assert sol.state_count == 41
+    np.testing.assert_allclose(sol.x, (1.0 + sol.rho) / (1.0 + sol.rho.sum()),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_grid_state_counts_stay_exact_past_two_to_the_53(monkeypatch):
@@ -413,7 +447,8 @@ def test_grid_6x6_solves_and_matches_the_row_transfer_oracle():
         sol.x, oracles.grid_unblocked_by_rows(6, 6, sol.rho),
         rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(
-        attempt_probability(sol.gamma, BO), sol.beta, atol=1e-8)
+        [oracles.attempt_probability_horner(g, BO.mean_backoffs)
+         for g in sol.gamma], sol.beta, atol=1e-8)
     g = _grid(3, 4)
     rho = np.random.Generator(np.random.Philox(23)).uniform(0.1, 1e3, 12)
     np.testing.assert_allclose(
@@ -442,7 +477,7 @@ def _step_rows(monkeypatch, inp, times, beta, dp):
     return out, plans[0] if dp else None
 
 
-def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
+def test_prepared_step_rows_equal_the_kernels_row_by_row(monkeypatch):
     # each row, bit for bit, on enumerated laws and frontier DPs; the
     # cw_min = 3 ladder has G(0) = 1, so beta = 1 and 0^0 appear, and the
     # DP's rows of beta near 1 keep gamma within [0, 1]
@@ -453,7 +488,8 @@ def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
         g = graph_from_edges(*oracles.random_graph(rng, n, 0.5))
         counts = tuple(int(c) for c in rng.integers(1, 9, size=n))
         for backoff in (BO, mean_backoffs(3, 1024, 7)):
-            start = attempt_probability(0.0, backoff)
+            attempt = _attempt(backoff)
+            start = attempt(0.0)
             beta = np.vstack([rng.uniform(1e-3, 0.999, size=(3, n)),
                               rng.uniform(1e-3, 2e-3, size=(2, n)),
                               rng.uniform(0.998, 0.999, size=(2, n)),
@@ -471,19 +507,20 @@ def test_prepared_step_rows_equal_the_public_kernels(monkeypatch):
                     if dp:
                         return frontier_law(plan, rho, b, counts)[1]
                     ss = space(g)
-                    return collision_probability(
+                    return collision(
                         ss, stationary_distribution(ss, rho), b, counts)
                 assert aux.shape == (len(beta), 4, n)
                 for r, b in enumerate(beta):
                     gamma, lam, act, rho = aux[r]
-                    want = [activation_rate(b, counts, MP.slot_time),
-                            mean_activity_time(b, counts, *times[r])]
+                    idle, _, p_succ = _slot_outcomes(
+                        b, np.asarray(counts, dtype=float))
+                    want = [(1.0 - idle) / MP.slot_time, _activity_time(
+                        1.0 - idle, p_succ, *times[r])]
                     want = [law(want[0] * want[1], b), *want,
                             want[0] * want[1]]
                     for got, w in zip((gamma, lam, act, rho), want):
                         assert got.tobytes() == w.tobytes()
-                    assert target[r].tobytes() == attempt_probability(
-                        gamma, backoff).tobytes()
+                    assert target[r].tobytes() == attempt(gamma).tobytes()
                 outcomes["dp" if dp else "enumerated"] += 1
                 outcomes["beta 1"] += int((beta[-1] == 1.0).all())
     assert outcomes["enumerated"] == outcomes["dp"] == 32
@@ -516,7 +553,7 @@ def test_solve_leaves_scipy_sparse_unloaded():
 
 
 def test_per_state_collision_goldens():
-    # the per-state reference that collision_probability is averaged from
+    # the per-state reference that the collision average is taken over
     cells, edges = [1, 2, 3], [(1, 2), (2, 3)]
     beta = (0.1, 0.1, 0.1)
     n = (2, 2, 2)
@@ -553,7 +590,7 @@ def test_collision_probability_matches_scalar_average():
     for cells, edges, beta, counts in cases:
         ss = space(graph_from_edges(cells, edges))
         pi = stationary_distribution(ss, rng.uniform(0.1, 5.0, size=len(cells)))
-        got = collision_probability(ss, pi, beta, counts)
+        got = collision(ss, pi, beta, counts)
         for j, c in enumerate(ss.cells):
             num = den = 0.0
             for s, members in enumerate(ss.states):
@@ -635,13 +672,13 @@ def test_detailed_balance_of_product_form_law():
 
 
 def test_attempt_vector_matches_scalar():
-    # one attempt_probability serves scalars and arrays; both agree with
+    # one ``_attempt`` serves scalars and arrays; both agree with
     # the Horner oracle (array rows and a lone gamma may be summed in a
     # different order by BLAS, so the two can differ in the last bit)
     gammas = np.linspace(0.0, 1.0, 17)
-    got = attempt_probability(gammas, BO)
+    got = _attempt(BO)(gammas)
     assert got.shape == gammas.shape
-    scalar = [attempt_probability(float(g), BO) for g in gammas]
+    scalar = [_attempt(BO)(float(g)) for g in gammas]
     want = [oracles.attempt_probability_horner(float(g), BO.mean_backoffs)
             for g in gammas]
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -686,10 +723,11 @@ def test_solution_is_a_true_fixed_point():
     ss = space(clique())
     pi = stationary_distribution(ss, sol.rho)
     np.testing.assert_allclose(unblocked_fraction(ss, pi), sol.x, rtol=1e-9)
-    gam = collision_probability(ss, pi, sol.beta, (5, 5, 5))
+    gam = oracles.collision_average_per_state(ss, pi, sol.beta, (5, 5, 5))
     np.testing.assert_allclose(gam, sol.gamma, rtol=1e-9)
-    np.testing.assert_allclose(attempt_probability(gam, BO), sol.beta,
-                               atol=1e-10)
+    np.testing.assert_allclose(
+        [oracles.attempt_probability_horner(g, BO.mean_backoffs)
+         for g in gam], sol.beta, atol=1e-10)
 
 
 def test_solver_agrees_from_custom_start():
@@ -909,14 +947,17 @@ def test_setting_that_is_not_a_whole_number_is_named(name, make):
         make()
 
 
+def _chain_law(beta):
+    g = chain()
+    return frontier_law(frontier_plan(g, frontier_steps(g)), [1.0] * 3,
+                        beta, (2, 2, 2))
+
+
 @pytest.mark.parametrize("name, make", [
     ("rho", lambda ss: stationary_distribution(ss, [np.nan, 1.0, 1.0])),
     ("rho", lambda ss: stationary_distribution(ss, [np.inf, 1.0, 1.0])),
-    ("beta", lambda ss: collision_probability(
-        ss, np.full(len(ss), 1.0 / len(ss)), [1.5, 0.1, 0.1], (2, 2, 2))),
-    ("beta", lambda ss: collision_probability(
-        ss, np.full(len(ss), 1.0 / len(ss)), [np.nan, 0.1, 0.1],
-        (2, 2, 2)))],
+    ("beta", lambda ss: _chain_law([1.5, 0.1, 0.1])),
+    ("beta", lambda ss: _chain_law([np.nan, 0.1, 0.1]))],
     ids=["rho-nan", "rho-inf", "beta-above-one", "beta-nan"])
 def test_kernel_input_out_of_range_is_named(name, make):
     with pytest.raises(ValueError, match=f"^{name} = "):
@@ -924,23 +965,9 @@ def test_kernel_input_out_of_range_is_named(name, make):
 
 
 def test_kernel_input_of_the_wrong_shape_is_named():
-    # a 4-entry beta on the 3-cell chain would be read as the padding
-    # column of the silence product; a 2-entry one would index past it
     ss = space(chain())
     pi = stationary_distribution(ss, [1.0, 2.0, 1.0])
-    np.testing.assert_allclose(collision_probability(
-        ss, pi, [0.1, 0.2, 0.1], (2, 2, 2)), [0.262, 0.47512, 0.262])
     rows = np.vstack([pi, pi])
-    bad = [(pi, [0.1, 0.2, 0.1, 0.5], (2, 2, 2), "beta"),
-           (pi, [0.1, 0.2], (2, 2, 2), "beta"),
-           (rows, [0.1, 0.2, 0.1], (2, 2, 2), "beta"),
-           (pi, [0.1, 0.2, 0.1], (2, 2), "node_counts"),
-           (pi, [0.1, 0.2, 0.1], (2, 2, 2, 2), "node_counts"),
-           (pi[:-1], [0.1, 0.2, 0.1], (2, 2, 2), "pi"),
-           (rows[None], np.full((1, 2, 3), 0.1), (2, 2, 2), "pi")]
-    for p, beta, counts, name in bad:
-        with pytest.raises(ValueError, match=f"^{name} has shape "):
-            collision_probability(ss, p, beta, counts)
     for p in (pi[:-1], np.append(pi, 0.0), rows[None]):
         with pytest.raises(ValueError, match="^pi has shape "):
             unblocked_fraction(ss, p)

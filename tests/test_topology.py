@@ -8,8 +8,7 @@ import pytest
 
 from cellwlan.topology import (CellGeom, ContentionGraph, Deployment,
                                MisStats, StateSpace, StateSpaceCapError,
-                               adjacency_text, bfs_order,
-                               build_contention_graph, check_pbd, dot_edges,
+                               bfs_order, build_contention_graph, check_pbd,
                                enumerate_independent_sets, frontier_plan,
                                frontier_steps, frontier_width,
                                graph_from_edges, mis_share_table, mis_stats)
@@ -425,13 +424,6 @@ def test_geometry_rejects_non_finite(field):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=field):
                 make(bad)
-
-
-def test_text_renderings():
-    g = three_chain()
-    assert adjacency_text(g) == "1: 2\n2: 1 3\n3: 2\n"
-    dot = dot_edges(g)
-    assert "1 -- 2;" in dot and "2 -- 3;" in dot and dot.startswith("graph")
 
 
 def test_frontier_widths_and_plan_sizes():
