@@ -210,6 +210,18 @@ def _is_number(v) -> bool:
         return False
 
 
+def _text(v) -> str:
+    """``v`` as an error names it: YAML 1.1 reads 1e3, 1.0e3 and 1e+3 as
+    text, so text that ``float`` reads says how to write a number."""
+    try:
+        if isinstance(v, str) and math.isfinite(float(v)):
+            return (f"the text {v!r}; YAML reads an exponent as a number "
+                    f"only with a dot and a signed power, as in 1.0e+3")
+    except ValueError:
+        pass
+    return repr(v)
+
+
 def _parse(row: Key, kind, v, where: str):
     """One value by its row's rule: type, then bounds, then unit."""
     if isinstance(kind, list):
@@ -229,7 +241,7 @@ def _parse(row: Key, kind, v, where: str):
             raise ConfigError(f"{where}: expected {kind}, got {v!r}")
         return v
     if not _is_number(v) or (kind == INT and not float(v).is_integer()):
-        raise ConfigError(f"{where}: expected {kind}, got {v!r}")
+        raise ConfigError(f"{where}: expected {kind}, got {_text(v)}")
     lo, hi = (float(b) for b in row.bounds[1:-1].split(","))
     if not ((lo < v if row.bounds[0] == "(" else lo <= v)
             and (v < hi if row.bounds[-1] == ")" else v <= hi)):

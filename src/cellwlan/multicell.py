@@ -156,22 +156,24 @@ def unblocked_fraction(state_space: StateSpace, pi) -> np.ndarray:
 def partition_function(steps, weights) -> np.ndarray:
     """Z = sum over the independent sets A of prod_{i in A} w_i per row
     of a (rows, cells) ``weights``, by a frontier DP over ``steps``
-    (``topology.frontier_steps``) on an (entries, rows) table: a cell
-    joins by appending its compatible entries times its weight, and a
-    frontier cell leaves by adding each entry with it to its partner
-    without it.  No state is listed and no matrix product taken, so no
-    BLAS thread count changes a result; an overflow gives a Z that is not
-    finite.  Python-int weights (an object array) give an exact Z."""
+    (``topology.frontier_steps``) on an (entries, rows) table: per cell a
+    gather and in-place multiplies of the slices holding it by its weight,
+    per frontier cell that leaves one slice add of its entries onto their
+    partners without it.  No state is listed and no matrix product taken,
+    so no BLAS thread count changes a result; an overflow gives a Z that
+    is not finite.  Python-int weights (an object array) give an exact Z."""
     w = np.asarray(weights)
     w = np.ascontiguousarray(w.T, dtype=np.result_type(w, float))
     table = np.ones((1, w.shape[1]), dtype=w.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for cell, compatible, drops in steps:
-            table = np.concatenate((table, table[compatible] * w[cell]))
-            for keep, into, taken in drops:
-                folded = table[keep]
-                folded[into] += table[taken]
-                table = folded
+        for cell, take, scaled, folds in steps:
+            table = table[take]
+            for part in scaled:
+                np.multiply(table[part], w[cell], out=table[part])
+            for gather, into, taken in folds:
+                table = table if gather is None else table[gather]
+                np.add(table[into], table[taken], out=table[into])
+                table = table[:taken.start]
     return table[0]
 
 
@@ -336,8 +338,7 @@ def _law(graph: ContentionGraph, node_counts):
             1 << int(d) for d in graph.adjacency.sum(axis=1))
         steps = frontier_steps(graph, order, _BATCH_STATES // zero_sets)
     if steps is not None:
-        # the largest table is a join's, which the first fold after it reads
-        widest = max(len(d[0][0]) + len(d[0][2]) for _, _, d in steps if d)
+        widest = max(len(take) for _, take, _, _ in steps)
         bound = min(max(_DP_FACTOR * zero_sets * widest, _DP_MIN_STATES),
                     STATE_CAP)
         if 1 << graph.size > bound:

@@ -13,6 +13,7 @@ reads the product-form law over them without listing them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -396,35 +397,46 @@ def frontier_width(graph: ContentionGraph, order=None) -> int:
 def frontier_steps(graph: ContentionGraph, order=None,
                    limit=None) -> tuple | None:
     """A frontier DP's walk over the cell columns ``order`` (id order if
-    None): per cell, ``(cell, compatible, drops)``, or None once a table
+    None): per cell, ``(cell, take, scaled, folds)``, or None once a table
     would hold more than ``limit`` entries.  The table holds one entry per
     independent subset of the frontier, the cells taken that have a
-    neighbor still to come.  The cell joins as new entries appended after
-    the old ones: the ``compatible`` entries (no neighbor of it in them)
-    times its weight.  Each frontier cell done then leaves by one
-    ``(keep, into, taken)`` of ``drops`` in turn: the entries without it
-    (``keep``) stay, and each entry with it (``taken``) is added to its
-    partner without it, at ``into`` among them (Calkin & Wilf's transfer
-    matrix over the independent sets of a row, one cell at a time)."""
+    neighbor still to come.  The cell joins by the gather ``take``: the old
+    entries and, in the slices ``scaled`` times its weight, the compatible
+    ones.  Each frontier cell done leaves by one ``(take, into, taken)`` of
+    ``folds`` in turn: after a gather (None: the join's) each entry with it,
+    in the slice ``taken`` at the end, is added to its partner without it
+    at the same offset of ``into`` (Calkin & Wilf's transfer matrix)."""
     last, frontier, steps = _last_neighbors(graph, order), [], []
     order = range(graph.size) if order is None else np.asarray(order).tolist()
     sets = [0]    # per entry, bit p set: the cell at position p is in it
     for p, c in enumerate(order):
         nbits = sum(1 << k for k in frontier if graph.adjacency[c, order[k]])
         compatible = [e for e, s in enumerate(sets) if not s & nbits]
+        old, take = len(sets), list(range(len(sets))) + compatible
         sets += [sets[e] | 1 << p for e in compatible]
         if limit is not None and len(sets) > limit:
             return None
-        frontier, drops = frontier + [p], []
+        frontier, scaled, folds = frontier + [p], [(old, len(sets))], []
         for k in [k for k in frontier if last[k] <= p]:
             frontier.remove(k)
-            keep = [e for e, s in enumerate(sets) if not s >> k & 1]
+            at = {s: e for e, s in enumerate(sets) if not s >> k & 1}
             taken = [e for e, s in enumerate(sets) if s >> k & 1]
-            at = {sets[e]: j for j, e in enumerate(keep)}
-            drops.append(tuple(np.array(v, dtype=np.intp) for v in (
-                keep, [at[sets[e] ^ 1 << k] for e in taken], taken)))
-            sets = [sets[e] for e in keep]
-        steps.append((c, np.array(compatible, dtype=np.intp), drops))
+            partners = [at.pop(sets[e] ^ 1 << k) for e in taken]
+            rest, n, size = list(at.values()), len(sets), len(taken)
+            # rest and taken in table order; later folds: [partners | rest |
+            # taken]; the first: [rest- | partners- partners+ | rest+ |
+            # taken- taken+], + with the joining cell, unless it leaves
+            r = bisect_left(rest, old) if not folds else 0
+            gather = rest[:r] + partners + rest[r:] + taken
+            if not folds:
+                take, t = [take[e] for e in gather], bisect_left(taken, old)
+                scaled = [(n - size, n)] if k == p else [
+                    (r + t, n - size), (n - size + t, n)]
+            folds.append((np.array(gather, dtype=np.intp) if folds else None,
+                          slice(r, r + size), slice(n - size, n)))
+            sets = [sets[e] for e in gather[:n - size]]
+        steps.append((c, np.array(take, dtype=np.intp), tuple(
+            slice(a, b) for a, b in scaled if a < b), tuple(folds)))
     return tuple(steps)
 
 

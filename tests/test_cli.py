@@ -326,6 +326,27 @@ def test_malformed_arrival_rate_is_a_config_error(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["1e3", "1.0e3", "1e+3", "abc"])
+def test_number_written_as_yaml_text_is_named_text(tmp_path, capsys, text):
+    # YAML 1.1 reads 1e3, 1.0e3 and 1e+3 as strings and only 1.0e+3 as a
+    # number: the error says so where float() would read the text
+    path = tmp_path / "cfg.yaml"
+    doc = "deployment: {preset: three-chain}\n" \
+        "backoff: {preset: dot11b-11mbps}\n" \
+        "mac_phy: {preset: dot11b-11mbps, payload_bytes: %s}\n"
+    path.write_text(doc % text, encoding="utf-8")
+    assert main(["saturation", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    shown = repr(text) if text == "abc" else f"the text {text!r}; YAML " \
+        f"reads an exponent as a number only with a dot and a signed " \
+        f"power, as in 1.0e+3"
+    assert capsys.readouterr().err.strip() == f"config error: " \
+        f"mac_phy.payload_bytes: expected a finite number, got {shown}"
+    path.write_text(doc % "1.0e+3", encoding="utf-8")
+    assert main(["saturation", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_config_rejects_malformed_documents(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("deployment: [unclosed\n", encoding="utf-8")

@@ -267,6 +267,33 @@ def test_partition_function_equals_the_bitmask_kernel_bit_for_bit():
                     (1, n), dtype=object)).tolist() == [count]
 
 
+def test_partition_function_is_bit_for_bit_on_the_benchmark_shapes():
+    # the grids' rows as the solver's DP lays them out, one row per
+    # zero-set of the plan: the 5x5 grid at 4 rows, the 4x5 at 20 and the
+    # 6x6 at 4; and the row-numbered 2x16 ladder breadth first; zero and
+    # overflowing weights among them; Python-int weights count the states
+    rng = np.random.Generator(np.random.Philox(30))
+    ladder = graph_from_edges(*oracles.ladder_graph(16, True))
+    for g, order, rows, count in (
+            (_grid(5, 5), None, 4, oracles.grid_independent_sets(5, 5)),
+            (_grid(4, 5), None, 20, oracles.grid_independent_sets(4, 5)),
+            (_grid(6, 6), None, 4, oracles.grid_independent_sets(6, 6)),
+            (ladder, bfs_order(ladder), 4,
+             oracles.grid_independent_sets(2, 16))):
+        steps = frontier_steps(g, order)
+        rho = 10.0 ** rng.uniform(-1.0, 4.0, size=(rows, 1, g.size))
+        rho[0, 0, rng.random(g.size) < 0.2] = 0.0
+        rho[-1, 0, rng.random(g.size) < 0.5] = 1e300
+        w = (rho * frontier_plan(g, steps).keep).reshape(-1, g.size)
+        want = oracles.partition_function_bitmask(g.adjacency, order, w)
+        # the overflowing row's Z are not finite, the other rows' are
+        finite = np.isfinite(want.reshape(rows, -1))
+        assert finite[:-1].all() and not finite[-1].any()
+        assert partition_function(steps, w).tobytes() == want.tobytes()
+        assert partition_function(steps, np.ones(
+            (1, g.size), dtype=object)).tolist() == [count]
+
+
 def test_frontier_dp_refuses_bad_kernel_inputs_by_name():
     g = _grid(2, 2)
     plan = frontier_plan(g, frontier_steps(g))

@@ -461,19 +461,22 @@ def test_bfs_order_starts_each_component_at_a_least_degree_cell():
 
 
 def _independent_subsets(adjacency, members):
-    """The number of independent subsets of the cell columns ``members``,
-    by filtering their power set."""
-    return sum(1 for r in range(len(members) + 1)
-               for sub in itertools.combinations(members, r)
-               if not adjacency[np.ix_(sub, sub)].any())
+    """The independent subsets of the cell columns ``members``, as
+    frozensets, by filtering their power set."""
+    return {frozenset(sub) for r in range(len(members) + 1)
+            for sub in itertools.combinations(members, r)
+            if not adjacency[np.ix_(sub, sub)].any()}
 
 
 def test_frontier_walks_follow_a_cell_order():
     # any order: each cell joins once, in that order, and every table
     # holds one entry per independent subset of the frontier (the cells
-    # taken with a neighbor still to come), by a brute-force count after
-    # each join and each fold; the walk ends at one entry, and a limit
-    # below its largest table stops it
+    # taken with a neighbor still to come), by a brute-force list after
+    # each join and each fold; the scaled slices hold exactly the entries
+    # with the joining cell, and each fold's two slices, disjoint and of
+    # one length, pair every entry with the leaving cell with its partner
+    # without it; the walk ends at one entry, and a limit below its
+    # largest table stops it
     rng = np.random.Generator(np.random.Philox(26))
     for n in range(1, 13):
         g = graph_from_edges(*oracles.random_graph(rng, n, 0.4))
@@ -481,30 +484,45 @@ def test_frontier_walks_follow_a_cell_order():
         for order in (None, bfs_order(g), rng.permutation(n)):
             steps = frontier_steps(g, order)
             want = list(range(n) if order is None else order)
-            assert [c for c, _, _ in steps] == want
+            assert [c for c, *_ in steps] == want
             last = [max((q for q, d in enumerate(want) if adj[c, d]),
                         default=-1) for c in want]
-            size = widest = 1
-            for p, (_, compatible, drops) in enumerate(steps):
+            table, widest = [frozenset()], 1
+            for p, (c, take, scaled, folds) in enumerate(steps):
                 frontier = [q for q in range(p) if last[q] >= p] + [p]
-                assert compatible.tolist() == sorted(set(compatible.tolist()))
-                assert compatible.max() < size
-                size += len(compatible)
-                assert size == _independent_subsets(
-                    adj, [want[q] for q in frontier])
-                widest = max(widest, size)
+                assert take.min() >= 0 and take.max() < len(table)
+                holds = np.zeros(len(take), dtype=bool)
+                for part in scaled:
+                    assert 0 <= part.start < part.stop <= len(take)
+                    assert not holds[part].any()
+                    holds[part] = True
+                table = [table[e] | {c} if h else table[e]
+                         for e, h in zip(take.tolist(), holds)]
+                widest = max(widest, len(table))
+                assert len(table) == len(set(table)) and set(table) == \
+                    _independent_subsets(adj, [want[q] for q in frontier])
                 done = [q for q in frontier if last[q] <= p]
-                assert len(drops) == len(done)
-                for q, (keep, into, taken) in zip(done, drops):
+                assert len(folds) == len(done)
+                for j, (q, (gather, into, taken)) in enumerate(zip(done,
+                                                                   folds)):
                     frontier.remove(q)
-                    assert sorted(keep.tolist() + taken.tolist()) == \
-                        list(range(size))
-                    size = len(keep)
-                    assert size == _independent_subsets(
-                        adj, [want[q] for q in frontier])
-                    assert len(into) == len(taken) == len(set(into.tolist()))
-                    assert into.max(initial=0) < size
-            assert size == 1
+                    assert (gather is None) == (j == 0)
+                    if gather is not None:
+                        assert sorted(gather.tolist()) == \
+                            list(range(len(table)))
+                        table = [table[e] for e in gather.tolist()]
+                    assert into.start <= into.stop <= taken.start
+                    assert taken.stop == len(table)
+                    assert into.stop - into.start == taken.stop - taken.start
+                    cell = want[q]
+                    assert [cell in s for s in table] == \
+                        [e >= taken.start for e in range(len(table))]
+                    assert [s - {cell} for s in table[taken]] == table[into]
+                    table = table[:taken.start]
+                    assert len(table) == len(set(table)) and set(table) == \
+                        _independent_subsets(adj, [want[q] for q in frontier])
+            assert table == [frozenset()]
+            assert widest == max(len(take) for _, take, *_ in steps)
             assert widest <= 1 << frontier_width(g, order) + 1
             assert frontier_steps(g, order, widest) is not None
             assert frontier_steps(g, order, widest - 1) is None
@@ -520,7 +538,7 @@ def test_frontier_plan_against_neighborhoods():
         plan = frontier_plan(g, steps)
         # every cell joins once, in id order, and leaves the table at
         # one column once the last one is in
-        assert [c for c, _, _ in steps] == list(range(n))
+        assert [c for c, *_ in steps] == list(range(n))
         assert len({tuple(k) for k in plan.keep}) == len(plan.keep)
         assert plan.keep[0].all()
         zeroed = ~plan.keep.astype(bool)
